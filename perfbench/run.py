@@ -16,7 +16,6 @@ perfbench/out/.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -57,15 +56,6 @@ def git_sha():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def source_digest():
-    """sha256 over the package sources, for checkouts that are not git repositories."""
-    digest = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(path.relative_to(ROOT).as_posix().encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def environment(seed):
     import numpy as np
 
@@ -82,7 +72,6 @@ def environment(seed):
         "blas": blas_name,
         "blas_threads": {var: os.environ[var] for var in THREAD_VARS},
         "git_sha": git_sha(),
-        "source_sha256": source_digest(),
         "seed": seed,
     }
 
@@ -100,20 +89,27 @@ def p90_with_tail(samples):
 
 
 def timed_run(workload, args, workloads):
-    setup_times = []
-    state = None
-    for _ in range(SETUP_REPEATS):
-        if state is not None:
-            workload.close(state)
-            state = None
+    """Set up SETUP_REPEATS times and measure a share of `--seconds` after each.
+
+    Spreading the set-ups over the run lets their median see the machine at
+    several times instead of one. Every set-up must end in the same final
+    training loss, since all use the same seed.
+    """
+    setup_times, phases, losses, extra = [], [], [], []
+    for repeat in range(SETUP_REPEATS):
         start = time.perf_counter()
         state = workload.setup(args.seed)
         setup_times.append(time.perf_counter() - start)
-    try:
-        phase = workloads.measure(workload, state, args.seconds)
-        extra = workload.finish(state)
-    finally:
-        workload.close(state)
+        try:
+            phases.append(workloads.measure(workload, state, args.seconds / SETUP_REPEATS))
+            if repeat == SETUP_REPEATS - 1:
+                extra = workload.finish(state)
+        finally:
+            workload.close(state)
+        losses.append(state.final_train_loss)
+    if len(set(losses)) > 1:
+        extra.append(workloads.Op(0.0, 0, [f"set-ups with one seed ended in losses {losses}"]))
+    phase = workloads.Phase.merge(phases)
     latencies = phase.latencies_ms
     metrics = {
         "setup_s": (statistics.median(setup_times), "s"),
@@ -155,6 +151,7 @@ def traced_run(workload, args, workloads, tracing):
         with tracer.installed():
             traced = workloads.measure(workload, state, args.seconds, tracer)
         calls = workloads.counter_delta(before, workloads.counters())
+        predict_nodes = workload.predict_grad_nodes_per_video(state)
         extra = workload.finish(state)
     finally:
         workload.close(state)
@@ -167,6 +164,7 @@ def traced_run(workload, args, workloads, tracing):
         calls,
         traced.wall_s,
         overhead,
+        predict_nodes,
     )
     metrics = {name: (value, tracing.unit_of(name)) for name, value in layer.items()}
     named = {

@@ -1,5 +1,6 @@
 """A corrupted output makes its operation fail; clean outputs pass."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from coleaf import branches, harness, synthdata
 from coleaf.losses import LossBundle
 
 import gates
+import run
 import workloads
 
 
@@ -113,3 +115,36 @@ def test_training_gate():
     assert gates.check_training(_log(2.0, 1.5, total=math.inf))
     expected = [e.losses for e in _log(2.0, 1.4).epochs]
     assert any("differs" in p for p in gates.check_training(_log(2.0, 1.5), expected))
+
+
+def test_throughput_is_the_median_operation():
+    ops = [workloads.Op(1.0, 10, []), workloads.Op(2.0, 10, []), workloads.Op(10.0, 10, []),
+           workloads.Op(0.1, 10, ["failed"])]
+    assert workloads.Phase(ops, 13.1).videos_per_s == 5.0
+
+
+class SetupsThatDisagree:
+    """A workload whose third set-up ends in another loss than the first two."""
+
+    def __init__(self):
+        self.losses = iter([1.0, 1.0, 2.0])
+
+    def setup(self, seed):
+        return SimpleNamespace(final_train_loss=next(self.losses))
+
+    def op(self, state):
+        return workloads.Op(0.01, 1, [])
+
+    def finish(self, state):
+        return []
+
+    def close(self, state):
+        pass
+
+
+def test_set_ups_with_one_seed_must_agree():
+    args = SimpleNamespace(workload="train-desk", seed=1, seconds=0.003)
+    _, _, ops, detail = run.timed_run(SetupsThatDisagree(), args, workloads)
+    assert len(detail["setup_s_samples"]) == run.SETUP_REPEATS
+    assert [p for op in ops for p in op.problems] == [
+        "set-ups with one seed ended in losses [1.0, 1.0, 2.0]"]

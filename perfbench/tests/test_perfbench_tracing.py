@@ -41,7 +41,24 @@ def test_wrappers_restore_every_attribute_even_after_an_error():
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
-    assert tracer.counts["predict_grad_nodes"] > 0
+
+
+def test_grad_node_count_restores_tensor_init():
+    before = snapshot()
+    params = harness.train(tiny_corpus(), harness.TrainConfig(epochs=1, batch_size=4))[0]
+    with tracing.counting_grad_nodes() as counts:
+        harness.predict(params, tiny_corpus(2))
+    assert counts["grad_nodes"] > 0
+    assert snapshot() == before
+
+
+def test_accounted_share_leaves_out_the_benchmarks_own_time():
+    tracer = tracing.Tracer()
+    tracer.spans = [["bench.op", 0.0, 1.0, -1, 1], ["harness.predict", 0.2, 0.6, 0, 1]]
+    calls = {"reference_forward_calls": 0, "anchor_forward_calls": 20, "class_token_reads": 0}
+    metrics = tracing.layer_metrics(tracing.Tracer(), tracer, 20, calls, 1.0, 0.0, 0.0)
+    assert metrics["trace.accounted_share"] == pytest.approx(0.4)
+    assert metrics["bench.op.self_ms_per_video"] == pytest.approx(1000.0 * 0.6 / 20)
 
 
 def test_self_times_of_a_traced_step_add_up_to_its_span():
@@ -62,22 +79,24 @@ def test_self_times_of_a_traced_step_add_up_to_its_span():
 
 
 def test_missing_hook_is_reported_absent_not_fatal():
-    targets = tracing.TARGETS + (("coleaf.numerics", "ComputationTapeGone", "numerics.gone", None, None),
-                                 ("coleaf.numerics:NoSuchClass", "step", "harness.adam_step", None, None))
+    targets = tracing.TARGETS + (("coleaf.numerics", "ComputationTapeGone", "numerics.gone", None),
+                                 ("coleaf.numerics:NoSuchClass", "step", "harness.adam_step", None))
     tracer = tracing.Tracer()
     with tracer.installed(targets):
         harness.train(tiny_corpus(), harness.TrainConfig(epochs=1, batch_size=4))
     assert tracer.absent == {"numerics.gone", "harness.adam_step"}
     metrics = tracing.layer_metrics(tracing.Tracer(), tracer, 4, {
-        "reference_forward_calls": 4, "anchor_forward_calls": 4, "class_token_reads": 8}, 1.0, 0.0)
+        "reference_forward_calls": 4, "anchor_forward_calls": 4, "class_token_reads": 8}, 1.0, 0.0,
+        None)
     assert "harness.adam_step.calls" not in metrics
+    assert "numerics.predict_grad_nodes_per_video" not in metrics
     assert metrics["numerics.backward.calls"] == 1.0
 
 
 def test_benchmark_json_names_every_per_layer_metric():
     spec = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
     calls = {"reference_forward_calls": 0, "anchor_forward_calls": 0, "class_token_reads": 0}
-    emitted = tracing.layer_metrics(tracing.Tracer(), tracing.Tracer(), 0, calls, 1.0, 0.0)
+    emitted = tracing.layer_metrics(tracing.Tracer(), tracing.Tracer(), 0, calls, 1.0, 0.0, 0.0)
     assert sorted(m["name"] for m in spec["per_layer"]) == sorted(emitted)
     assert all(m["unit"] == tracing.unit_of(m["name"]) for m in spec["per_layer"])
     assert {w["name"] for w in spec["workloads"]} <= set(workloads.WORKLOADS)
