@@ -88,31 +88,40 @@ def p90_with_tail(samples):
     return p90 if sum(1 for x in samples if x > p90) >= 10 else None
 
 
-def timed_run(workload, args, workloads):
+def timed_run(workload, args, workloads, hostspeed):
     """Set up SETUP_REPEATS times and measure a share of `--seconds` after each.
 
     Spreading the set-ups over the run lets their median see the machine at
     several times instead of one. Every set-up must end in the same final
     training loss, since all use the same seed.
     """
-    setup_times, phases, losses, extra = [], [], [], []
-    for repeat in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        state = workload.setup(args.seed)
-        setup_times.append(time.perf_counter() - start)
-        try:
-            phases.append(workloads.measure(workload, state, args.seconds / SETUP_REPEATS))
-            if repeat == SETUP_REPEATS - 1:
-                extra = workload.finish(state)
-        finally:
-            workload.close(state)
-        losses.append(state.final_train_loss)
+    sampler = hostspeed.Sampler()
+    setup_times, setup_factors, phases, losses, extra = [], [], [], [], []
+    with sampler.periodic():
+        for repeat in range(SETUP_REPEATS):
+            sampler.sample()
+            start = time.perf_counter()
+            state = workload.setup(args.seed)
+            end = time.perf_counter()
+            sampler.sample()
+            factor, intrusion = sampler.over(start, end)
+            setup_times.append(end - start - intrusion)
+            setup_factors.append(factor)
+            try:
+                phases.append(
+                    workloads.measure(workload, state, args.seconds / SETUP_REPEATS, sampler))
+                if repeat == SETUP_REPEATS - 1:
+                    extra = workload.finish(state)
+            finally:
+                workload.close(state)
+            losses.append(state.final_train_loss)
     if len(set(losses)) > 1:
         extra.append(workloads.Op(0.0, 0, [f"set-ups with one seed ended in losses {losses}"]))
     phase = workloads.Phase.merge(phases)
     latencies = phase.latencies_ms
+    reference_setups = [t / f for t, f in zip(setup_times, setup_factors)]
     metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
+        "setup_s": (statistics.median(reference_setups), "s"),
         "videos_per_s": (phase.videos_per_s, "1/s"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
     }
@@ -121,35 +130,47 @@ def timed_run(workload, args, workloads):
     p50 = statistics.median(latencies) if latencies else None
     named = {
         "setup_s": metrics["setup_s"],
+        "wall_setup_s": (statistics.median(setup_times), "s"),
         "peak_rss_mb": metrics["peak_rss_mb"],
+        "host_factor_p50": (statistics.median(phase.host_factors + setup_factors), "x"),
         "failed_share": (failed / len(ops), "share"),
         "final_train_loss": (state.final_train_loss, "loss"),
     }
     if args.workload.startswith("train"):
         named["train_videos_per_s"] = metrics["videos_per_s"]
+        named["wall_train_videos_per_s"] = (phase.wall_videos_per_s, "1/s")
         named["training_run_ms_p50"] = (p50, "ms")
         named["training_runs"] = (len(latencies), "count")
     else:
         named["parse_videos_per_s"] = metrics["videos_per_s"]
+        named["wall_parse_videos_per_s"] = (phase.wall_videos_per_s, "1/s")
         named["shard_ms_p50"] = (p50, "ms")
         named["shard_ms_p90"] = (p90_with_tail(latencies), "ms")
         named["shards"] = (len(latencies), "count")
         named["heldout_type_at_avo"] = (state.heldout_type_at_avo, "F-score")
         named["random_type_at_avo"] = (state.random_type_at_avo, "F-score")
-    detail = {"setup_s_samples": setup_times, "op_ms_samples": latencies}
+    detail = {
+        "setup_s_samples": setup_times,
+        "setup_host_factors": setup_factors,
+        "op_ms_samples": latencies,
+        "op_host_factors": [op.host_factor for op in phase.done],
+    }
     return metrics, named, ops, detail
 
 
-def traced_run(workload, args, workloads, tracing):
+def traced_run(workload, args, workloads, tracing, hostspeed):
     setup_tracer = tracing.Tracer()
     with setup_tracer.installed():
         state = workload.setup(args.seed)
     tracer = tracing.Tracer()
     try:
-        untraced = workloads.measure(workload, state, args.seconds)
+        # Samples between operations only: a sample inside one would land in
+        # whichever coleaf span was open.
+        sampler = hostspeed.Sampler()
+        untraced = workloads.measure(workload, state, args.seconds, sampler)
         before = workloads.counters()
         with tracer.installed():
-            traced = workloads.measure(workload, state, args.seconds, tracer)
+            traced = workloads.measure(workload, state, args.seconds, sampler, tracer)
         calls = workloads.counter_delta(before, workloads.counters())
         predict_nodes = workload.predict_grad_nodes_per_video(state)
         extra = workload.finish(state)
@@ -162,7 +183,7 @@ def traced_run(workload, args, workloads, tracing):
         tracer,
         sum(op.videos for op in traced.ops),
         calls,
-        traced.wall_s,
+        traced.wall_s - traced.calibration_s,
         overhead,
         predict_nodes,
     )
@@ -190,6 +211,7 @@ def main(argv=None):
     sys.path.insert(0, str(SRC))
     try:
         import coleaf
+        import hostspeed
         import tracing
         import workloads
     except ImportError as err:
@@ -203,9 +225,9 @@ def main(argv=None):
     print("env " + json.dumps(env, sort_keys=True), flush=True)
     workload = workloads.WORKLOADS[args.workload]
     if args.trace:
-        metrics, named, ops, detail = traced_run(workload, args, workloads, tracing)
+        metrics, named, ops, detail = traced_run(workload, args, workloads, tracing, hostspeed)
     else:
-        metrics, named, ops, detail = timed_run(workload, args, workloads)
+        metrics, named, ops, detail = timed_run(workload, args, workloads, hostspeed)
 
     failed = [op for op in ops if op.problems]
     for op in failed[:10]:

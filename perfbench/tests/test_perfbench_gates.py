@@ -1,5 +1,7 @@
 """A corrupted output makes its operation fail; clean outputs pass."""
 import math
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from coleaf import branches, harness, synthdata
 from coleaf.losses import LossBundle
 
 import gates
+import hostspeed
 import run
 import workloads
 
@@ -123,6 +126,65 @@ def test_throughput_is_the_median_operation():
     assert workloads.Phase(ops, 13.1).videos_per_s == 5.0
 
 
+def test_throughput_is_in_reference_seconds():
+    # The same operation, once in a fast spell and once in a spell that runs
+    # the reference routine twice as slowly, has one reference rate.
+    ops = [workloads.Op(1.0, 10, [], host_factor=1.0), workloads.Op(2.0, 10, [], host_factor=2.0),
+           workloads.Op(1.5, 10, [], host_factor=1.5)]
+    phase = workloads.Phase(ops, 4.5)
+    assert phase.videos_per_s == pytest.approx(10.0)
+    assert phase.wall_videos_per_s == pytest.approx(10.0 / 1.5)
+
+
+class FixedSampler:
+    """A host-speed sampler that reports factor 2.0 and 10 ms of sampling per span."""
+
+    def __init__(self):
+        self.seconds = []
+
+    def sample(self):
+        self.seconds.append(0.001)
+
+    def over(self, start, end):
+        return 2.0, 0.01
+
+
+def test_measure_takes_sampling_out_of_each_operation():
+    class SlowOp:
+        def op(self, state):
+            start = time.perf_counter()
+            time.sleep(0.05)
+            return workloads.Op(0.05, 1, [], start)
+
+    phase = workloads.measure(SlowOp(), None, 0.03, FixedSampler())
+    assert [op.host_factor for op in phase.ops] == [2.0]
+    assert phase.ops[0].seconds == pytest.approx(0.04)
+    assert phase.ops[0].reference_seconds == pytest.approx(0.02)
+    assert phase.calibration_s == pytest.approx(0.002)
+
+
+def test_sampler_span_uses_the_samples_in_it_and_either_side():
+    sampler = hostspeed.Sampler()
+    sampler.starts = [0.0, 1.0, 2.0, 3.0, 4.0]
+    sampler.seconds = [0.005, 0.010, 0.010, 0.005, 0.020]
+    factor, intrusion = sampler.over(0.5, 2.5)
+    assert intrusion == pytest.approx(0.020)
+    assert factor == pytest.approx(0.0075 / hostspeed.REFERENCE_S)
+
+
+def test_periodic_sampling_stops_and_restores_the_alarm_handler():
+    previous = signal.getsignal(signal.SIGALRM)
+    sampler = hostspeed.Sampler(interval_s=0.01)
+    with sampler.periodic():
+        deadline = time.perf_counter() + 0.1
+        while time.perf_counter() < deadline:
+            sum(range(1000))
+    assert len(sampler.starts) >= 2
+    assert sampler.starts == sorted(sampler.starts)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is previous
+
+
 class SetupsThatDisagree:
     """A workload whose third set-up ends in another loss than the first two."""
 
@@ -144,7 +206,7 @@ class SetupsThatDisagree:
 
 def test_set_ups_with_one_seed_must_agree():
     args = SimpleNamespace(workload="train-desk", seed=1, seconds=0.003)
-    _, _, ops, detail = run.timed_run(SetupsThatDisagree(), args, workloads)
+    _, _, ops, detail = run.timed_run(SetupsThatDisagree(), args, workloads, hostspeed)
     assert len(detail["setup_s_samples"]) == run.SETUP_REPEATS
     assert [p for op in ops for p in op.problems] == [
         "set-ups with one seed ended in losses [1.0, 1.0, 2.0]"]

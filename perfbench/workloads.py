@@ -52,17 +52,30 @@ SHARD_VIDEOS = 100
 
 @dataclass
 class Op:
-    """One operation: its timed seconds, the video passes it completed, its problems."""
+    """One operation: its timed seconds, the video passes it completed, its problems.
+
+    `started` is the `time.perf_counter()` at which the timed part began.
+    `measure` sets `host_factor` from the host-speed samples over the
+    operation (see hostspeed.py) and takes the sampling time out of
+    `seconds`; outside `measure` the factor stays 1.0.
+    """
 
     seconds: float
     videos: int
     problems: list
+    started: float = 0.0
+    host_factor: float = 1.0
+
+    @property
+    def reference_seconds(self):
+        return self.seconds / self.host_factor
 
 
 @dataclass
 class Phase:
     ops: list
     wall_s: float
+    calibration_s: float = 0.0  # part of wall_s spent sampling the host's speed
 
     @property
     def done(self):
@@ -74,11 +87,19 @@ class Phase:
 
     @property
     def videos_per_s(self):
-        """Videos per second of the median passed operation.
+        """Videos per reference second of the median passed operation.
 
-        The median keeps a few operations that the machine slowed down (a
-        preemption, a slow spell of the host) from moving the figure.
+        Each operation's wall time is converted to reference seconds with the
+        host-speed samples taken over it, so a slow spell of the host does not
+        move the figure; the median keeps a few operations that were preempted
+        from moving it either.
         """
+        rates = [op.videos / op.reference_seconds for op in self.done if op.seconds > 0]
+        return statistics.median(rates) if rates else 0.0
+
+    @property
+    def wall_videos_per_s(self):
+        """Videos per wall-clock second of the median passed operation."""
         rates = [op.videos / op.seconds for op in self.done if op.seconds > 0]
         return statistics.median(rates) if rates else 0.0
 
@@ -86,9 +107,17 @@ class Phase:
     def latencies_ms(self):
         return [1000.0 * op.seconds for op in self.done]
 
+    @property
+    def host_factors(self):
+        return [op.host_factor for op in self.ops]
+
     @classmethod
     def merge(cls, phases):
-        return cls([op for phase in phases for op in phase.ops], sum(p.wall_s for p in phases))
+        return cls(
+            [op for phase in phases for op in phase.ops],
+            sum(p.wall_s for p in phases),
+            sum(p.calibration_s for p in phases),
+        )
 
 
 def counters():
@@ -120,21 +149,32 @@ def run_op(workload, state):
         return workload.op(state)
     except Exception as err:  # the loop must go on and count the failure
         traceback.print_exc()
-        return Op(time.perf_counter() - start, 0, [f"raised {err!r}"])
+        return Op(time.perf_counter() - start, 0, [f"raised {err!r}"], start)
 
 
-def measure(workload, state, seconds, tracer=None):
-    """Closed loop: start operations until `seconds` have passed."""
+def measure(workload, state, seconds, sampler, tracer=None):
+    """Closed loop: start operations until `seconds` have passed.
+
+    `sampler` (a hostspeed.Sampler) is sampled before the first operation and
+    after each one, outside every span, so each operation has a host-speed
+    sample on either side, and more inside it while the sampler is periodic.
+    """
     ops = []
+    first_sample = len(sampler.seconds)
     start = time.perf_counter()
+    sampler.sample()
     while time.perf_counter() - start < seconds:
         if tracer is None:
-            ops.append(run_op(workload, state))
-            continue
-        tracer.next_group()
-        with tracer.span("bench.op"):
-            ops.append(run_op(workload, state))
-    return Phase(ops, time.perf_counter() - start)
+            op = run_op(workload, state)
+        else:
+            tracer.next_group()
+            with tracer.span("bench.op"):
+                op = run_op(workload, state)
+        sampler.sample()
+        op.host_factor, intrusion = sampler.over(op.started, op.started + op.seconds)
+        op.seconds -= intrusion
+        ops.append(op)
+    return Phase(ops, time.perf_counter() - start, sum(sampler.seconds[first_sample:]))
 
 
 @dataclass
@@ -169,7 +209,7 @@ class TrainWorkload:
         if not problems:
             state.expected = state.expected or [e.losses for e in log.epochs]
             state.final_train_loss = log.epochs[-1].losses.total
-        return Op(seconds, len(state.corpus.samples) * state.config.epochs, problems)
+        return Op(seconds, len(state.corpus.samples) * state.config.epochs, problems, start)
 
     def finish(self, state):
         return []
@@ -257,7 +297,7 @@ class ParseWorkload:
         problems += gates.check_report(report)
         if not problems:
             state.loaded[index] = read_back
-        return Op(seconds, len(shard.samples), problems)
+        return Op(seconds, len(shard.samples), problems, start)
 
     def finish(self, state):
         """Score the whole held-out set from the shards' prediction files.
