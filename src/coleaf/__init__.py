@@ -39,7 +39,7 @@ from .metrics import (
     segment_fscore,
     threshold_parse,
 )
-from .numerics import ComputationTape, Tensor, attention, backward, bce, matmul, sigmoid, softmax
+from .numerics import Tensor, attention, backward, bce, matmul, sigmoid, softmax
 from .synthdata import (
     CorpusSpec,
     GeneratedCorpus,

@@ -7,7 +7,8 @@ branch deployed for inference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,110 +108,83 @@ class VideoSample:
         )
 
 
-@dataclass
-class AttentionParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
+def param_layout(dim, n_classes):
+    """`(name, shape)` of every parameter of both branches, in init draw order.
+
+    The order fixes each parameter's offset in `BranchParams.flat`.
+    """
+    d, c = dim, n_classes
+    attn = (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)))
+    lin = (("weight", (d, c)), ("bias", (c,)))  # D -> C
+    layout = []
+    for prefix, parts in (
+        ("reference.attn_audio", attn),
+        ("reference.attn_visual", attn),
+        # learnable class tokens, C x D per modality
+        ("reference", (("class_tokens_audio", (c, d)), ("class_tokens_visual", (c, d)))),
+        ("reference.temporal_fc", lin),  # shared across modalities
+        ("reference.classifier_audio", lin),
+        ("reference.classifier_visual", lin),
+        ("anchor.self_attn_audio", attn),
+        ("anchor.self_attn_visual", attn),
+        ("anchor.cross_attn_audio", attn),  # audio queries over visual tokens
+        ("anchor.cross_attn_visual", attn),
+        ("anchor.classifier", lin),  # shared by both modalities
+        ("anchor.pool_temporal_fc", lin),  # logits normalized along T
+        ("anchor.pool_modality_fc", lin),  # logits normalized across modalities
+    ):
+        layout += [(f"{prefix}.{name}", shape) for name, shape in parts]
+    return layout
 
 
-@dataclass
-class LinearParams:
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
-class ReferenceParams:
-    attn_audio: AttentionParams
-    attn_visual: AttentionParams
-    class_tokens_audio: Tensor  # C x D, learnable
-    class_tokens_visual: Tensor
-    temporal_fc: LinearParams  # D -> C, shared across modalities
-    classifier_audio: LinearParams  # D -> C
-    classifier_visual: LinearParams
-
-
-@dataclass
-class AnchorParams:
-    self_attn_audio: AttentionParams
-    self_attn_visual: AttentionParams
-    cross_attn_audio: AttentionParams  # audio queries over visual tokens
-    cross_attn_visual: AttentionParams
-    classifier: LinearParams  # D -> C, shared by both modalities
-    pool_temporal_fc: LinearParams  # D -> C, logits normalized along T
-    pool_modality_fc: LinearParams  # D -> C, logits normalized across modalities
-
-
-@dataclass
 class BranchParams:
-    reference: ReferenceParams
-    anchor: AnchorParams
-    dim: int
-    n_classes: int
+    """Every parameter of both branches in one contiguous float64 vector.
+
+    `params[name]` is a grad-tracking `Tensor` whose data is a view into
+    `flat`. The views are built once, so an optimiser updates `flat` in place
+    and the tensors that `backward` keys its gradients by stay valid.
+    """
+
+    def __init__(self, dim, n_classes, flat):
+        self.dim = dim
+        self.n_classes = n_classes
+        layout = param_layout(dim, n_classes)
+        self.flat = np.asarray(flat, dtype=np.float64)
+        size = sum(math.prod(shape) for _, shape in layout)
+        if self.flat.shape != (size,):
+            raise DimensionError(f"parameter vector has shape {self.flat.shape}, expected ({size},)")
+        self._tensors = {}
+        self._spans = []
+        offset = 0
+        for name, shape in layout:
+            span = slice(offset, offset + math.prod(shape))
+            tensor = Tensor(self.flat[span].reshape(shape), requires_grad=True)
+            self._tensors[name] = tensor
+            self._spans.append((tensor, span))
+            offset = span.stop
+
+    def __getitem__(self, name):
+        return self._tensors[name]
 
     def named_parameters(self):
-        out = []
-        for branch_name in ("reference", "anchor"):
-            branch = getattr(self, branch_name)
-            for f in fields(branch):
-                value = getattr(branch, f.name)
-                prefix = f"{branch_name}.{f.name}"
-                if isinstance(value, Tensor):
-                    out.append((prefix, value))
-                else:
-                    for sub in fields(value):
-                        out.append((f"{prefix}.{sub.name}", getattr(value, sub.name)))
+        return list(self._tensors.items())
+
+    def flat_grad(self, grads):
+        """`backward`'s per-tensor gradients laid out like `flat`; zero where absent."""
+        out = np.zeros_like(self.flat)
+        for tensor, span in self._spans:
+            g = grads.get(tensor)
+            if g is not None:
+                out[span] = g.reshape(-1)
         return out
-
-    def get_parameter(self, name):
-        obj = self
-        *path, leaf = name.split(".")
-        for part in path:
-            obj = getattr(obj, part)
-        return getattr(obj, leaf)
-
-    def set_parameter(self, name, tensor):
-        obj = self
-        *path, leaf = name.split(".")
-        for part in path:
-            obj = getattr(obj, part)
-        setattr(obj, leaf, tensor)
 
 
 def init_branch_params(dim, n_classes, seed):
     """Fresh parameters, uniform in [-1/sqrt(D), 1/sqrt(D)] from one seeded stream."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
-
-    def u(*shape):
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-    def attn():
-        return AttentionParams(u(dim, dim), u(dim, dim), u(dim, dim))
-
-    def lin():
-        return LinearParams(u(dim, n_classes), u(n_classes))
-
-    reference = ReferenceParams(
-        attn_audio=attn(),
-        attn_visual=attn(),
-        class_tokens_audio=u(n_classes, dim),
-        class_tokens_visual=u(n_classes, dim),
-        temporal_fc=lin(),
-        classifier_audio=lin(),
-        classifier_visual=lin(),
-    )
-    anchor = AnchorParams(
-        self_attn_audio=attn(),
-        self_attn_visual=attn(),
-        cross_attn_audio=attn(),
-        cross_attn_visual=attn(),
-        classifier=lin(),
-        pool_temporal_fc=lin(),
-        pool_modality_fc=lin(),
-    )
-    return BranchParams(reference=reference, anchor=anchor, dim=dim, n_classes=n_classes)
+    size = sum(math.prod(shape) for _, shape in param_layout(dim, n_classes))
+    return BranchParams(dim, n_classes, rng.uniform(-bound, bound, size))
 
 
 @dataclass
@@ -245,18 +219,20 @@ def _check_dims(sample, params):
         )
 
 
-def _linear(x, lin):
-    return nm.matmul(x, lin.weight) + lin.bias
+def _linear(x, params, prefix):
+    return nm.matmul(x, params[f"{prefix}.weight"]) + params[f"{prefix}.bias"]
 
 
-def _linear3(x, lin):
+def _linear3(x, params, prefix):
     t, m, d = x.shape
     flat = x.reshape((t * m, d))
-    return _linear(flat, lin).reshape((t, m, lin.bias.shape[0]))
+    return _linear(flat, params, prefix).reshape((t, m, params.n_classes))
 
 
-def _attend(query, kv, p):
-    return nm.attention(query, kv, p.wq, p.wk, p.wv)
+def _attend(query, kv, params, prefix):
+    return nm.attention(
+        query, kv, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
+    )
 
 
 def reference_forward(sample, params, use_class_tokens=True):
@@ -269,23 +245,19 @@ def reference_forward(sample, params, use_class_tokens=True):
     """
     _check_dims(sample, params)
     instrumentation.reference_forward_calls += 1
-    ref = params.reference
     t = sample.n_segments
     per_modality = []
-    for feats, attn_p, cls_tokens, classifier in (
-        (sample.audio_tokens, ref.attn_audio, ref.class_tokens_audio, ref.classifier_audio),
-        (sample.visual_tokens, ref.attn_visual, ref.class_tokens_visual, ref.classifier_visual),
-    ):
+    for feats, side in ((sample.audio_tokens, "audio"), (sample.visual_tokens, "visual")):
         f = Tensor(feats)
         if use_class_tokens:
             instrumentation.class_token_reads += 1
-            x = nm.concat([f, cls_tokens], axis=0)
+            x = nm.concat([f, params[f"reference.class_tokens_{side}"]], axis=0)
         else:
             x = f
-        tokens = _attend(x, x, attn_p)
+        tokens = _attend(x, x, params, f"reference.attn_{side}")
         seg_tokens = tokens[0:t]
-        seg_probs = nm.sigmoid(_linear(seg_tokens, classifier))
-        weights = nm.softmax(_linear(seg_tokens, ref.temporal_fc), axis=0)
+        seg_probs = nm.sigmoid(_linear(seg_tokens, params, f"reference.classifier_{side}"))
+        weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=0)
         video_probs = (weights * seg_probs).sum(axis=0)
         cls_probs = nm.sigmoid(tokens[t:].mean(axis=1)) if use_class_tokens else None
         per_modality.append((tokens, seg_probs, weights, video_probs, cls_probs))
@@ -315,20 +287,19 @@ def anchor_forward(sample, params, unimodal_only=False):
     """
     _check_dims(sample, params)
     instrumentation.anchor_forward_calls += 1
-    anc = params.anchor
     fa0 = Tensor(sample.audio_tokens)
     fv0 = Tensor(sample.visual_tokens)
-    fa = fa0 + _attend(fa0, fa0, anc.self_attn_audio)
-    fv = fv0 + _attend(fv0, fv0, anc.self_attn_visual)
+    fa = fa0 + _attend(fa0, fa0, params, "anchor.self_attn_audio")
+    fv = fv0 + _attend(fv0, fv0, params, "anchor.self_attn_visual")
     if not unimodal_only:
-        fa = fa + _attend(fa0, fv0, anc.cross_attn_audio)
-        fv = fv + _attend(fv0, fa0, anc.cross_attn_visual)
-    seg_a = nm.sigmoid(_linear(fa, anc.classifier))
-    seg_v = nm.sigmoid(_linear(fv, anc.classifier))
+        fa = fa + _attend(fa0, fv0, params, "anchor.cross_attn_audio")
+        fv = fv + _attend(fv0, fa0, params, "anchor.cross_attn_visual")
+    seg_a = nm.sigmoid(_linear(fa, params, "anchor.classifier"))
+    seg_v = nm.sigmoid(_linear(fv, params, "anchor.classifier"))
     probs = nm.stack([seg_a, seg_v], axis=1)  # T x 2 x C
     feats = nm.stack([fa, fv], axis=1)  # T x 2 x D
-    w_temporal = nm.softmax(_linear3(feats, anc.pool_temporal_fc), axis=0)
-    w_modality = nm.softmax(_linear3(feats, anc.pool_modality_fc), axis=1)
+    w_temporal = nm.softmax(_linear3(feats, params, "anchor.pool_temporal_fc"), axis=0)
+    w_modality = nm.softmax(_linear3(feats, params, "anchor.pool_modality_fc"), axis=1)
     # The raw product of the two weight fields does not sum to 1 over (t, m),
     # so normalize it per class; the pooled probability is then a true convex
     # combination and stays inside [min P, max P].

@@ -27,7 +27,7 @@ from .harness import (
     split_corpus,
     train,
 )
-from .metrics import full_report
+from .metrics import full_report, parse_threshold
 from .synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 
@@ -37,20 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _parse_threshold(text):
-    try:
-        if "," in text:
-            values = tuple(float(x) for x in text.split(","))
-        else:
-            values = float(text)
-    except ValueError:
-        raise ConfigError(f"threshold must be a number or comma list, got {text!r}")
-    flat = values if isinstance(values, tuple) else (values,)
-    if any(not 0.0 < v < 1.0 for v in flat):
-        raise ConfigError(f"thresholds must lie strictly inside (0,1), got {text!r}")
-    return values
 
 
 def _load_config(args):
@@ -189,7 +175,7 @@ def build_parser():
     ev = sub.add_parser("eval", help="score predictions against ground truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
-    ev.add_argument("--threshold", type=_parse_threshold, default=0.5)
+    ev.add_argument("--threshold", type=parse_threshold, default=0.5)
     ev.add_argument("--out")
     ev.set_defaults(func=_cmd_eval)
 

@@ -5,12 +5,19 @@ import dataclasses
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
-from .branches import anchor_forward, init_branch_params, reference_forward
+from .branches import (
+    BranchParams,
+    anchor_forward,
+    init_branch_params,
+    param_layout,
+    reference_forward,
+)
 from .errors import ConfigError, DivergenceError, FileFormatError
 from .losses import (
     LossBundle,
@@ -24,7 +31,7 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import BinaryParse, MetricReport, confusion_rates, full_report
+from .metrics import BinaryParse, MetricReport, confusion_rates, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -87,6 +94,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
+        parse_threshold(self.eval_threshold)
 
     @classmethod
     def fullscale(cls, **overrides):
@@ -121,32 +129,14 @@ class TrainConfig:
         return cfg
 
 
-_BOOL_FIELDS = frozenset(
-    name
-    for name in (
-        "include_positive_in_nce",
-        "unimodal_only",
-        "disable_ref_video",
-        "disable_anchor_video",
-        "disable_event_contrastive",
-        "disable_self_modality_kd",
-        "disable_cooccurrence_kd",
-        "disable_class_tokens",
-    )
-)
-_INT_FIELDS = frozenset(
-    ("epochs", "batch_size", "lr_decay_every_epochs", "warmup_epochs", "seed")
-)
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
 
 
 def _coerce_config_value(key, raw):
     if key == "eval_threshold":
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(x) for x in raw)
-        if isinstance(raw, str) and "," in raw:
-            return tuple(float(x) for x in raw.split(","))
-        return float(raw)
-    if key in _BOOL_FIELDS:
+        return parse_threshold(raw)
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
         if isinstance(raw, bool):
             return raw
         text = str(raw).strip().lower()
@@ -155,9 +145,10 @@ def _coerce_config_value(key, raw):
         if text in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key} expects a boolean, got {raw!r}")
-    if key in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} expects {kind.__name__}, got {raw!r}") from None
 
 
 def load_train_config(path):
@@ -173,15 +164,6 @@ def load_train_config(path):
             key, _, value = text.partition("=")
             mapping[key.strip()] = value.strip()
     return TrainConfig.from_mapping(mapping)
-
-
-def config_to_text(config):
-    lines = []
-    for key, value in config.to_mapping().items():
-        if isinstance(value, list):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def apply_env_seed(config):
@@ -229,36 +211,27 @@ class TrainLog:
 
 
 class AdamState:
-    """First/second moment buffers keyed by parameter name."""
+    """First/second moment vectors laid out like `BranchParams.flat`."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        # zero moments; the first step broadcasts them to the vector's length
+        self.m = 0.0
+        self.v = 0.0
 
     def step(self, params, grads, lr):
+        """One update of `params.flat` in place from `backward`'s gradients."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, tensor in params.named_parameters():
-            g = grads.get(tensor)
-            if g is None:
-                g = np.zeros(tensor.shape)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros(tensor.shape)
-                self.v[name] = np.zeros(tensor.shape)
-            v = self.v[name]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            update = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            params.set_parameter(name, Tensor(update, requires_grad=True))
+        g = params.flat_grad(grads)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1**self.t)
+        v_hat = self.v / (1.0 - b2**self.t)
+        params.flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def sample_losses(sample, params, config, epoch=0):
@@ -469,17 +442,29 @@ def load_params(path):
     for key in ("dim", "n_classes", "values"):
         if key not in payload:
             raise FileFormatError(f"{path}:1: missing key {key}")
-    params = init_branch_params(payload["dim"], payload["n_classes"], seed=0)
-    names = {name for name, _ in params.named_parameters()}
-    extra = sorted(set(payload["values"]) - names)
-    missing = sorted(names - set(payload["values"]))
+    dim, n_classes, values = payload["dim"], payload["n_classes"], payload["values"]
+    if any(type(n) is not int or n < 1 for n in (dim, n_classes)):
+        raise FileFormatError(f"{path}:1: dim and n_classes must be positive integers")
+    layout = param_layout(dim, n_classes)
+    names = {name for name, _ in layout}
+    extra = sorted(set(values) - names)
+    missing = sorted(names - set(values))
     if extra or missing:
         raise FileFormatError(
             f"{path}:1: parameter names do not match (missing {missing}, extra {extra})"
         )
-    for name, value in payload["values"].items():
-        params.set_parameter(name, Tensor(np.asarray(value, dtype=np.float64), requires_grad=True))
-    return params
+    pieces = []
+    for name, shape in layout:
+        try:
+            value = np.asarray(values[name], dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise FileFormatError(f"{path}:1: parameter {name}: {err}") from err
+        if value.shape != shape:
+            raise FileFormatError(
+                f"{path}:1: parameter {name} has shape {value.shape}, expected {shape}"
+            )
+        pieces.append(value.reshape(-1))
+    return BranchParams(dim, n_classes, np.concatenate(pieces))
 
 
 @dataclass

@@ -103,9 +103,25 @@ def _check_threshold(threshold, n_classes):
     arr = np.atleast_1d(np.asarray(threshold, dtype=np.float64))
     if arr.ndim != 1 or arr.shape[0] not in (1, n_classes):
         raise ConfigError(f"threshold must be a scalar or one value per class, got shape {arr.shape}")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ConfigError(f"thresholds must lie strictly inside (0,1), got {arr}")
     return arr
+
+
+def parse_threshold(raw):
+    """One threshold, or one per class as a sequence or comma-separated text.
+
+    Returns a float for a single value and a tuple otherwise; every value
+    must lie strictly inside (0,1).
+    """
+    try:
+        if isinstance(raw, str) and "," in raw:
+            raw = raw.split(",")
+        value = tuple(float(x) for x in raw) if isinstance(raw, (list, tuple)) else float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"threshold must be a number or comma list, got {raw!r}") from None
+    _check_threshold(value, np.size(value))
+    return value
 
 
 def threshold_parse(seg_probs_audio, seg_probs_visual, threshold=0.5):
@@ -209,16 +225,32 @@ def _as_parse(value, thresholds):
     return threshold_parse(probs_a, probs_v, 0.5 if thresholds is None else thresholds)
 
 
-def _video_streams(pred_parse, gt_parse):
-    pe = derive_exclusive(pred_parse)
-    ge = derive_exclusive(gt_parse)
-    return {
-        "A": (pred_parse.audio, gt_parse.audio),
-        "V": (pred_parse.visual, gt_parse.visual),
-        "AV": (pe.audible_visible, ge.audible_visible),
-        "Ao": (pe.audio_only, ge.audio_only),
-        "Vo": (pe.visual_only, ge.visual_only),
-    }
+def _aligned_streams(preds, gts, thresholds):
+    """Yield per video in id order each stream's (prediction, ground truth) pair.
+
+    Prediction and ground-truth ids must match and each video's parses must
+    share one shape.
+    """
+    pred_ids, gt_ids = set(preds), set(gts)
+    if pred_ids != gt_ids:
+        raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
+    for vid in sorted(preds):
+        pred_parse = _as_parse(preds[vid], thresholds)
+        gt_parse = gts[vid]
+        if pred_parse.audio.shape != gt_parse.audio.shape:
+            raise DimensionError(
+                f"video {vid}: prediction shape {pred_parse.audio.shape} "
+                f"vs ground truth {gt_parse.audio.shape}"
+            )
+        pe = derive_exclusive(pred_parse)
+        ge = derive_exclusive(gt_parse)
+        yield {
+            "A": (pred_parse.audio, gt_parse.audio),
+            "V": (pred_parse.visual, gt_parse.visual),
+            "AV": (pe.audible_visible, ge.audible_visible),
+            "Ao": (pe.audio_only, ge.audio_only),
+            "Vo": (pe.visual_only, ge.visual_only),
+        }
 
 
 def _add3(a, b):
@@ -268,20 +300,9 @@ def full_report(preds, gts, thresholds=None, config=None):
     """
     config = config or MetricConfig()
     config.validate()
-    pred_ids, gt_ids = set(preds), set(gts)
-    if pred_ids != gt_ids:
-        raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
     segment_counts_per_video = []
     event_counts_per_video = []
-    for vid in sorted(preds):
-        pred_parse = _as_parse(preds[vid], thresholds)
-        gt_parse = gts[vid]
-        if pred_parse.audio.shape != gt_parse.audio.shape:
-            raise DimensionError(
-                f"video {vid}: prediction shape {pred_parse.audio.shape} "
-                f"vs ground truth {gt_parse.audio.shape}"
-            )
-        streams = _video_streams(pred_parse, gt_parse)
+    for streams in _aligned_streams(preds, gts, thresholds):
         segment_counts_per_video.append({s: segment_counts(p, g) for s, (p, g) in streams.items()})
         event_counts_per_video.append(
             {
@@ -307,14 +328,9 @@ def confusion_rates(preds, gts, thresholds=None):
     TP and FN rates are relative to actual positives, TN and FP rates to
     actual negatives, accumulated corpus-wide.
     """
-    pred_ids, gt_ids = set(preds), set(gts)
-    if pred_ids != gt_ids:
-        raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
     type_streams = {"A": "Ao", "V": "Vo", "AV": "AV"}
     totals = {t: [0, 0, 0, 0] for t in type_streams}  # tp, fp, fn, tn
-    for vid in sorted(preds):
-        pred_parse = _as_parse(preds[vid], thresholds)
-        streams = _video_streams(pred_parse, gts[vid])
+    for streams in _aligned_streams(preds, gts, thresholds):
         for event_type, stream in type_streams.items():
             p, g = streams[stream]
             tp, fp, fn = segment_counts(p, g)

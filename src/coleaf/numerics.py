@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Every operation returns a new `Tensor` holding the forward value plus enough
-graph structure for `backward` to accumulate exact gradients. Tensors are
-immutable after creation, so independent graphs can be evaluated in parallel.
+graph structure for `backward` to accumulate exact gradients. Operation
+results are never modified after creation. Parameter tensors are the
+exception: they are views into `BranchParams.flat`, which the optimiser
+updates in place between graphs, so a graph must be differentiated before the
+next optimiser step.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ _sequence = itertools.count()
 
 
 class Tensor:
-    """Node in a computation graph; wraps a read-only float64 array."""
+    """Node in a computation graph; wraps a float64 array."""
 
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fn", "_seq")
 
@@ -101,33 +104,6 @@ def _make(data, parents, grad_fn):
     return Tensor(data)
 
 
-class ComputationTape:
-    """Ordered record of the graph nodes reachable from one output.
-
-    Nodes are sorted by creation sequence, which places every node after its
-    parents; walking the tape in reverse therefore visits each node only
-    after all of its consumers.
-    """
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root):
-        seen = set()
-        reachable = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            reachable.append(node)
-            stack.extend(node._parents)
-        reachable.sort(key=lambda n: n._seq)
-        return cls(reachable)
-
-
 def backward(loss):
     """Gradients of a finite scalar w.r.t. every requires_grad tensor in its graph."""
     if loss.shape != ():
@@ -136,9 +112,21 @@ def backward(loss):
         raise ContractError("backward needs a finite loss")
     if not loss.requires_grad:
         return {}
+    seen = set()
+    reachable = []
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        reachable.append(node)
+        stack.extend(node._parents)
+    # Creation order places every node after its parents, so walking it in
+    # reverse visits each node only after all of its consumers.
+    reachable.sort(key=lambda n: n._seq)
     grads = {loss: np.ones((), dtype=np.float64)}
-    tape = ComputationTape.trace(loss)
-    for node in reversed(tape.nodes):
+    for node in reversed(reachable):
         gout = grads.get(node)
         if gout is None or node._grad_fn is None:
             continue

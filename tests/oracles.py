@@ -162,7 +162,6 @@ def fd_check_params(build_loss, params, coords, h=1e-5, tol=1e-5):
     relative error observed.
     """
     from coleaf import numerics as nm
-    from coleaf.numerics import Tensor
 
     loss = build_loss(params)
     grads = nm.backward(loss)
@@ -174,11 +173,10 @@ def fd_check_params(build_loss, params, coords, h=1e-5, tol=1e-5):
         g_ad = 0.0 if grad is None else float(grad.reshape(-1)[flat_index])
 
         def eval_at(value):
-            data = tensor.data.copy().reshape(-1)
+            data = tensor.data.reshape(-1)  # a view into params.flat
             data[flat_index] = value
-            params.set_parameter(name, Tensor(data.reshape(tensor.shape), requires_grad=True))
             out = build_loss(params).item()
-            params.set_parameter(name, tensor)
+            data[flat_index] = base
             return out
 
         base = float(tensor.data.reshape(-1)[flat_index])

@@ -96,6 +96,34 @@ def test_bad_threshold_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_out_of_range_config_threshold_exits_2_before_training(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4)
+    cfg = write_config(tmp_path, "epochs = 1\nbatch_size = 4\neval_threshold = 1.5\n")
+    out_dir = tmp_path / "run"
+    status = run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out_dir))
+    assert status == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_predict_with_wrong_shaped_params_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    out_dir = tmp_path / "run"
+    assert run_cli(
+        "train", "--corpus", str(corpus), "--seed", "3", "--out", str(out_dir),
+        "--config", str(write_config(tmp_path, "epochs = 1\nbatch_size = 2\n")),
+    ) == 0
+    params_path = out_dir / "params.json"
+    payload = json.loads(params_path.read_text())
+    payload["values"]["anchor.classifier.bias"] = [0.0]
+    params_path.write_text(json.dumps(payload))
+    preds = tmp_path / "p.jsonl"
+    status = run_cli("predict", "--params", str(params_path), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    assert "anchor.classifier.bias" in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from coleaf import numerics as nm
 from coleaf.branches import VideoSample, init_branch_params
-from coleaf.errors import ConfigError, DivergenceError
+from coleaf.errors import ConfigError, DivergenceError, FileFormatError
 from coleaf.harness import (
+    AdamState,
     TrainConfig,
     ablate,
     ablation_table_csv,
@@ -20,6 +25,9 @@ from coleaf.harness import (
     write_predictions,
 )
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
+
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def desk_corpus(n_videos=24, seed=1, leak=0.3, noise_sigma=0.15, **overrides):
@@ -58,7 +66,7 @@ def test_training_loss_decreases_median_of_seeds():
     corpus = generate_corpus(spec)
     drops = []
     for seed in (0, 1, 2):
-        cfg = TrainConfig(seed=seed)  # desk defaults: 15 epochs, batch 32, lr 1e-3
+        cfg = TrainConfig(seed=seed)  # desk defaults: 30 epochs, batch 16, lr 5e-3
         _, log = train(corpus, cfg)
         drops.append(log.epochs[0].losses.total - log.epochs[-1].losses.total)
     assert np.median(drops) > 0
@@ -179,6 +187,49 @@ def test_params_round_trip(tmp_path):
     for (name_a, ta), (name_b, tb) in zip(params.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(ta.data, tb.data)
+    # Written by save_params(init_branch_params(2, 2, 5)) when the parameters
+    # still lived in nested per-layer records: it loads to the same values
+    # and saves back byte for byte.
+    old = DATA_DIR / "params_d2_c2_seed5.json"
+    loaded = load_params(old)
+    for (name_a, ta), (name_b, tb) in zip(
+        init_branch_params(2, 2, 5).named_parameters(), loaded.named_parameters()
+    ):
+        assert name_a == name_b
+        assert np.array_equal(ta.data, tb.data)
+    save_params(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == old.read_bytes()
+
+
+def test_load_params_rejects_wrong_shape(tmp_path):
+    payload = json.loads((DATA_DIR / "params_d2_c2_seed5.json").read_text())
+    payload["values"]["anchor.classifier.bias"] = [0.0]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError) as err:
+        load_params(path)
+    message = str(err.value)
+    assert "anchor.classifier.bias" in message and "(1,)" in message and "(2,)" in message
+    payload["values"]["anchor.classifier.bias"] = [[0.0], 1.0]  # ragged
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match="anchor.classifier.bias"):
+        load_params(path)
+    payload["dim"] = "2"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match="dim"):
+        load_params(path)
+
+
+def test_adam_step_updates_the_parameter_views_in_place():
+    params = init_branch_params(8, 4, 0)
+    tensors = dict(params.named_parameters())
+    before = params.flat.copy()
+    total, _ = sample_losses(desk_corpus(n_videos=1).samples[0], params, quick_config())
+    AdamState().step(params, nm.backward(total), 1e-3)
+    assert not np.array_equal(params.flat, before)
+    for name, tensor in params.named_parameters():
+        assert tensor is tensors[name]
+        assert np.shares_memory(tensor.data, params.flat)
 
 
 def test_evaluate_produces_report():
@@ -219,6 +270,14 @@ def test_config_unknown_key_rejected(tmp_path):
 def test_config_validation_bounds():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(eval_threshold=1.5).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig.from_mapping({"eval_threshold": "1.5"})
+    with pytest.raises(ConfigError):
+        TrainConfig.from_mapping({"eval_threshold": "0.3,nan"})
+    with pytest.raises(ConfigError):
+        TrainConfig.from_mapping({"epochs": "3.5"})
     with pytest.raises(ConfigError):
         TrainConfig(lr_decay_factor=0.0).validate()
     with pytest.raises(ConfigError):

@@ -244,14 +244,3 @@ def test_determinism_bit_identical():
 
     first, second = run(), run()
     assert np.array_equal(first, second)
-
-
-def test_tape_orders_parents_before_consumers():
-    x = Tensor(1.0, requires_grad=True)
-    y = x * 2.0
-    z = y + x
-    tape = nm.ComputationTape.trace(z)
-    positions = {id(n): i for i, n in enumerate(tape.nodes)}
-    for node in tape.nodes:
-        for parent in node._parents:
-            assert positions[id(parent)] < positions[id(node)]
