@@ -4,7 +4,6 @@ from .branches import (
     AnchorOutput,
     BranchParams,
     ReferenceOutput,
-    SegmentGroundTruth,
     VideoSample,
     anchor_forward,
     init_branch_params,

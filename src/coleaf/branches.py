@@ -14,9 +14,8 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
+from .metrics import BinaryParse
 from .numerics import Tensor
-
-AUDIO, VISUAL = 0, 1
 
 
 @dataclass
@@ -37,39 +36,12 @@ instrumentation = Instrumentation()
 
 
 @dataclass(eq=False)
-class SegmentGroundTruth:
-    audio: np.ndarray  # T x C in {0,1}
-    visual: np.ndarray  # T x C in {0,1}
-
-    def __post_init__(self):
-        self.audio = np.asarray(self.audio, dtype=np.int64)
-        self.visual = np.asarray(self.visual, dtype=np.int64)
-        if self.audio.shape != self.visual.shape:
-            raise DimensionError(
-                f"ground-truth shapes differ: {self.audio.shape} vs {self.visual.shape}"
-            )
-
-    @property
-    def audible_visible(self):
-        # Derived on demand, never stored: an event is audible-visible at a
-        # cell exactly when both modality labels are set there.
-        return self.audio * self.visual
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SegmentGroundTruth)
-            and np.array_equal(self.audio, other.audio)
-            and np.array_equal(self.visual, other.visual)
-        )
-
-
-@dataclass(eq=False)
 class VideoSample:
     id: str
     audio_tokens: np.ndarray  # T x D
     visual_tokens: np.ndarray  # T x D
     weak_label: np.ndarray  # C in {0,1}, modality-agnostic
-    gt: SegmentGroundTruth | None = None
+    gt: BinaryParse | None = None
 
     def __post_init__(self):
         self.audio_tokens = np.asarray(self.audio_tokens, dtype=np.float64)

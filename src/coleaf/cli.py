@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -42,25 +43,19 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args):
     config = load_train_config(args.config) if args.config else TrainConfig()
     if getattr(args, "seed", None) is not None:
-        config = TrainConfig.from_mapping({**config.to_mapping(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     return apply_env_seed(config)
+
+
+# every scalar CorpusSpec field is a gen-data flag with the field's default
+_SPEC_FLAGS = [f for f in dataclasses.fields(CorpusSpec) if f.name != "cooccur"]
 
 
 def _cmd_gen_data(args):
     n_eval = args.eval_videos if args.eval_out else 0
-    spec = CorpusSpec(
-        n_videos=args.n_videos + n_eval,
-        segments=args.segments,
-        classes=args.classes,
-        dim=args.dim,
-        event_rate=args.event_rate,
-        p_audio_only=args.p_audio_only,
-        p_visual_only=args.p_visual_only,
-        p_audible_visible=args.p_audible_visible,
-        leak=args.leak,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
+    values = {f.name: getattr(args, f.name) for f in _SPEC_FLAGS}
+    values["n_videos"] += n_eval
+    spec = CorpusSpec(**values)
     corpus = generate_corpus(spec)
     if n_eval:
         # held-out videos come from the same feature prototypes
@@ -141,17 +136,8 @@ def build_parser():
 
     gen = sub.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--n-videos", type=int, default=500)
-    gen.add_argument("--segments", type=int, default=10)
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--event-rate", type=float, default=2.5)
-    gen.add_argument("--p-audio-only", type=float, default=0.3)
-    gen.add_argument("--p-visual-only", type=float, default=0.3)
-    gen.add_argument("--p-audible-visible", type=float, default=0.4)
-    gen.add_argument("--leak", type=float, default=0.0)
-    gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    for f in _SPEC_FLAGS:
+        gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     gen.add_argument("--eval-out", help="also write a held-out corpus from the same prototypes")
     gen.add_argument("--eval-videos", type=int, default=0)
     gen.set_defaults(func=_cmd_gen_data)

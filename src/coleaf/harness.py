@@ -31,7 +31,7 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import BinaryParse, MetricReport, confusion_rates, full_report, parse_threshold
+from .metrics import MetricReport, confusion_rates, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -117,14 +117,7 @@ class TrainConfig:
 
     @classmethod
     def from_mapping(cls, mapping):
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = {}
-        for key, raw in mapping.items():
-            values[key] = _coerce_config_value(key, raw)
-        cfg = cls(**values)
+        cfg = cls(**{key: _coerce_config_value(key, raw) for key, raw in mapping.items()})
         cfg.validate()
         return cfg
 
@@ -133,6 +126,8 @@ _FIELD_TYPES = typing.get_type_hints(TrainConfig)
 
 
 def _coerce_config_value(key, raw):
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key}")
     if key == "eval_threshold":
         return parse_threshold(raw)
     kind = _FIELD_TYPES[key]
@@ -152,7 +147,10 @@ def _coerce_config_value(key, raw):
 
 
 def load_train_config(path):
-    """Parse a flat `key = value` config file; unknown keys are an error."""
+    """Parse a flat `key = value` config file; unknown keys are an error.
+
+    An unknown key or a value of the wrong type is reported with its line.
+    """
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -162,7 +160,11 @@ def load_train_config(path):
             if "=" not in text:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
-            mapping[key.strip()] = value.strip()
+            key = key.strip()
+            try:
+                mapping[key] = _coerce_config_value(key, value.strip())
+            except ConfigError as err:
+                raise ConfigError(f"{path}:{line_no}: {err}") from None
     return TrainConfig.from_mapping(mapping)
 
 
@@ -391,6 +393,11 @@ def write_predictions(preds, path):
 
 
 def load_predictions(path):
+    """Read a file written by `write_predictions`.
+
+    Each line must hold two T x C matrices of one shape with every value in
+    [0,1]; anything else is a `FileFormatError` naming the line.
+    """
     preds = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -400,23 +407,37 @@ def load_predictions(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as err:
                 raise FileFormatError(f"{path}:{line_no}: {err.msg}") from err
+            if not isinstance(rec, dict):
+                raise FileFormatError(f"{path}:{line_no}: expected a JSON object")
             for key in ("id", "probs_audio", "probs_visual"):
                 if key not in rec:
                     raise FileFormatError(f"{path}:{line_no}: missing key {key}")
-            preds[rec["id"]] = (
-                np.asarray(rec["probs_audio"], dtype=np.float64),
-                np.asarray(rec["probs_visual"], dtype=np.float64),
-            )
+            try:
+                pa = np.asarray(rec["probs_audio"], dtype=np.float64)
+                pv = np.asarray(rec["probs_visual"], dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise FileFormatError(f"{path}:{line_no}: {err}") from err
+            if pa.ndim != 2 or pa.shape != pv.shape:
+                raise FileFormatError(
+                    f"{path}:{line_no}: probs_audio and probs_visual must be T x C matrices "
+                    f"of one shape, got {pa.shape} and {pv.shape}"
+                )
+            for key, probs in (("probs_audio", pa), ("probs_visual", pv)):
+                # NaN fails both comparisons, so it is rejected too
+                if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                    raise FileFormatError(
+                        f"{path}:{line_no}: {key} has a non-finite value or one outside [0,1]"
+                    )
+            preds[rec["id"]] = (pa, pv)
     return preds
 
 
 def gt_parses(corpus):
-    out = {}
+    """Each video's ground-truth parse by id; every video must carry one."""
     for sample in corpus.samples:
         if sample.gt is None:
             raise ConfigError(f"video {sample.id} has no segment ground truth")
-        out[sample.id] = BinaryParse(audio=sample.gt.audio, visual=sample.gt.visual)
-    return out
+    return {sample.id: sample.gt for sample in corpus.samples}
 
 
 def evaluate(preds, corpus, threshold=0.5, metric_config=None):
@@ -477,22 +498,11 @@ class AblationRow:
 
 def split_corpus(corpus, eval_fraction=0.2):
     """Deterministic tail split; both parts share the corpus's feature prototypes."""
-    from .synthdata import GeneratedCorpus
-
     n_eval = max(1, int(round(len(corpus.samples) * eval_fraction)))
-    train_part = GeneratedCorpus(
-        samples=corpus.samples[:-n_eval],
-        prototypes_audio=corpus.prototypes_audio,
-        prototypes_visual=corpus.prototypes_visual,
-        spec=corpus.spec,
+    return (
+        replace(corpus, samples=corpus.samples[:-n_eval]),
+        replace(corpus, samples=corpus.samples[-n_eval:]),
     )
-    eval_part = GeneratedCorpus(
-        samples=corpus.samples[-n_eval:],
-        prototypes_audio=corpus.prototypes_audio,
-        prototypes_visual=corpus.prototypes_visual,
-        spec=corpus.spec,
-    )
-    return train_part, eval_part
 
 
 def ablate(corpus, base_config, axes, eval_corpus=None):

@@ -9,12 +9,13 @@ order-independent and reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .branches import SegmentGroundTruth, VideoSample
+from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError
+from .metrics import BinaryParse
 
 
 @dataclass(eq=False)
@@ -60,25 +61,11 @@ class CorpusSpec:
             if np.any(m < 0):
                 raise ConfigError("cooccur boosts must be non-negative")
 
-    @property
-    def class_names(self):
-        return [f"class_{i:02d}" for i in range(self.classes)]
-
     def to_mapping(self):
-        return {
-            "n_videos": self.n_videos,
-            "segments": self.segments,
-            "classes": self.classes,
-            "dim": self.dim,
-            "event_rate": self.event_rate,
-            "p_audio_only": self.p_audio_only,
-            "p_visual_only": self.p_visual_only,
-            "p_audible_visible": self.p_audible_visible,
-            "leak": self.leak,
-            "noise_sigma": self.noise_sigma,
-            "cooccur": None if self.cooccur is None else np.asarray(self.cooccur).tolist(),
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        if self.cooccur is not None:
+            out["cooccur"] = np.asarray(self.cooccur).tolist()
+        return out
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -181,7 +168,7 @@ def generate_corpus(spec):
         visual = gt_v @ protos_v + spec.leak * ((gt_a * (1 - gt_v)) @ protos_v)
         audio = audio + spec.noise_sigma * rng.normal(size=(t, d))
         visual = visual + spec.noise_sigma * rng.normal(size=(t, d))
-        gt = SegmentGroundTruth(audio=gt_a, visual=gt_v)
+        gt = BinaryParse(audio=gt_a, visual=gt_v)
         samples.append(
             VideoSample(
                 id=f"vid{i:05d}",
@@ -204,17 +191,15 @@ def save_corpus(corpus, path):
     spec = corpus.spec
     if spec is not None:
         t, c, d = spec.segments, spec.classes, spec.dim
-        class_names = spec.class_names
     else:
         first = corpus.samples[0]
         t, c, d = first.n_segments, first.n_classes, first.dim
-        class_names = [f"class_{i:02d}" for i in range(c)]
     header = {
         "n_videos": corpus.n_videos,
         "T": t,
         "C": c,
         "D": d,
-        "class_names": class_names,
+        "class_names": [f"class_{i:02d}" for i in range(c)],
         "prototypes_audio": None
         if corpus.prototypes_audio is None
         else corpus.prototypes_audio.tolist(),
@@ -263,13 +248,10 @@ def load_corpus(path):
         if not text.strip():
             continue
         rec = parse(offset, text, ("id", "audio", "visual", "weak_label"))
-        gt = None
-        if rec.get("gt_audio") is not None:
-            gt = SegmentGroundTruth(
-                audio=np.asarray(rec["gt_audio"], dtype=np.int64),
-                visual=np.asarray(rec["gt_visual"], dtype=np.int64),
-            )
         try:
+            gt = None
+            if rec.get("gt_audio") is not None:
+                gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
             sample = VideoSample(
                 id=rec["id"],
                 audio_tokens=np.asarray(rec["audio"], dtype=np.float64),
@@ -277,7 +259,7 @@ def load_corpus(path):
                 weak_label=np.asarray(rec["weak_label"], dtype=np.int64),
                 gt=gt,
             )
-        except (ValueError, DimensionError) as err:
+        except (TypeError, ValueError, DimensionError) as err:
             raise FileFormatError(f"{path}:{offset}: {err}") from err
         if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
             raise FileFormatError(

@@ -124,6 +124,19 @@ def test_predict_with_wrong_shaped_params_exits_2(tmp_path, capsys):
     assert not preds.exists()
 
 
+def test_eval_of_out_of_range_predictions_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    preds = tmp_path / "p.jsonl"
+    rows = [
+        {"id": "vid00000", "probs_audio": [[0.5] * 4] * 6, "probs_visual": [[0.5] * 4] * 6},
+        {"id": "vid00001", "probs_audio": [[float("nan")] * 4] * 6, "probs_visual": [[2.0] * 4] * 6},
+    ]
+    preds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))
+    assert status == 2
+    assert ":2:" in capsys.readouterr().err
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")
@@ -165,6 +178,16 @@ def test_ablate_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("unimodal_only=off,")
     assert lines[2].startswith("unimodal_only=on,")
+
+
+def test_gen_data_defaults_are_the_corpus_spec_defaults(tmp_path):
+    from coleaf.synthdata import CorpusSpec
+
+    path = tmp_path / "x.jsonl"
+    assert run_cli("gen-data", "--out", str(path)) == 0
+    with open(path, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+    assert header["spec"] == CorpusSpec().to_mapping()
 
 
 def test_gen_data_with_held_out_split(tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
 
 
 DATA_DIR = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def desk_corpus(n_videos=24, seed=1, leak=0.3, noise_sigma=0.15, **overrides):
@@ -179,6 +182,37 @@ def test_predictions_round_trip(tmp_path):
         assert np.array_equal(loaded[vid][0], preds[vid][0])
 
 
+@pytest.mark.parametrize(
+    "probs_audio, probs_visual, message",
+    [
+        ([[math.nan, 0.5]], [[0.5, 0.5]], "outside [0,1]"),
+        ([[0.5, 0.5]], [[2.0, 0.5]], "outside [0,1]"),
+        ([[0.5, -0.1]], [[0.5, 0.5]], "outside [0,1]"),
+        ([[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], "T x C"),
+        ([0.5, 0.5], [0.5, 0.5], "T x C"),
+        ([[0.5, 0.5], [0.5]], [[0.5, 0.5], [0.5, 0.5]], ":2:"),
+    ],
+    ids=["nan", "above-one", "negative", "shapes-differ", "one-dimensional", "ragged"],
+)
+def test_load_predictions_rejects_bad_probabilities(tmp_path, probs_audio, probs_visual, message):
+    path = tmp_path / "preds.jsonl"
+    good = {"id": "a", "probs_audio": [[0.1, 0.9]], "probs_visual": [[0.0, 1.0]]}
+    bad = {"id": "b", "probs_audio": probs_audio, "probs_visual": probs_visual}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_predictions(path)
+    assert f"{path}:2:" in str(err.value)
+    assert message in str(err.value)
+
+
+def test_load_predictions_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("5\n")
+    with pytest.raises(FileFormatError) as err:
+        load_predictions(path)
+    assert f"{path}:1:" in str(err.value)
+
+
 def test_params_round_trip(tmp_path):
     params = init_branch_params(8, 4, 5)
     path = tmp_path / "params.json"
@@ -265,6 +299,29 @@ def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_train_config(path)
     assert "learning_rte" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line", ["batch_size = x", "epochs = 3.5", "unimodal_only = maybe", "learning_rte = 0.1"]
+)
+def test_config_bad_entry_names_line(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        load_train_config(path)
+    assert f"{path}:2:" in str(err.value)
+
+
+def test_readme_config_block_names_every_field(tmp_path):
+    text = README.read_text()
+    intro = text.index("Every `TrainConfig` field is nameable")
+    start = text.index("```\n", intro) + 4
+    block = text[start : text.index("```", start)]
+    keys = [line.partition("=")[0].strip() for line in block.splitlines() if "=" in line]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert load_train_config(path) == TrainConfig()
 
 
 def test_config_validation_bounds():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coleaf.branches import SegmentGroundTruth
+from coleaf.metrics import BinaryParse
 from coleaf.errors import ConfigError, FileFormatError
 from coleaf.synthdata import (
     CorpusSpec,
@@ -21,14 +21,14 @@ def small_spec(**overrides):
 
 
 def test_weak_labels_all_zero():
-    gt = SegmentGroundTruth(np.zeros((3, 2)), np.zeros((3, 2)))
+    gt = BinaryParse(np.zeros((3, 2)), np.zeros((3, 2)))
     assert weak_labels_from_temporal(gt).tolist() == [0, 0]
 
 
 def test_weak_labels_single_audio_positive():
     audio = np.zeros((3, 2), dtype=int)
     audio[1, 0] = 1
-    gt = SegmentGroundTruth(audio, np.zeros((3, 2)))
+    gt = BinaryParse(audio, np.zeros((3, 2)))
     assert weak_labels_from_temporal(gt).tolist() == [1, 0]
 
 
@@ -37,7 +37,7 @@ def test_weak_labels_match_or_reduction():
     for _ in range(20):
         a = rng.integers(0, 2, (5, 4))
         v = rng.integers(0, 2, (5, 4))
-        got = weak_labels_from_temporal(SegmentGroundTruth(a, v))
+        got = weak_labels_from_temporal(BinaryParse(a, v))
         want = [int(any(a[t, i] or v[t, i] for t in range(5))) for i in range(4)]
         assert got.tolist() == want
 
@@ -46,8 +46,8 @@ def test_weak_labels_hide_modality():
     # moving an unaligned event to the other modality changes gt but not Y
     audio = np.zeros((4, 3), dtype=int)
     audio[0:2, 1] = 1
-    gt_audio_side = SegmentGroundTruth(audio, np.zeros_like(audio))
-    gt_visual_side = SegmentGroundTruth(np.zeros_like(audio), audio)
+    gt_audio_side = BinaryParse(audio, np.zeros_like(audio))
+    gt_visual_side = BinaryParse(np.zeros_like(audio), audio)
     assert np.array_equal(
         weak_labels_from_temporal(gt_audio_side), weak_labels_from_temporal(gt_visual_side)
     )
@@ -237,3 +237,26 @@ def test_per_video_streams_independent_of_corpus_size():
     short = generate_corpus(small_spec(n_videos=4))
     for a, b in zip(short.samples, long.samples):
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "gt_audio, gt_visual",
+    [
+        ([[0, 1], [1, 0], [0, 0]], [[0, 1], [1, 0]]),
+        ([0, 1], [1, 0]),
+        ([[0, 1], [1, 0], [0, 0]], None),
+    ],
+    ids=["shapes-differ", "one-dimensional", "visual-missing"],
+)
+def test_bad_ground_truth_names_line(tmp_path, gt_audio, gt_visual):
+    corpus = generate_corpus(small_spec(n_videos=2, segments=3, classes=2))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["gt_audio"], rec["gt_visual"] = gt_audio, gt_visual
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert f"{path}:3:" in str(err.value)
