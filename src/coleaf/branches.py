@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .metrics import BinaryParse
+from .metrics import BinaryParse, as_binary
 from .numerics import Tensor
 
 
@@ -46,12 +46,14 @@ class VideoSample:
     def __post_init__(self):
         self.audio_tokens = np.asarray(self.audio_tokens, dtype=np.float64)
         self.visual_tokens = np.asarray(self.visual_tokens, dtype=np.float64)
-        self.weak_label = np.asarray(self.weak_label, dtype=np.int64)
+        self.weak_label = as_binary(self.weak_label, "weak label")
         if self.audio_tokens.shape != self.visual_tokens.shape or self.audio_tokens.ndim != 2:
             raise DimensionError(
                 f"token matrices must share T x D, got {self.audio_tokens.shape} "
                 f"and {self.visual_tokens.shape}"
             )
+        if not (np.isfinite(self.audio_tokens).all() and np.isfinite(self.visual_tokens).all()):
+            raise ValueError("tokens must be finite")
         if self.gt is not None:
             expect = (self.n_segments, self.n_classes)
             if self.gt.audio.shape != expect:
@@ -161,26 +163,30 @@ def init_branch_params(dim, n_classes, seed):
 
 @dataclass
 class ReferenceOutput:
-    tokens_audio: Tensor  # (T+C) x D with class tokens, T x D without
-    tokens_visual: Tensor
-    seg_probs_audio: Tensor  # T x C
-    seg_probs_visual: Tensor
-    temporal_weights_audio: Tensor  # T x C, each column sums to 1 along T
-    temporal_weights_visual: Tensor
-    video_probs_audio: Tensor  # C
-    video_probs_visual: Tensor
-    cls_probs_audio: Tensor | None  # C, None when class tokens are disabled
-    cls_probs_visual: Tensor | None
+    """Reference outputs with audio then visual along the leading modality axis."""
+
+    tokens: Tensor  # 2 x (T+C) x D with class tokens, 2 x T x D without
+    seg_probs: Tensor  # 2 x T x C
+    temporal_weights: Tensor  # 2 x T x C, sums to 1 along T per (modality, class)
+    video_probs: Tensor  # 2 x C
+    cls_probs: Tensor | None  # 2 x C, None when class tokens are disabled
+
+    tokens_audio = property(lambda self: self.tokens[0])
+    tokens_visual = property(lambda self: self.tokens[1])
+    video_probs_audio = property(lambda self: self.video_probs[0])
+    video_probs_visual = property(lambda self: self.video_probs[1])
 
 
 @dataclass
 class AnchorOutput:
-    tokens_audio: Tensor  # T x D
-    tokens_visual: Tensor
+    tokens: Tensor  # 2 x T x D, audio then visual
     seg_probs: Tensor  # T x 2 x C, audio then visual along the modality axis
     w_temporal: Tensor  # T x 2 x C, sums to 1 along T per (modality, class)
     w_modality: Tensor  # T x 2 x C, sums to 1 across modalities per (t, class)
     video_probs: Tensor  # C
+
+    tokens_audio = property(lambda self: self.tokens[0])
+    tokens_visual = property(lambda self: self.tokens[1])
 
 
 def _check_dims(sample, params):
@@ -191,20 +197,23 @@ def _check_dims(sample, params):
         )
 
 
+def _sided(template):
+    return [template.format(side) for side in ("audio", "visual")]
+
+
+def _stack(params, names):
+    """The named parameters stacked on a new leading axis, in the order given."""
+    return nm.stack([params[name] for name in names])
+
+
 def _linear(x, params, prefix):
     return nm.matmul(x, params[f"{prefix}.weight"]) + params[f"{prefix}.bias"]
 
 
-def _linear3(x, params, prefix):
-    t, m, d = x.shape
-    flat = x.reshape((t * m, d))
-    return _linear(flat, params, prefix).reshape((t, m, params.n_classes))
-
-
-def _attend(query, kv, params, prefix):
-    return nm.attention(
-        query, kv, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"]
-    )
+def _attend(query, kv, params, prefixes):
+    """Attention over stacked problems, the i-th with the projections under `prefixes[i]`."""
+    weights = [_stack(params, [f"{p}.{w}" for p in prefixes]) for w in ("wq", "wk", "wv")]
+    return nm.attention(query, kv, *weights)
 
 
 def reference_forward(sample, params, use_class_tokens=True):
@@ -213,38 +222,28 @@ def reference_forward(sample, params, use_class_tokens=True):
     Per modality the attended input-token rows yield segment probabilities
     and temporal pooling weights; their weighted sum is the video-level
     probability vector. Attended class-token rows are average-pooled over the
-    embedding axis into per-class scores.
+    embedding axis into per-class scores. Both modalities run as one stacked
+    problem with their own attention, class tokens and classifier.
     """
     _check_dims(sample, params)
     instrumentation.reference_forward_calls += 1
-    t = sample.n_segments
-    per_modality = []
-    for feats, side in ((sample.audio_tokens, "audio"), (sample.visual_tokens, "visual")):
-        f = Tensor(feats)
-        if use_class_tokens:
-            instrumentation.class_token_reads += 1
-            x = nm.concat([f, params[f"reference.class_tokens_{side}"]], axis=0)
-        else:
-            x = f
-        tokens = _attend(x, x, params, f"reference.attn_{side}")
-        seg_tokens = tokens[0:t]
-        seg_probs = nm.sigmoid(_linear(seg_tokens, params, f"reference.classifier_{side}"))
-        weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=0)
-        video_probs = (weights * seg_probs).sum(axis=0)
-        cls_probs = nm.sigmoid(tokens[t:].mean(axis=1)) if use_class_tokens else None
-        per_modality.append((tokens, seg_probs, weights, video_probs, cls_probs))
-    a, v = per_modality
+    t, c = sample.n_segments, sample.n_classes
+    x = Tensor(np.stack([sample.audio_tokens, sample.visual_tokens]))  # 2 x T x D
+    if use_class_tokens:
+        instrumentation.class_token_reads += 2  # both modalities' class tokens
+        x = nm.concat([x, _stack(params, _sided("reference.class_tokens_{}"))], axis=1)
+    tokens = _attend(x, x, params, _sided("reference.attn_{}"))
+    seg_tokens = tokens[:, 0:t]
+    logits = nm.matmul(seg_tokens, _stack(params, _sided("reference.classifier_{}.weight")))
+    bias = _stack(params, _sided("reference.classifier_{}.bias")).reshape((2, 1, c))
+    seg_probs = nm.sigmoid(logits + bias)
+    weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=1)
     return ReferenceOutput(
-        tokens_audio=a[0],
-        tokens_visual=v[0],
-        seg_probs_audio=a[1],
-        seg_probs_visual=v[1],
-        temporal_weights_audio=a[2],
-        temporal_weights_visual=v[2],
-        video_probs_audio=a[3],
-        video_probs_visual=v[3],
-        cls_probs_audio=a[4],
-        cls_probs_visual=v[4],
+        tokens=tokens,
+        seg_probs=seg_probs,
+        temporal_weights=weights,
+        video_probs=(weights * seg_probs).sum(axis=1),
+        cls_probs=nm.sigmoid(tokens[:, t:].mean(axis=2)) if use_class_tokens else None,
     )
 
 
@@ -259,27 +258,26 @@ def anchor_forward(sample, params, unimodal_only=False):
     """
     _check_dims(sample, params)
     instrumentation.anchor_forward_calls += 1
-    fa0 = Tensor(sample.audio_tokens)
-    fv0 = Tensor(sample.visual_tokens)
-    fa = fa0 + _attend(fa0, fa0, params, "anchor.self_attn_audio")
-    fv = fv0 + _attend(fv0, fv0, params, "anchor.self_attn_visual")
+    x = np.stack([sample.audio_tokens, sample.visual_tokens])  # 2 x T x D
+    t, d = sample.n_segments, sample.dim
+    prefixes, query, kv = _sided("anchor.self_attn_{}"), x, x
     if not unimodal_only:
-        fa = fa + _attend(fa0, fv0, params, "anchor.cross_attn_audio")
-        fv = fv + _attend(fv0, fa0, params, "anchor.cross_attn_visual")
-    seg_a = nm.sigmoid(_linear(fa, params, "anchor.classifier"))
-    seg_v = nm.sigmoid(_linear(fv, params, "anchor.classifier"))
-    probs = nm.stack([seg_a, seg_v], axis=1)  # T x 2 x C
-    feats = nm.stack([fa, fv], axis=1)  # T x 2 x D
-    w_temporal = nm.softmax(_linear3(feats, params, "anchor.pool_temporal_fc"), axis=0)
-    w_modality = nm.softmax(_linear3(feats, params, "anchor.pool_modality_fc"), axis=1)
+        # cross attention: audio queries over visual tokens and visual over audio
+        prefixes += _sided("anchor.cross_attn_{}")
+        query, kv = np.concatenate([x, x]), np.concatenate([x, x[::-1]])
+    attended = _attend(query, kv, params, prefixes).reshape((len(prefixes) // 2, 2, t, d))
+    tokens = Tensor(x) + attended.sum(axis=0)  # 2 x T x D
+    feats = nm.transpose(tokens, (1, 0, 2))  # T x 2 x D
+    probs = nm.sigmoid(_linear(feats, params, "anchor.classifier"))  # T x 2 x C
+    w_temporal = nm.softmax(_linear(feats, params, "anchor.pool_temporal_fc"), axis=0)
+    w_modality = nm.softmax(_linear(feats, params, "anchor.pool_modality_fc"), axis=1)
     # The raw product of the two weight fields does not sum to 1 over (t, m),
     # so normalize it per class; the pooled probability is then a true convex
     # combination and stays inside [min P, max P].
     joint = w_temporal * w_modality
     video_probs = (joint * probs).sum(axis=0).sum(axis=0) / joint.sum(axis=0).sum(axis=0)
     return AnchorOutput(
-        tokens_audio=fa,
-        tokens_visual=fv,
+        tokens=tokens,
         seg_probs=probs,
         w_temporal=w_temporal,
         w_modality=w_modality,

@@ -245,27 +245,24 @@ def sample_losses(sample, params, config, epoch=0):
     anchor_video = 0.0 if config.disable_anchor_video else video_loss_anchor(anchor_out, y)
     collab = epoch >= config.warmup_epochs
     evt = kd = cls = 0.0
+    # pseudo-labels are read off the forward values, so they add no graph nodes
     if collab and not config.disable_event_contrastive:
         pseudo_ref = distil_pseudo_labels(
-            ref_out.video_probs_audio,
-            ref_out.video_probs_visual,
-            config.pseudo_threshold,
-            source="reference",
+            *ref_out.video_probs.data, config.pseudo_threshold, source="reference"
         )
         weights = unalignment_weights(pseudo_ref)
-        t = sample.n_segments
+        ref_tokens = ref_out.tokens.data[:, 0 : sample.n_segments]  # constant teacher
         evt = event_aware_nce(
             anchor_out.tokens_audio,
             anchor_out.tokens_visual,
-            ref_out.tokens_audio[0:t],
-            ref_out.tokens_visual[0:t],
+            *ref_tokens,
             weights,
             tau=config.nce_temperature,
             include_positive=config.include_positive_in_nce,
         )
     if collab and not config.disable_self_modality_kd:
-        pa, pv = anchor_modality_video_probs(anchor_out)
-        pseudo_anchor = distil_pseudo_labels(pa, pv, config.pseudo_threshold, source="anchor")
+        anchor_probs = anchor_modality_video_probs(anchor_out).data
+        pseudo_anchor = distil_pseudo_labels(*anchor_probs, config.pseudo_threshold, source="anchor")
         kd = self_modality_kd(pseudo_anchor, ref_out)
     if collab and not config.disable_cooccurrence_kd:
         cls = cooccurrence_kd(ref_out, anchor_out)
@@ -314,6 +311,12 @@ def train(corpus, config, eval_corpus=None):
     samples = corpus.samples
     if not samples:
         raise ConfigError("training corpus is empty")
+    contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
+    if contrastive and min(s.n_segments for s in samples) < 2:
+        raise ConfigError(
+            "the event contrastive loss needs at least 2 segments per video; "
+            "set disable_event_contrastive = true to train on single-segment videos"
+        )
     first = samples[0]
     params = init_branch_params(first.dim, first.n_classes, config.seed)
     adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
@@ -368,14 +371,12 @@ def predict(params, corpus, branch="anchor", unimodal_only=False, out_path=None)
     for sample in corpus.samples:
         if branch == "anchor":
             out = anchor_forward(sample, params, unimodal_only=unimodal_only)
-            pa = np.array(out.seg_probs.data[:, 0, :])
-            pv = np.array(out.seg_probs.data[:, 1, :])
+            probs = np.swapaxes(out.seg_probs.data, 0, 1)  # T x 2 x C to 2 x T x C
         elif branch == "reference":
-            out = reference_forward(sample, params)
-            pa = np.array(out.seg_probs_audio.data)
-            pv = np.array(out.seg_probs_visual.data)
+            probs = reference_forward(sample, params).seg_probs.data
         else:
             raise ConfigError(f"unknown branch {branch!r}")
+        pa, pv = np.array(probs)
         preds[sample.id] = (pa, pv)
     if out_path is not None:
         write_predictions(preds, out_path)

@@ -54,11 +54,10 @@ def video_loss_reference(ref, weak_label):
     Covers the pooled probabilities and, when class tokens are in play, the
     class-token scores as well.
     """
-    y = Tensor(np.asarray(weak_label, dtype=np.float64))
-    loss = nm.bce(y, ref.video_probs_audio) + nm.bce(y, ref.video_probs_visual)
-    if ref.cls_probs_audio is not None:
-        loss = loss + nm.bce(y, ref.cls_probs_audio) + nm.bce(y, ref.cls_probs_visual)
-    return loss
+    probs = ref.video_probs if ref.cls_probs is None else nm.concat([ref.video_probs, ref.cls_probs])
+    y = np.broadcast_to(np.asarray(weak_label, dtype=np.float64), probs.shape)
+    # n times the mean over n rows is the sum of the n per-row BCE means
+    return nm.bce(Tensor(y), probs) * probs.shape[0]
 
 
 def video_loss_anchor(anchor, weak_label):
@@ -121,54 +120,47 @@ def event_aware_nce(
     t = anchor_audio.shape[0]
     if t < 2:
         raise ContractError(f"contrastive loss needs at least 2 segments, got {t}")
-    total = None
-    for anchor_tokens, ref_tokens, theta in (
-        (anchor_audio, ref_audio, weights.theta_audio),
-        (anchor_visual, ref_visual, weights.theta_visual),
-    ):
-        if theta == 0.0:
-            continue
-        if anchor_tokens.shape != ref_tokens.shape:
-            raise DimensionError(
-                f"token sets must match, got {anchor_tokens.shape} and {ref_tokens.shape}"
-            )
-        teacher = nm.as_tensor(ref_tokens).detach()
-        sim = nm.matmul(anchor_tokens, nm.transpose(teacher)) * (1.0 / tau)
-        pos = sim[np.arange(t), np.arange(t)]
-        if include_positive:
-            masked = sim
-        else:
-            bias = np.zeros((t, t))
-            np.fill_diagonal(bias, -1e30)  # exp underflows to exactly 0
-            masked = sim + Tensor(bias)
-        shift = masked.data.max(axis=1, keepdims=True)
-        lse = nm.log(nm.exp(masked - Tensor(shift)).sum(axis=1)) + Tensor(shift[:, 0])
-        term = (pos - lse).sum() * (-theta / t)
-        total = term if total is None else total + term
-    return total if total is not None else Tensor(0.0)
+    theta = np.array([weights.theta_audio, weights.theta_visual])
+    if not theta.any():
+        return Tensor(0.0)
+    student = nm.stack([anchor_audio, anchor_visual])  # 2 x T x D
+    teacher = np.stack([_values(ref_audio), _values(ref_visual)])
+    if student.shape != teacher.shape:
+        raise DimensionError(f"token sets must match, got {student.shape} and {teacher.shape}")
+    sim = nm.matmul(student, np.swapaxes(teacher, 1, 2)) * (1.0 / tau)
+    diag = np.arange(t)
+    pos = sim[:, diag, diag]
+    if include_positive:
+        masked = sim
+    else:
+        bias = np.zeros((t, t))
+        np.fill_diagonal(bias, -1e30)  # exp underflows to exactly 0
+        masked = sim + Tensor(bias)
+    shift = masked.data.max(axis=2, keepdims=True)
+    lse = nm.log(nm.exp(masked - Tensor(shift)).sum(axis=2)) + Tensor(shift[..., 0])
+    return ((pos - lse).sum(axis=1) * (-theta / t)).sum()
 
 
 def self_modality_kd(anchor_pseudo, ref):
     """BCE of reference video probabilities against anchor pseudo-labels."""
     if anchor_pseudo.source != ANCHOR:
         raise ContractError("self-modality distillation expects anchor pseudo-labels")
-    ga = Tensor(anchor_pseudo.audio.astype(np.float64))
-    gv = Tensor(anchor_pseudo.visual.astype(np.float64))
-    return nm.bce(ga, ref.video_probs_audio) + nm.bce(gv, ref.video_probs_visual)
+    target = np.stack([anchor_pseudo.audio, anchor_pseudo.visual]).astype(np.float64)
+    return nm.bce(Tensor(target), ref.video_probs) * 2.0  # sum of the two modalities' means
 
 
 def class_correlation(video_probs):
-    """Class correlation matrix: outer product of a probability vector with itself."""
+    """Class correlation matrix: outer product of a probability vector with itself.
+
+    Leading axes hold independent vectors: (..., C) gives (..., C, C).
+    """
     p = nm.as_tensor(video_probs)
-    c = p.shape[0]
-    return nm.matmul(p.reshape((c, 1)), p.reshape((1, c)))
+    return nm.matmul(p.reshape(p.shape + (1,)), p.reshape(p.shape[:-1] + (1, p.shape[-1])))
 
 
 def anchor_modality_video_probs(anchor_out):
-    """Per-modality video probabilities: temporal pooling of each modality's slice."""
-    pa = (anchor_out.w_temporal[:, 0, :] * anchor_out.seg_probs[:, 0, :]).sum(axis=0)
-    pv = (anchor_out.w_temporal[:, 1, :] * anchor_out.seg_probs[:, 1, :]).sum(axis=0)
-    return pa, pv
+    """Per-modality video probabilities, 2 x C: each modality's temporal pooling."""
+    return (anchor_out.w_temporal * anchor_out.seg_probs).sum(axis=0)
 
 
 def _mse(a, b):
@@ -182,17 +174,9 @@ def cooccurrence_kd(ref_out, anchor_out):
     The reference matrices act as the teacher, so only the anchor branch
     receives gradient.
     """
-    pa, pv = anchor_modality_video_probs(anchor_out)
-    loss = None
-    for ref_probs, anchor_probs in (
-        (ref_out.video_probs_audio, pa),
-        (ref_out.video_probs_visual, pv),
-    ):
-        teacher = class_correlation(nm.as_tensor(ref_probs).detach())
-        student = class_correlation(anchor_probs)
-        term = _mse(teacher, student)
-        loss = term if loss is None else loss + term
-    return loss
+    teacher = class_correlation(ref_out.video_probs.detach())
+    student = class_correlation(anchor_modality_video_probs(anchor_out))
+    return _mse(teacher, student) * 2.0  # sum of the two modalities' means
 
 
 def total_loss(

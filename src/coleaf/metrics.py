@@ -17,14 +17,22 @@ STREAMS = ("A", "V", "AV", "Ao", "Vo")
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
 
 
+def as_binary(values, what):
+    """`values` as int64, rejecting anything but 0 and 1 before the cast could truncate it."""
+    values = np.asarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{what} must hold only 0 and 1")
+    return values.astype(np.int64)
+
+
 @dataclass(eq=False)
 class BinaryParse:
     audio: np.ndarray  # T x C in {0,1}
     visual: np.ndarray
 
     def __post_init__(self):
-        self.audio = np.asarray(self.audio, dtype=np.int64)
-        self.visual = np.asarray(self.visual, dtype=np.int64)
+        self.audio = as_binary(self.audio, "audio parse")
+        self.visual = as_binary(self.visual, "visual parse")
         if self.audio.shape != self.visual.shape or self.audio.ndim != 2:
             raise DimensionError(
                 f"parse matrices must share T x C, got {self.audio.shape} and {self.visual.shape}"

@@ -199,23 +199,28 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product over the last two axes; leading axes broadcast as in `np.matmul`."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul needs (m,k) by (k,n), got {a.shape} by {b.shape}")
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul needs (...,m,k) by (...,k,n), got {a.shape} by {b.shape}")
     out = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        return _unbroadcast(ga, a.shape), _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
     return _make(out, (a, b), grad_fn)
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Permute axes as `np.transpose`; by default swap the last two."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose needs a rank-2 tensor, got shape {a.shape}")
-    return _make(a.data.T, (a,), lambda g: (g.T,))
+    if a.ndim < 2:
+        raise DimensionError(f"transpose needs at least two axes, got shape {a.shape}")
+    if axes is None:
+        axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
+    inverse = np.argsort(axes)
+    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def _reshape(a, shape):
@@ -344,18 +349,20 @@ def attention(query, kv, wq, wk, wv):
     """Single-head scaled dot-product attention with learned projections.
 
     Self-attention when `query` and `kv` are the same token set, cross
-    attention otherwise. No output projection or feed-forward stage.
+    attention otherwise. Token sets are (..., T, D) and projections
+    (..., D, D); leading axes broadcast and hold independent problems. No
+    output projection or feed-forward stage.
     """
     query, kv = as_tensor(query), as_tensor(kv)
     wq, wk, wv = as_tensor(wq), as_tensor(wk), as_tensor(wv)
-    if query.ndim != 2 or kv.ndim != 2 or query.shape[1] != kv.shape[1]:
+    if query.ndim < 2 or kv.ndim < 2 or query.shape[-1] != kv.shape[-1]:
         raise DimensionError(
             f"attention needs token sets with one embedding width, got {query.shape} and {kv.shape}"
         )
-    if wq.shape[0] != query.shape[1]:
-        raise DimensionError(f"projection {wq.shape} does not accept tokens of width {query.shape[1]}")
+    if wq.ndim < 2 or wq.shape[-2] != query.shape[-1]:
+        raise DimensionError(f"projection {wq.shape} does not accept tokens of width {query.shape[-1]}")
     q = matmul(query, wq)
     k = matmul(kv, wk)
     v = matmul(kv, wv)
-    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(wk.shape[1]))
-    return matmul(softmax(scores, axis=1), v)
+    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(wk.shape[-1]))
+    return matmul(softmax(scores, axis=-1), v)

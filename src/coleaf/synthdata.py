@@ -254,9 +254,9 @@ def load_corpus(path):
                 gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
             sample = VideoSample(
                 id=rec["id"],
-                audio_tokens=np.asarray(rec["audio"], dtype=np.float64),
-                visual_tokens=np.asarray(rec["visual"], dtype=np.float64),
-                weak_label=np.asarray(rec["weak_label"], dtype=np.int64),
+                audio_tokens=rec["audio"],
+                visual_tokens=rec["visual"],
+                weak_label=rec["weak_label"],
                 gt=gt,
             )
         except (TypeError, ValueError, DimensionError) as err:

@@ -37,8 +37,7 @@ def test_reference_single_segment_pooling_is_identity():
     params = init_branch_params(8, 3, seed=1)
     sample = make_sample(rng, t=1)
     out = reference_forward(sample, params)
-    assert np.array_equal(out.video_probs_audio.data, out.seg_probs_audio.data[0])
-    assert np.array_equal(out.video_probs_visual.data, out.seg_probs_visual.data[0])
+    assert np.array_equal(out.video_probs.data, out.seg_probs.data[:, 0])
 
 
 def test_reference_identical_rows_pool_to_common_row():
@@ -47,8 +46,8 @@ def test_reference_identical_rows_pool_to_common_row():
     params = init_branch_params(8, 3, seed=2)
     zero_params(params, ["reference.classifier_audio.weight", "reference.classifier_visual.weight"])
     out = reference_forward(make_sample(rng), params)
-    common = out.seg_probs_audio.data[0]
-    assert np.allclose(out.seg_probs_audio.data, common[None, :])
+    common = out.seg_probs.data[0, 0]
+    assert np.allclose(out.seg_probs.data[0], common[None, :])
     assert np.allclose(out.video_probs_audio.data, common, atol=1e-12)
 
 
@@ -58,20 +57,16 @@ def test_reference_matches_step_by_step_recomputation():
     sample = make_sample(rng, t=4, c=3, d=8)
     out = reference_forward(sample, params)
     oracle = reference_forward_oracle(sample, param_values(params))
-    for modality, got_video, got_cls in (
-        ("audio", out.video_probs_audio, out.cls_probs_audio),
-        ("visual", out.video_probs_visual, out.cls_probs_visual),
-    ):
-        assert np.max(np.abs(got_video.data - oracle[modality]["video"])) < 1e-10
-        assert np.max(np.abs(got_cls.data - oracle[modality]["cls"])) < 1e-10
+    for m, modality in enumerate(("audio", "visual")):
+        assert np.max(np.abs(out.video_probs.data[m] - oracle[modality]["video"])) < 1e-10
+        assert np.max(np.abs(out.cls_probs.data[m] - oracle[modality]["cls"])) < 1e-10
 
 
 def test_reference_temporal_weights_normalized():
     rng = np.random.default_rng(3)
     params = init_branch_params(8, 3, seed=4)
     out = reference_forward(make_sample(rng, t=6), params)
-    for w in (out.temporal_weights_audio, out.temporal_weights_visual):
-        assert np.max(np.abs(w.data.sum(axis=0) - 1.0)) < 1e-9
+    assert np.max(np.abs(out.temporal_weights.data.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_reference_without_class_tokens():
@@ -79,7 +74,7 @@ def test_reference_without_class_tokens():
     params = init_branch_params(8, 3, seed=5)
     sample = make_sample(rng)
     out = reference_forward(sample, params, use_class_tokens=False)
-    assert out.cls_probs_audio is None
+    assert out.cls_probs is None
     assert out.tokens_audio.shape == (4, 8)
 
 
@@ -201,7 +196,7 @@ def test_forward_outputs_all_finite():
     for tensor in (
         ref.tokens_audio,
         ref.video_probs_audio,
-        ref.cls_probs_visual,
+        ref.cls_probs,
         anc.seg_probs,
         anc.video_probs,
     ):

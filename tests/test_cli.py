@@ -9,11 +9,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def gen_corpus(tmp_path, name, n_videos=12, seed=1):
+def gen_corpus(tmp_path, name, n_videos=12, seed=1, segments=6):
     path = tmp_path / name
     status = run_cli(
         "gen-data", "--out", str(path),
-        "--n-videos", str(n_videos), "--segments", "6", "--classes", "4", "--dim", "8",
+        "--n-videos", str(n_videos), "--segments", str(segments), "--classes", "4", "--dim", "8",
         "--event-rate", "2.0", "--leak", "0.3", "--noise-sigma", "0.15",
         "--seed", str(seed),
     )
@@ -104,6 +104,28 @@ def test_out_of_range_config_threshold_exits_2_before_training(tmp_path, capsys)
     assert status == 2
     assert "threshold" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_single_segment_corpus_exits_2_before_training(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4, segments=1)
+    out_dir = tmp_path / "run"
+    # a warm-up epoch would run before the first contrastive step
+    cfg = write_config(tmp_path, "epochs = 2\nwarmup_epochs = 1\nbatch_size = 4\n")
+    status = run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out_dir))
+    assert status == 2
+    assert "disable_event_contrastive" in capsys.readouterr().err
+    assert not (out_dir / "params.json").exists()
+
+
+def test_single_segment_corpus_trains_without_event_contrastive(tmp_path):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4, segments=1)
+    out_dir = tmp_path / "run"
+    cfg = write_config(
+        tmp_path, "epochs = 1\nbatch_size = 4\ndisable_event_contrastive = true\n"
+    )
+    status = run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out_dir))
+    assert status == 0
+    assert (out_dir / "params.json").exists()
 
 
 def test_predict_with_wrong_shaped_params_exits_2(tmp_path, capsys):

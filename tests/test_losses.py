@@ -39,16 +39,11 @@ def fake_reference_output(video_a, video_v, cls_a=None, cls_v=None, requires_gra
         return Tensor(np.asarray(x, dtype=float), requires_grad=requires_grad)
 
     return ReferenceOutput(
-        tokens_audio=None,
-        tokens_visual=None,
-        seg_probs_audio=None,
-        seg_probs_visual=None,
-        temporal_weights_audio=None,
-        temporal_weights_visual=None,
-        video_probs_audio=t(video_a),
-        video_probs_visual=t(video_v),
-        cls_probs_audio=None if cls_a is None else t(cls_a),
-        cls_probs_visual=None if cls_v is None else t(cls_v),
+        tokens=None,
+        seg_probs=None,
+        temporal_weights=None,
+        video_probs=t([video_a, video_v]),
+        cls_probs=None if cls_a is None else t([cls_a, cls_v]),
     )
 
 
@@ -84,8 +79,7 @@ def test_video_loss_reference_skips_cls_terms_when_disabled():
 
 def fake_anchor_output(video_probs):
     return AnchorOutput(
-        tokens_audio=None,
-        tokens_visual=None,
+        tokens=None,
         seg_probs=None,
         w_temporal=None,
         w_modality=None,
@@ -214,13 +208,20 @@ def test_nce_matches_double_loop():
     rng = np.random.default_rng(4)
     fa, fv = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
     xa, xv = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-    for include in (False, True):
-        got = event_aware_nce(
-            Tensor(fa), Tensor(fv), Tensor(xa), Tensor(xv),
-            _weights(1.0, 0.5), tau=0.2, include_positive=include,
-        ).item()
-        want = nce_oracle(fa, fv, xa, xv, 1.0, 0.5, 0.2, include_positive=include)
-        assert abs(got - want) < 1e-10
+    thetas = [(1.0, 0.5), (0.7, 0.0), (0.0, 0.4)]
+    for (theta_a, theta_v), include in itertools.product(thetas, (False, True)):
+        ta, tv = Tensor(fa, requires_grad=True), Tensor(fv, requires_grad=True)
+        loss = event_aware_nce(
+            ta, tv, Tensor(xa), Tensor(xv),
+            _weights(theta_a, theta_v), tau=0.2, include_positive=include,
+        )
+        want = nce_oracle(fa, fv, xa, xv, theta_a, theta_v, 0.2, include_positive=include)
+        assert abs(loss.item() - want) < 1e-10
+        # a modality with zero weight receives exactly zero gradient
+        grads = nm.backward(loss)
+        for tensor, theta in ((ta, theta_a), (tv, theta_v)):
+            if theta == 0.0:
+                assert not np.any(grads.get(tensor, 0.0))
 
 
 def test_nce_teacher_tokens_receive_no_gradient():
@@ -271,8 +272,7 @@ def test_class_correlation_examples():
 
 def _anchor_from_arrays(seg_probs, w_temporal):
     return AnchorOutput(
-        tokens_audio=None,
-        tokens_visual=None,
+        tokens=None,
         seg_probs=Tensor(seg_probs),
         w_temporal=Tensor(w_temporal),
         w_modality=None,

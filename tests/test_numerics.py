@@ -220,6 +220,63 @@ def test_finite_difference_composite(seed):
             assert relative_error(float(g[idx]), fd) <= 1e-5
 
 
+def _check_all_gradients(build, arrays):
+    """Every entry's reverse-mode gradient of `build(*tensors)` against central differences."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    grads = nm.backward(build(*tensors))
+    for i, (tensor, base) in enumerate(zip(tensors, arrays)):
+        assert grads[tensor].shape == base.shape
+        for idx in np.ndindex(base.shape):
+
+            def f(v, i=i, idx=idx):
+                values = [a.copy() for a in arrays]
+                values[i][idx] = v
+                return build(*[Tensor(x) for x in values]).item()
+
+            fd = _fd_scalar(f, base[idx])
+            assert relative_error(float(grads[tensor][idx]), fd) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5))],
+    ids=["batched-batched", "batched-rank2", "rank2-batched"],
+)
+def test_batched_matmul_matches_slices_and_finite_differences(shape_a, shape_b):
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    out = nm.matmul(Tensor(a), Tensor(b)).data
+    a3, b3 = np.broadcast_to(a, (2,) + a.shape[-2:]), np.broadcast_to(b, (2,) + b.shape[-2:])
+    for i in range(2):
+        assert np.max(np.abs(out[i] - naive_matmul(a3[i], b3[i]))) < 1e-12
+    weight = Tensor(rng.normal(size=out.shape))
+    _check_all_gradients(lambda x, y: (nm.matmul(x, y) * weight).sum(), [a, b])
+
+
+@pytest.mark.parametrize("axes", [None, (1, 0, 2), (2, 0, 1)])
+def test_transpose_axes_values_and_gradient(axes):
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(2, 3, 4))
+    want = np.swapaxes(a, 1, 2) if axes is None else np.transpose(a, axes)
+    assert np.array_equal(nm.transpose(Tensor(a), axes).data, want)
+    weight = Tensor(rng.normal(size=want.shape))
+    _check_all_gradients(lambda x: (nm.transpose(x, axes) * weight).sum(), [a])
+
+
+def test_batched_attention_slices_match_naive_and_finite_differences():
+    rng = np.random.default_rng(11)
+    d = 3
+    query, kv = rng.normal(size=(2, 4, d)), rng.normal(size=(2, 5, d))
+    wq, wk, wv = (rng.normal(size=(2, d, d)) for _ in range(3))
+    arrays = [query, kv, wq, wk, wv]
+    out = nm.attention(*[Tensor(x) for x in arrays]).data
+    for i in range(2):
+        want = naive_attention(query[i], kv[i], wq[i], wk[i], wv[i])
+        assert np.max(np.abs(out[i] - want)) < 1e-10
+    weight = Tensor(rng.normal(size=out.shape))
+    _check_all_gradients(lambda *xs: (nm.attention(*xs) * weight).sum(), arrays)
+
+
 def test_outputs_finite_for_bounded_inputs():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1e3, 1e3, size=(4, 4))

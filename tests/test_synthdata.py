@@ -240,21 +240,29 @@ def test_per_video_streams_independent_of_corpus_size():
 
 
 @pytest.mark.parametrize(
-    "gt_audio, gt_visual",
+    "changes",
     [
-        ([[0, 1], [1, 0], [0, 0]], [[0, 1], [1, 0]]),
-        ([0, 1], [1, 0]),
-        ([[0, 1], [1, 0], [0, 0]], None),
+        {"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": [[0, 1], [1, 0]]},
+        {"gt_audio": [0, 1], "gt_visual": [1, 0]},
+        {"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": None},
+        {"gt_audio": [[7, 0], [0, 0], [0, 0]]},
+        {"gt_visual": [[0.5, 0], [0, 0], [0, 0]]},
+        {"weak_label": [3, 0]},
+        {"audio": [[float("nan")] * 8] * 3},
+        {"visual": [[float("inf")] * 8] * 3},
     ],
-    ids=["shapes-differ", "one-dimensional", "visual-missing"],
+    ids=[
+        "shapes-differ", "one-dimensional", "visual-missing", "gt-seven", "gt-half",
+        "weak-label-three", "nan-token", "infinite-token",
+    ],
 )
-def test_bad_ground_truth_names_line(tmp_path, gt_audio, gt_visual):
+def test_bad_ground_truth_names_line(tmp_path, changes):
     corpus = generate_corpus(small_spec(n_videos=2, segments=3, classes=2))
     path = tmp_path / "corpus.jsonl"
     save_corpus(corpus, path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
-    rec["gt_audio"], rec["gt_visual"] = gt_audio, gt_visual
+    rec.update(changes)
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError) as err:
