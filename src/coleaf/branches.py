@@ -163,7 +163,11 @@ def init_branch_params(dim, n_classes, seed):
 
 @dataclass
 class ReferenceOutput:
-    """Reference outputs with audio then visual along the leading modality axis."""
+    """Reference outputs with audio then visual along the modality axis.
+
+    Shapes are per video; a forward over B videos puts a leading B axis on
+    every field.
+    """
 
     tokens: Tensor  # 2 x (T+C) x D with class tokens, 2 x T x D without
     seg_probs: Tensor  # 2 x T x C
@@ -171,22 +175,24 @@ class ReferenceOutput:
     video_probs: Tensor  # 2 x C
     cls_probs: Tensor | None  # 2 x C, None when class tokens are disabled
 
-    tokens_audio = property(lambda self: self.tokens[0])
-    tokens_visual = property(lambda self: self.tokens[1])
-    video_probs_audio = property(lambda self: self.video_probs[0])
-    video_probs_visual = property(lambda self: self.video_probs[1])
+    tokens_audio = property(lambda self: self.tokens[..., 0, :, :])
+    tokens_visual = property(lambda self: self.tokens[..., 1, :, :])
+    video_probs_audio = property(lambda self: self.video_probs[..., 0, :])
+    video_probs_visual = property(lambda self: self.video_probs[..., 1, :])
 
 
 @dataclass
 class AnchorOutput:
+    """Anchor outputs per video; a forward over B videos adds a leading B axis."""
+
     tokens: Tensor  # 2 x T x D, audio then visual
     seg_probs: Tensor  # T x 2 x C, audio then visual along the modality axis
     w_temporal: Tensor  # T x 2 x C, sums to 1 along T per (modality, class)
     w_modality: Tensor  # T x 2 x C, sums to 1 across modalities per (t, class)
     video_probs: Tensor  # C
 
-    tokens_audio = property(lambda self: self.tokens[0])
-    tokens_visual = property(lambda self: self.tokens[1])
+    tokens_audio = property(lambda self: self.tokens[..., 0, :, :])
+    tokens_visual = property(lambda self: self.tokens[..., 1, :, :])
 
 
 def _check_dims(sample, params):
@@ -195,6 +201,26 @@ def _check_dims(sample, params):
             f"sample is T={sample.n_segments}, D={sample.dim}, C={sample.n_classes} "
             f"but params expect D={params.dim}, C={params.n_classes}"
         )
+
+
+def _token_block(videos, params):
+    """Tokens of one `VideoSample` as 2 x T x D, or of a sequence of B as B x 2 x T x D.
+
+    Also returns the number of videos, which the instrumentation counts.
+    """
+    single = isinstance(videos, VideoSample)
+    batch = [videos] if single else list(videos)
+    if not batch:
+        raise DimensionError("a forward needs at least one video")
+    for sample in batch:
+        _check_dims(sample, params)
+        if sample.audio_tokens.shape != batch[0].audio_tokens.shape:
+            raise DimensionError(
+                f"videos in one batch must share T x D, got {sample.audio_tokens.shape} "
+                f"and {batch[0].audio_tokens.shape}"
+            )
+    x = np.array([(s.audio_tokens, s.visual_tokens) for s in batch])
+    return (x[0] if single else x), len(batch)
 
 
 def _sided(template):
@@ -216,66 +242,74 @@ def _attend(query, kv, params, prefixes):
     return nm.attention(query, kv, *weights)
 
 
-def reference_forward(sample, params, use_class_tokens=True):
+def reference_forward(videos, params, use_class_tokens=True):
     """Unimodal branch: self-attention over [input tokens; class tokens].
 
     Per modality the attended input-token rows yield segment probabilities
     and temporal pooling weights; their weighted sum is the video-level
     probability vector. Attended class-token rows are average-pooled over the
     embedding axis into per-class scores. Both modalities run as one stacked
-    problem with their own attention, class tokens and classifier.
+    problem with their own attention, class tokens and classifier. `videos`
+    is one `VideoSample` or a sequence of them; a sequence of B runs as one
+    B x 2 x T x D block.
     """
-    _check_dims(sample, params)
-    instrumentation.reference_forward_calls += 1
-    t, c = sample.n_segments, sample.n_classes
-    x = Tensor(np.stack([sample.audio_tokens, sample.visual_tokens]))  # 2 x T x D
+    x, count = _token_block(videos, params)  # (B x) 2 x T x D
+    instrumentation.reference_forward_calls += count
+    t, c = x.shape[-2], params.n_classes
+    x = Tensor(x)
     if use_class_tokens:
-        instrumentation.class_token_reads += 2  # both modalities' class tokens
-        x = nm.concat([x, _stack(params, _sided("reference.class_tokens_{}"))], axis=1)
+        instrumentation.class_token_reads += 2 * count  # both modalities' class tokens
+        class_tokens = _stack(params, _sided("reference.class_tokens_{}"))  # 2 x C x D
+        # every video attends over the same class tokens
+        class_tokens = class_tokens + Tensor(np.zeros(x.shape[:-2] + class_tokens.shape[-2:]))
+        x = nm.concat([x, class_tokens], axis=-2)
     tokens = _attend(x, x, params, _sided("reference.attn_{}"))
-    seg_tokens = tokens[:, 0:t]
+    seg_tokens = tokens[..., :t, :]
     logits = nm.matmul(seg_tokens, _stack(params, _sided("reference.classifier_{}.weight")))
     bias = _stack(params, _sided("reference.classifier_{}.bias")).reshape((2, 1, c))
     seg_probs = nm.sigmoid(logits + bias)
-    weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=1)
+    weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=-2)
     return ReferenceOutput(
         tokens=tokens,
         seg_probs=seg_probs,
         temporal_weights=weights,
-        video_probs=(weights * seg_probs).sum(axis=1),
-        cls_probs=nm.sigmoid(tokens[:, t:].mean(axis=2)) if use_class_tokens else None,
+        video_probs=(weights * seg_probs).sum(axis=-2),
+        cls_probs=nm.sigmoid(tokens[..., t:, :].mean(axis=-1)) if use_class_tokens else None,
     )
 
 
-def anchor_forward(sample, params, unimodal_only=False):
+def anchor_forward(videos, params, unimodal_only=False):
     """Hybrid-attention branch with attentive pooling to video level.
 
     Each modality token receives a residual self-attention term and, unless
     `unimodal_only` is set, a cross-attention term over the other modality.
     A shared classifier scores segments; two pooling weight fields (one
     normalized along time, one across modalities) reduce the T x 2 x C
-    probability block to a per-class video probability.
+    probability block to a per-class video probability. `videos` is one
+    `VideoSample` or a sequence of them, as in `reference_forward`.
     """
-    _check_dims(sample, params)
-    instrumentation.anchor_forward_calls += 1
-    x = np.stack([sample.audio_tokens, sample.visual_tokens])  # 2 x T x D
-    t, d = sample.n_segments, sample.dim
+    x, count = _token_block(videos, params)  # (B x) 2 x T x D
+    instrumentation.anchor_forward_calls += count
+    lead, (t, d) = x.shape[:-3], x.shape[-2:]
     prefixes, query, kv = _sided("anchor.self_attn_{}"), x, x
     if not unimodal_only:
         # cross attention: audio queries over visual tokens and visual over audio
         prefixes += _sided("anchor.cross_attn_{}")
-        query, kv = np.concatenate([x, x]), np.concatenate([x, x[::-1]])
-    attended = _attend(query, kv, params, prefixes).reshape((len(prefixes) // 2, 2, t, d))
-    tokens = Tensor(x) + attended.sum(axis=0)  # 2 x T x D
-    feats = nm.transpose(tokens, (1, 0, 2))  # T x 2 x D
-    probs = nm.sigmoid(_linear(feats, params, "anchor.classifier"))  # T x 2 x C
-    w_temporal = nm.softmax(_linear(feats, params, "anchor.pool_temporal_fc"), axis=0)
-    w_modality = nm.softmax(_linear(feats, params, "anchor.pool_modality_fc"), axis=1)
+        query = np.concatenate([x, x], axis=-3)
+        kv = np.concatenate([x, np.flip(x, axis=-3)], axis=-3)
+    attended = _attend(query, kv, params, prefixes)
+    attended = attended.reshape(lead + (len(prefixes) // 2, 2, t, d))
+    tokens = Tensor(x) + attended.sum(axis=-4)  # (B x) 2 x T x D
+    n = tokens.ndim
+    feats = nm.transpose(tokens, (*range(n - 3), n - 2, n - 3, n - 1))  # (B x) T x 2 x D
+    probs = nm.sigmoid(_linear(feats, params, "anchor.classifier"))  # (B x) T x 2 x C
+    w_temporal = nm.softmax(_linear(feats, params, "anchor.pool_temporal_fc"), axis=-3)
+    w_modality = nm.softmax(_linear(feats, params, "anchor.pool_modality_fc"), axis=-2)
     # The raw product of the two weight fields does not sum to 1 over (t, m),
     # so normalize it per class; the pooled probability is then a true convex
     # combination and stays inside [min P, max P].
     joint = w_temporal * w_modality
-    video_probs = (joint * probs).sum(axis=0).sum(axis=0) / joint.sum(axis=0).sum(axis=0)
+    video_probs = (joint * probs).sum(axis=-3).sum(axis=-2) / joint.sum(axis=-3).sum(axis=-2)
     return AnchorOutput(
         tokens=tokens,
         seg_probs=probs,

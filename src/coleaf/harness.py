@@ -13,6 +13,7 @@ import numpy as np
 from . import numerics as nm
 from .branches import (
     BranchParams,
+    VideoSample,
     anchor_forward,
     init_branch_params,
     param_layout,
@@ -24,7 +25,10 @@ from .losses import (
     anchor_modality_video_probs,
     cooccurrence_kd,
     distil_pseudo_labels,
+    # unused here: the one-video form of _modality_nce, which perfbench's
+    # tracer hooks by this name
     event_aware_nce,
+    _modality_nce,
     self_modality_kd,
     total_loss,
     unalignment_weights,
@@ -35,6 +39,8 @@ from .metrics import MetricReport, confusion_rates, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
+# a predict forward's graph holds about 0.75 MB per video at T=10, D=256, C=25
+PREDICT_BLOCK_VIDEOS = 64
 
 ABLATION_AXES = (
     "unimodal_only",
@@ -236,33 +242,44 @@ class AdamState:
         params.flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def sample_losses(sample, params, config, epoch=0):
-    """Forward both branches on one video and assemble the weighted objective."""
-    ref_out = reference_forward(sample, params, use_class_tokens=not config.disable_class_tokens)
-    anchor_out = anchor_forward(sample, params, unimodal_only=config.unimodal_only)
-    y = sample.weak_label
+def sample_losses(videos, params, config, epoch=0):
+    """Forward both branches and assemble the weighted objective.
+
+    `videos` is one `VideoSample`, which gives scalar losses, or a sequence
+    of B videos, which run as one graph and give one value per video in the
+    total and in every field of the component record.
+    """
+    single = isinstance(videos, VideoSample)
+    ref_out = reference_forward(videos, params, use_class_tokens=not config.disable_class_tokens)
+    anchor_out = anchor_forward(videos, params, unimodal_only=config.unimodal_only)
+    y = videos.weak_label if single else np.array([s.weak_label for s in videos])
     ref_video = 0.0 if config.disable_ref_video else video_loss_reference(ref_out, y)
     anchor_video = 0.0 if config.disable_anchor_video else video_loss_anchor(anchor_out, y)
     collab = epoch >= config.warmup_epochs
     evt = kd = cls = 0.0
-    # pseudo-labels are read off the forward values, so they add no graph nodes
+    # pseudo-labels are read off the forward values; only the anchor's
+    # per-modality pooling builds graph nodes (2 per call) that no loss uses
     if collab and not config.disable_event_contrastive:
+        probs = ref_out.video_probs.data
         pseudo_ref = distil_pseudo_labels(
-            *ref_out.video_probs.data, config.pseudo_threshold, source="reference"
+            probs[..., 0, :], probs[..., 1, :], config.pseudo_threshold, source="reference"
         )
         weights = unalignment_weights(pseudo_ref)
-        ref_tokens = ref_out.tokens.data[:, 0 : sample.n_segments]  # constant teacher
-        evt = event_aware_nce(
-            anchor_out.tokens_audio,
-            anchor_out.tokens_visual,
-            *ref_tokens,
-            weights,
+        t = anchor_out.tokens.shape[-2]
+        ref_tokens = ref_out.tokens.data[..., :t, :]  # constant teacher
+        theta = np.stack([weights.theta_audio, weights.theta_visual], axis=-1)
+        evt = _modality_nce(
+            anchor_out.tokens,
+            ref_tokens,
+            theta,
             tau=config.nce_temperature,
             include_positive=config.include_positive_in_nce,
         )
     if collab and not config.disable_self_modality_kd:
-        anchor_probs = anchor_modality_video_probs(anchor_out).data
-        pseudo_anchor = distil_pseudo_labels(*anchor_probs, config.pseudo_threshold, source="anchor")
+        probs = anchor_modality_video_probs(anchor_out).data
+        pseudo_anchor = distil_pseudo_labels(
+            probs[..., 0, :], probs[..., 1, :], config.pseudo_threshold, source="anchor"
+        )
         kd = self_modality_kd(pseudo_anchor, ref_out)
     if collab and not config.disable_cooccurrence_kd:
         cls = cooccurrence_kd(ref_out, anchor_out)
@@ -278,22 +295,38 @@ def sample_losses(sample, params, config, epoch=0):
     )
 
 
-def _mean_bundle(bundles):
-    arr = np.array(
-        [
-            [
-                b.ref_video,
-                b.anchor_video,
-                b.event_contrastive,
-                b.self_modality_kd,
-                b.cooccurrence_kd,
-                b.total,
-            ]
-            for b in bundles
-        ]
-    )
-    means = arr.mean(axis=0)
-    return LossBundle(*[float(x) for x in means])
+def _mean_bundle(rows):
+    return LossBundle(*[float(x) for x in rows.mean(axis=0)])
+
+
+def _check_one_shape(samples):
+    """Every video must have the first video's T x D, so that a batch stacks into one block."""
+    first = samples[0].audio_tokens.shape
+    for sample in samples:
+        if sample.audio_tokens.shape != first:
+            raise ConfigError(
+                f"video {sample.id} has T x D = {sample.audio_tokens.shape}, but the first "
+                f"video {samples[0].id} has {first}; every video of a corpus needs the same T and D"
+            )
+
+
+def _train_step(batch, params, adam, lr, config, epoch, step):
+    """One Adam step on the mean of a batch's per-video objectives.
+
+    Returns the batch's loss components, one row per video. The batch's graph
+    and gradients are freed on return, before the next batch builds its own.
+    """
+    totals, bundle = sample_losses(batch, params, config, epoch)
+    # B x 6 in `LossBundle` field order; a disabled term is a plain 0.0
+    rows = np.stack([np.broadcast_to(v, (len(batch),)) for v in vars(bundle).values()], axis=-1)
+    grads = {}
+    if isinstance(totals, Tensor):
+        batch_loss = totals.mean()
+        if not np.isfinite(batch_loss.data):
+            raise DivergenceError(step, _mean_bundle(rows))
+        grads = nm.backward(batch_loss)
+    adam.step(params, grads, lr)
+    return rows
 
 
 def effective_lr(config, epoch):
@@ -311,13 +344,14 @@ def train(corpus, config, eval_corpus=None):
     samples = corpus.samples
     if not samples:
         raise ConfigError("training corpus is empty")
+    _check_one_shape(samples)
     contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
-    if contrastive and min(s.n_segments for s in samples) < 2:
+    first = samples[0]
+    if contrastive and first.n_segments < 2:
         raise ConfigError(
             "the event contrastive loss needs at least 2 segments per video; "
             "set disable_event_contrastive = true to train on single-segment videos"
         )
-    first = samples[0]
     params = init_branch_params(first.dim, first.n_classes, config.seed)
     adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
     order_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
@@ -327,31 +361,17 @@ def train(corpus, config, eval_corpus=None):
     for epoch in range(config.epochs):
         lr = effective_lr(config, epoch)
         perm = order_rng.permutation(len(samples))
-        bundles = []
+        rows = []
         for lo in range(0, len(perm), config.batch_size):
-            batch = perm[lo : lo + config.batch_size]
-            totals = []
-            for idx in batch:
-                total, bundle = sample_losses(samples[idx], params, config, epoch)
-                totals.append(total)
-                bundles.append(bundle)
-            batch_loss = totals[0]
-            for extra in totals[1:]:
-                batch_loss = batch_loss + extra
-            batch_loss = batch_loss * (1.0 / len(batch))
-            if isinstance(batch_loss, Tensor):
-                if not np.isfinite(batch_loss.data):
-                    raise DivergenceError(step, _mean_bundle(bundles[-len(batch):]))
-                grads = nm.backward(batch_loss)
-            else:
-                grads = {}
-            adam.step(params, grads, lr)
+            batch = [samples[i] for i in perm[lo : lo + config.batch_size]]
+            rows.append(_train_step(batch, params, adam, lr, config, epoch, step))
             step += 1
         report = None
         if eval_corpus is not None:
             preds = predict(params, eval_corpus, unimodal_only=config.unimodal_only)
             report = evaluate(preds, eval_corpus, config.eval_threshold)
-        epoch_logs.append(EpochLog(losses=_mean_bundle(bundles), learning_rate=lr, metrics=report))
+        losses = _mean_bundle(np.concatenate(rows))
+        epoch_logs.append(EpochLog(losses=losses, learning_rate=lr, metrics=report))
     log = TrainLog(
         epochs=epoch_logs,
         seed=config.seed,
@@ -364,20 +384,25 @@ def train(corpus, config, eval_corpus=None):
 def predict(params, corpus, branch="anchor", unimodal_only=False, out_path=None):
     """Segment-level probabilities per video from the chosen branch.
 
-    The anchor branch is the deployment default; the reference branch is
-    never touched on that path.
+    Videos must share T x D. They run as forwards over blocks of
+    `PREDICT_BLOCK_VIDEOS`, so memory stays bounded on a large corpus. The
+    anchor branch is the deployment default; the reference branch is never
+    touched on that path.
     """
+    if branch not in ("anchor", "reference"):
+        raise ConfigError(f"unknown branch {branch!r}")
+    samples = corpus.samples
+    if samples:
+        _check_one_shape(samples)  # over the corpus; a forward sees one block
     preds = {}
-    for sample in corpus.samples:
+    for lo in range(0, len(samples), PREDICT_BLOCK_VIDEOS):
+        block = samples[lo : lo + PREDICT_BLOCK_VIDEOS]
         if branch == "anchor":
-            out = anchor_forward(sample, params, unimodal_only=unimodal_only)
-            probs = np.swapaxes(out.seg_probs.data, 0, 1)  # T x 2 x C to 2 x T x C
-        elif branch == "reference":
-            probs = reference_forward(sample, params).seg_probs.data
+            out = anchor_forward(block, params, unimodal_only=unimodal_only)
+            probs = np.swapaxes(out.seg_probs.data, -3, -2)  # B x T x 2 x C to B x 2 x T x C
         else:
-            raise ConfigError(f"unknown branch {branch!r}")
-        pa, pv = np.array(probs)
-        preds[sample.id] = (pa, pv)
+            probs = reference_forward(block, params).seg_probs.data
+        preds.update((sample.id, tuple(video)) for sample, video in zip(block, probs))
     if out_path is not None:
         write_predictions(preds, out_path)
     return preds

@@ -326,17 +326,23 @@ def softmax(a, axis):
     return _make(out, (a,), grad_fn)
 
 
-def bce(target, prob):
-    """Mean binary cross entropy; probabilities are clamped to [eps, 1-eps]."""
+def bce(target, prob, axis=None):
+    """Mean binary cross entropy over `axis` (every axis by default).
+
+    Probabilities are clamped to [eps, 1-eps]; the axes left over hold
+    independent means.
+    """
     target, prob = as_tensor(target), as_tensor(prob)
     if target.shape != prob.shape:
         raise DimensionError(f"bce needs equal shapes, got {target.shape} and {prob.shape}")
     p = np.clip(prob.data, _BCE_EPS, 1.0 - _BCE_EPS)
     t = target.data
-    n = p.size
-    out = np.asarray(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
+    out = np.asarray(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)), axis=axis))
+    n = p.size // out.size
 
     def grad_fn(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         inside = (prob.data > _BCE_EPS) & (prob.data < 1.0 - _BCE_EPS)
         dprob = np.where(inside, (p - t) / (p * (1.0 - p)), 0.0) * (g / n)
         dtarget = (np.log1p(-p) - np.log(p)) * (g / n)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,45 @@ def test_forward_outputs_all_finite():
         anc.video_probs,
     ):
         assert np.all(np.isfinite(tensor.data))
+
+
+@pytest.mark.parametrize("switch", [False, True], ids=["default", "switched"])
+def test_batched_forwards_slice_to_per_video_forwards(switch):
+    rng = np.random.default_rng(15)
+    params = init_branch_params(8, 3, seed=16)
+    samples = [make_sample(rng, t=5) for _ in range(3)]
+    instrumentation.reset()
+    batched = [
+        reference_forward(samples, params, use_class_tokens=not switch),
+        anchor_forward(samples, params, unimodal_only=switch),
+    ]
+    # per video: one reference forward with two class-token reads (none when
+    # class tokens are off) and one anchor forward
+    assert instrumentation.reference_forward_calls == 3
+    assert instrumentation.anchor_forward_calls == 3
+    assert instrumentation.class_token_reads == (0 if switch else 6)
+    for b, sample in enumerate(samples):
+        single = [
+            reference_forward(sample, params, use_class_tokens=not switch),
+            anchor_forward(sample, params, unimodal_only=switch),
+        ]
+        for many, one in zip(batched, single):
+            for field in dataclasses.fields(one):
+                value = getattr(one, field.name)
+                if value is None:
+                    assert getattr(many, field.name) is None
+                    continue
+                sliced = getattr(many, field.name).data[b]
+                assert sliced.shape == value.shape
+                assert np.max(np.abs(sliced - value.data)) < 1e-12, field.name
+        assert np.array_equal(
+            batched[0].video_probs_visual.data[b], single[0].video_probs_visual.data
+        )
+        assert np.array_equal(batched[1].tokens_audio.data[b], single[1].tokens_audio.data)
+
+
+def test_batched_forward_rejects_videos_of_two_lengths():
+    rng = np.random.default_rng(17)
+    params = init_branch_params(8, 3, seed=18)
+    with pytest.raises(DimensionError, match="share T x D"):
+        anchor_forward([make_sample(rng, t=4), make_sample(rng, t=5)], params)

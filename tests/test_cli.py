@@ -245,3 +245,38 @@ def test_predict_reference_branch(tmp_path):
     first = json.loads(preds.read_text().splitlines()[0])
     assert {"id", "probs_audio", "probs_visual"} <= set(first)
     assert np.asarray(first["probs_audio"]).shape == (6, 4)
+
+
+def _corpus_of_two_lengths():
+    from coleaf.branches import VideoSample
+    from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
+
+    spec = CorpusSpec(n_videos=4, segments=6, classes=4, dim=8, seed=1)
+    samples = generate_corpus(spec).samples
+    short = samples[1]
+    samples[1] = VideoSample(
+        short.id, short.audio_tokens[:-1], short.visual_tokens[:-1], short.weak_label
+    )
+    return GeneratedCorpus(samples, None, None, None)
+
+
+def test_train_and_predict_of_a_corpus_of_two_lengths_exit_2(tmp_path, capsys, monkeypatch):
+    # a corpus file cannot hold two T, so the corpus is built in memory
+    corpus = _corpus_of_two_lengths()
+    monkeypatch.setattr("coleaf.cli.load_corpus", lambda path: corpus)
+    out_dir = tmp_path / "run"
+    assert run_cli("train", "--corpus", "mixed.jsonl", "--out", str(out_dir)) == 2
+    assert f"video {corpus.samples[1].id} has T x D" in capsys.readouterr().err
+    assert not out_dir.exists()
+    params = tmp_path / "params.json"
+    from coleaf.branches import init_branch_params
+    from coleaf.harness import save_params
+
+    save_params(init_branch_params(8, 4, 0), params)
+    preds = tmp_path / "p.jsonl"
+    status = run_cli(
+        "predict", "--params", str(params), "--corpus", "mixed.jsonl", "--out", str(preds)
+    )
+    assert status == 2
+    assert f"video {corpus.samples[1].id} has T x D" in capsys.readouterr().err
+    assert not preds.exists()

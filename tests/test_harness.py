@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coleaf import numerics as nm
-from coleaf.branches import VideoSample, init_branch_params
+from coleaf import harness, numerics as nm
+from coleaf.branches import VideoSample, anchor_forward, init_branch_params, reference_forward
 from coleaf.errors import ConfigError, DivergenceError, FileFormatError
 from coleaf.harness import (
+    ABLATION_AXES,
     AdamState,
     TrainConfig,
     ablate,
@@ -27,6 +28,8 @@ from coleaf.harness import (
     write_predictions,
 )
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
+
+from oracles import fd_check_params, sample_coords
 
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -147,6 +150,101 @@ def test_divergence_aborts_with_step_index():
         with pytest.raises(DivergenceError) as err:
             train(corpus, quick_config(epochs=1, batch_size=1))
     assert err.value.step == 0
+
+
+BATCH_CASES = {
+    "default": {},
+    **{axis: {axis: True} for axis in ABLATION_AXES},
+    "include_positive_in_nce": {"include_positive_in_nce": True},
+    "warm-up-epoch": {"warmup_epochs": 1},  # epoch 0 is in the warm-up
+    # no class clears 0.99 at initialisation, so every unalignment weight is 0
+    "all-theta-zero": {"pseudo_threshold": 0.99},
+    # here 6 of the 16 videos have both weights 0
+    "some-theta-zero": {"pseudo_threshold": 0.48},
+    # 17 videos in batches of 16 leave a last batch of one
+    "last-partial-batch": {},
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_step_equals_mean_of_sample_losses(case):
+    cfg = quick_config(**BATCH_CASES[case])
+    params = init_branch_params(8, 4, 3)
+    samples = desk_corpus(n_videos=17, seed=4).samples
+    batch = samples[16:] if case == "last-partial-batch" else samples[:16]
+    totals, bundle = sample_losses(batch, params, cfg)
+    loss = totals.mean()
+    grad = params.flat_grad(nm.backward(loss))
+    want_loss, want_grad, want_rows = 0.0, np.zeros_like(grad), []
+    for sample in batch:
+        total, one = sample_losses(sample, params, cfg)
+        want_loss += total.item() / len(batch)
+        want_grad += params.flat_grad(nm.backward(total)) / len(batch)
+        want_rows.append([getattr(one, f.name) for f in dataclasses.fields(one)])
+    assert abs(loss.item() - want_loss) < 1e-10
+    assert np.max(np.abs(grad - want_grad)) < 1e-10
+    for i, field in enumerate(dataclasses.fields(bundle)):
+        got = np.broadcast_to(getattr(bundle, field.name), (len(batch),))
+        assert np.max(np.abs(got - np.array(want_rows)[:, i])) < 1e-10, field.name
+    if case == "all-theta-zero":
+        assert not np.any(bundle.event_contrastive)
+    if case == "some-theta-zero":
+        assert 0 < np.count_nonzero(bundle.event_contrastive) < len(batch)
+
+
+def test_batched_objective_passes_finite_differences():
+    samples = desk_corpus(n_videos=3, seed=6).samples
+    params = init_branch_params(8, 4, 7)
+    rng = np.random.default_rng(8)
+
+    def objective(cfg, epoch):
+        return lambda p: sample_losses(samples, p, cfg, epoch)[0].mean()
+
+    # after warm-up the teacher side is constant, so only anchor coordinates
+    # see the whole objective's gradient; during warm-up every loss is a
+    # plain function of both branches
+    fd_check_params(objective(quick_config(), 0), params,
+                    sample_coords(rng, params, per_param=1, prefix="anchor."))
+    fd_check_params(objective(quick_config(warmup_epochs=1), 0), params,
+                    sample_coords(rng, params, per_param=1))
+
+
+def _mixed_corpus(change):
+    samples = desk_corpus(n_videos=4).samples
+    odd = samples[2]
+    tokens = odd.audio_tokens[:-1] if change == "T" else odd.audio_tokens[:, :-1]
+    samples[2] = VideoSample(odd.id, tokens, tokens.copy(), odd.weak_label)
+    return GeneratedCorpus(samples, None, None, None)
+
+
+@pytest.mark.parametrize("change", ["T", "D"])
+def test_train_and_predict_reject_a_corpus_of_two_shapes(change, monkeypatch):
+    corpus = _mixed_corpus(change)
+    steps = []
+    monkeypatch.setattr(AdamState, "step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=f"video {corpus.samples[2].id} has T x D"):
+        train(corpus, quick_config())
+    assert steps == []
+    # with blocks of one video no forward sees two shapes; the corpus check does
+    monkeypatch.setattr(harness, "PREDICT_BLOCK_VIDEOS", 1)
+    with pytest.raises(ConfigError, match=f"video {corpus.samples[2].id} has T x D"):
+        predict(init_branch_params(8, 4, 5), corpus)
+
+
+@pytest.mark.parametrize("branch", ["anchor", "reference"])
+def test_predict_equals_per_video_forwards(branch, monkeypatch):
+    corpus = desk_corpus(n_videos=5)
+    params = init_branch_params(8, 4, 5)
+    monkeypatch.setattr(harness, "PREDICT_BLOCK_VIDEOS", 2)  # blocks of 2, 2 and 1
+    preds = predict(params, corpus, branch=branch)
+    assert list(preds) == [s.id for s in corpus.samples]
+    for sample in corpus.samples:
+        if branch == "anchor":
+            want = np.swapaxes(anchor_forward(sample, params).seg_probs.data, 0, 1)
+        else:
+            want = reference_forward(sample, params).seg_probs.data
+        for got, one in zip(preds[sample.id], want):
+            assert got.shape == one.shape and np.max(np.abs(got - one)) < 1e-12
 
 
 def test_empty_corpus_rejected():

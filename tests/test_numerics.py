@@ -239,16 +239,32 @@ def _check_all_gradients(build, arrays):
 
 @pytest.mark.parametrize(
     "shape_a, shape_b",
-    [((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5))],
-    ids=["batched-batched", "batched-rank2", "rank2-batched"],
+    [
+        ((2, 3, 4), (2, 4, 5)),
+        ((2, 3, 4), (4, 5)),
+        ((3, 4), (2, 4, 5)),
+        ((3, 2, 3, 4), (2, 4, 5)),
+        ((3, 1, 3, 4), (2, 4, 5)),
+        ((3, 2, 3, 4), (1, 4, 5)),
+    ],
+    ids=[
+        "batched-batched",
+        "batched-rank2",
+        "rank2-batched",
+        "batch-over-stacked",
+        "batch-over-stacked-broadcast",
+        "batch-over-one",
+    ],
 )
 def test_batched_matmul_matches_slices_and_finite_differences(shape_a, shape_b):
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
     out = nm.matmul(Tensor(a), Tensor(b)).data
-    a3, b3 = np.broadcast_to(a, (2,) + a.shape[-2:]), np.broadcast_to(b, (2,) + b.shape[-2:])
-    for i in range(2):
-        assert np.max(np.abs(out[i] - naive_matmul(a3[i], b3[i]))) < 1e-12
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a_all = np.broadcast_to(a, lead + a.shape[-2:])
+    b_all = np.broadcast_to(b, lead + b.shape[-2:])
+    for index in np.ndindex(lead):
+        assert np.max(np.abs(out[index] - naive_matmul(a_all[index], b_all[index]))) < 1e-12
     weight = Tensor(rng.normal(size=out.shape))
     _check_all_gradients(lambda x, y: (nm.matmul(x, y) * weight).sum(), [a, b])
 
@@ -301,3 +317,24 @@ def test_determinism_bit_identical():
 
     first, second = run(), run()
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("axis", [-1, (-2, -1), 0])
+def test_bce_over_axes_is_each_slice_mean_with_its_gradient(axis):
+    rng = np.random.default_rng(31)
+    t = rng.integers(0, 2, (3, 2, 4)).astype(float)
+    p = rng.uniform(0.05, 0.95, (3, 2, 4))
+    out = nm.bce(Tensor(t), Tensor(p), axis=axis)
+    want = np.mean(-(t * np.log(p) + (1 - t) * np.log1p(-p)), axis=axis)
+    assert out.shape == want.shape and np.max(np.abs(out.data - want)) < 1e-12
+    weights = rng.normal(size=want.shape)
+    prob = Tensor(p, requires_grad=True)
+    grad = nm.backward((nm.bce(Tensor(t), prob, axis=axis) * weights).sum())[prob]
+    for index in [(0, 0, 0), (2, 1, 3), (1, 0, 2)]:
+        def f(value):
+            q = p.copy()
+            q[index] = value
+            return float(np.sum(nm.bce(Tensor(t), Tensor(q), axis=axis).data * weights))
+
+        fd = (f(p[index] + 1e-6) - f(p[index] - 1e-6)) / 2e-6
+        assert relative_error(grad[index], fd) < 1e-6
