@@ -19,7 +19,7 @@ from .branches import (
     param_layout,
     reference_forward,
 )
-from .errors import ConfigError, DivergenceError, FileFormatError
+from .errors import ConfigError, DivergenceError, FileFormatError, check_video_id
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -35,7 +35,7 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import MetricReport, confusion_rates, full_report, parse_threshold
+from .metrics import MetricReport, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -421,10 +421,11 @@ def write_predictions(preds, path):
 def load_predictions(path):
     """Read a file written by `write_predictions`.
 
-    Each line must hold two T x C matrices of one shape with every value in
-    [0,1]; anything else is a `FileFormatError` naming the line.
+    Each line must hold a unique string id and two T x C matrices of one
+    shape with every value in [0,1]; anything else is a `FileFormatError`
+    naming the line.
     """
-    preds = {}
+    preds, id_lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -438,6 +439,7 @@ def load_predictions(path):
             for key in ("id", "probs_audio", "probs_visual"):
                 if key not in rec:
                     raise FileFormatError(f"{path}:{line_no}: missing key {key}")
+            check_video_id(rec["id"], id_lines, path, line_no)
             try:
                 pa = np.asarray(rec["probs_audio"], dtype=np.float64)
                 pv = np.asarray(rec["probs_visual"], dtype=np.float64)
@@ -519,7 +521,11 @@ class AblationRow:
     label: str
     overrides: dict
     report: MetricReport
-    rates: dict  # event type -> {"TP": ..., "TN": ..., "FP": ..., "FN": ...}
+
+    @property
+    def rates(self):
+        """Event type -> {"TP": ..., "TN": ..., "FP": ..., "FN": ...}, from the report."""
+        return self.report.rates
 
 
 def split_corpus(corpus, eval_fraction=0.2):
@@ -558,8 +564,7 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
         params, _ = train(corpus, cfg)
         preds = predict(params, eval_corpus, unimodal_only=cfg.unimodal_only)
         report = full_report(preds, gts, thresholds=cfg.eval_threshold)
-        rates = confusion_rates(preds, gts, thresholds=cfg.eval_threshold)
-        rows.append(AblationRow(label=label, overrides=overrides, report=report, rates=rates))
+        rows.append(AblationRow(label=label, overrides=overrides, report=report))
     return rows
 
 

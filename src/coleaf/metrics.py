@@ -14,6 +14,8 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, DimensionError
 
 STREAMS = ("A", "V", "AV", "Ao", "Vo")
+# rows: the five streams, then the A+V and Ao+Vo pools that Event@AV and Event@AVo score
+_POOLS = np.vstack((np.eye(len(STREAMS), dtype=np.int64), [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]))
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
 
 
@@ -83,6 +85,7 @@ class LevelScores:
 class MetricReport:
     segment: LevelScores
     event: LevelScores
+    rates: dict  # event type (A, V, AV) -> segment {"TP", "TN", "FP", "FN"} percentages
 
     def as_dict(self):
         return {"segment": self.segment.as_dict(), "event": self.event.as_dict()}
@@ -152,26 +155,31 @@ def derive_exclusive(parse):
     )
 
 
+def stream_stack(parse):
+    """The five streams of one parse as a 5 x T x C stack in `STREAMS` order."""
+    ex = derive_exclusive(parse)
+    return np.stack((parse.audio, parse.visual, ex.audible_visible, ex.audio_only, ex.visual_only))
+
+
 def _fscore(tp, fp, fn):
-    if tp == 0 and fp == 0 and fn == 0:
-        return 100.0
-    return 100.0 * 2.0 * tp / (2.0 * tp + fp + fn)
+    """F-score in percent, elementwise over counts; 100 where no positives exist anywhere."""
+    denom = 2.0 * tp + fp + fn
+    return np.where(denom > 0, 100.0 * 2.0 * tp / np.maximum(denom, 1.0), 100.0)
 
 
 def segment_counts(pred, gt):
+    """TP, FP and FN summed over the last two (T x C) axes, so one triple per stream of a stack."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise DimensionError(f"stream shapes differ: {pred.shape} vs {gt.shape}")
-    tp = int(np.sum(pred * gt))
-    fp = int(np.sum(pred * (1 - gt)))
-    fn = int(np.sum((1 - pred) * gt))
-    return tp, fp, fn
+    tp = np.sum(pred * gt, axis=(-2, -1))
+    return tp, np.sum(pred, axis=(-2, -1)) - tp, np.sum(gt, axis=(-2, -1)) - tp
 
 
 def segment_fscore(pred, gt):
     """F-score over all cells of one stream; 100 when no positives exist anywhere."""
-    return _fscore(*segment_counts(pred, gt))
+    return float(_fscore(*segment_counts(pred, gt)))
 
 
 def extract_event_proposals(stream_matrix, stream):
@@ -223,7 +231,7 @@ def match_events(pred_events, gt_events, iou_threshold=0.5):
 
 
 def event_fscore(pred_events, gt_events, iou_threshold=0.5):
-    return _fscore(*match_events(pred_events, gt_events, iou_threshold))
+    return float(_fscore(*match_events(pred_events, gt_events, iou_threshold)))
 
 
 def _as_parse(value, thresholds):
@@ -233,126 +241,94 @@ def _as_parse(value, thresholds):
     return threshold_parse(probs_a, probs_v, 0.5 if thresholds is None else thresholds)
 
 
-def _aligned_streams(preds, gts, thresholds):
-    """Yield per video in id order each stream's (prediction, ground truth) pair.
-
-    Prediction and ground-truth ids must match and each video's parses must
-    share one shape.
-    """
-    pred_ids, gt_ids = set(preds), set(gts)
-    if pred_ids != gt_ids:
-        raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
-    for vid in sorted(preds):
-        pred_parse = _as_parse(preds[vid], thresholds)
-        gt_parse = gts[vid]
-        if pred_parse.audio.shape != gt_parse.audio.shape:
-            raise DimensionError(
-                f"video {vid}: prediction shape {pred_parse.audio.shape} "
-                f"vs ground truth {gt_parse.audio.shape}"
-            )
-        pe = derive_exclusive(pred_parse)
-        ge = derive_exclusive(gt_parse)
-        yield {
-            "A": (pred_parse.audio, gt_parse.audio),
-            "V": (pred_parse.visual, gt_parse.visual),
-            "AV": (pe.audible_visible, ge.audible_visible),
-            "Ao": (pe.audio_only, ge.audio_only),
-            "Vo": (pe.visual_only, ge.visual_only),
-        }
+def _by_stream(per_video):
+    """Per-video (tp, fp, fn) rows of one value per stream as a 3 x 5 x V count array."""
+    return np.asarray(per_video, dtype=np.int64).reshape(-1, 3, len(STREAMS)).transpose(1, 2, 0)
 
 
-def _add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _level_scores(per_video_counts, aggregation):
-    # per_video_counts: list of dicts stream -> (tp, fp, fn)
+def _level_scores(counts, aggregation):
+    pooled = _POOLS @ counts  # 3 x 7 x V: the streams, then the two pools
     if aggregation == "micro":
-        totals = {s: (0, 0, 0) for s in STREAMS}
-        for counts in per_video_counts:
-            for s in STREAMS:
-                totals[s] = _add3(totals[s], counts[s])
-        f = {s: _fscore(*totals[s]) for s in STREAMS}
-        ev_av = _fscore(*_add3(totals["A"], totals["V"]))
-        ev_avo = _fscore(*_add3(totals["Ao"], totals["Vo"]))
+        f = _fscore(*pooled.sum(axis=-1))
     else:
-        per_stream = {s: [] for s in STREAMS}
-        ev_av_list, ev_avo_list = [], []
-        for counts in per_video_counts:
-            for s in STREAMS:
-                per_stream[s].append(_fscore(*counts[s]))
-            ev_av_list.append(_fscore(*_add3(counts["A"], counts["V"])))
-            ev_avo_list.append(_fscore(*_add3(counts["Ao"], counts["Vo"])))
-        f = {s: float(np.mean(per_stream[s])) for s in STREAMS}
-        ev_av = float(np.mean(ev_av_list))
-        ev_avo = float(np.mean(ev_avo_list))
+        # each stream's V scores form one contiguous row, summed as np.mean sums a list
+        f = _fscore(*pooled).mean(axis=-1)
+    a, v, av, ao, vo, pool_av, pool_avo = f.tolist()
     return LevelScores(
-        a=f["A"],
-        ao=f["Ao"],
-        v=f["V"],
-        vo=f["Vo"],
-        av=f["AV"],
-        type_at_av=(f["A"] + f["V"] + f["AV"]) / 3.0,
-        type_at_avo=(f["Ao"] + f["Vo"] + f["AV"]) / 3.0,
-        event_at_av=ev_av,
-        event_at_avo=ev_avo,
+        a=a,
+        ao=ao,
+        v=v,
+        vo=vo,
+        av=av,
+        type_at_av=(a + v + av) / 3.0,
+        type_at_avo=(ao + vo + av) / 3.0,
+        event_at_av=pool_av,
+        event_at_avo=pool_avo,
     )
 
 
-def full_report(preds, gts, thresholds=None, config=None):
-    """All nine metrics at segment and event level over an aligned corpus.
-
-    `preds` maps video id to either a BinaryParse or a (probs_audio,
-    probs_visual) pair that is thresholded here; `gts` maps video id to a
-    BinaryParse. The report is independent of enumeration order.
-    """
-    config = config or MetricConfig()
-    config.validate()
-    segment_counts_per_video = []
-    event_counts_per_video = []
-    for streams in _aligned_streams(preds, gts, thresholds):
-        segment_counts_per_video.append({s: segment_counts(p, g) for s, (p, g) in streams.items()})
-        event_counts_per_video.append(
-            {
-                s: match_events(
-                    extract_event_proposals(p, s),
-                    extract_event_proposals(g, s),
-                    config.iou_threshold,
-                )
-                for s, (p, g) in streams.items()
-            }
-        )
-    return MetricReport(
-        segment=_level_scores(segment_counts_per_video, config.aggregation),
-        event=_level_scores(event_counts_per_video, config.aggregation),
-    )
+def _percent(part, whole):
+    return 100.0 * part / whole if whole else 0.0
 
 
-def confusion_rates(preds, gts, thresholds=None):
-    """Segment-level TP/TN/FP/FN percentage rates per event type (A, V, AV).
+def _rates(counts, cells):
+    """Segment TP/TN/FP/FN percentages per event type (A, V, AV), counted corpus-wide.
 
     Event types are the exclusive streams, so a cell predicted in both
     modalities never counts toward the audible-only or visible-only type.
     TP and FN rates are relative to actual positives, TN and FP rates to
-    actual negatives, accumulated corpus-wide.
+    actual negatives.
     """
-    type_streams = {"A": "Ao", "V": "Vo", "AV": "AV"}
-    totals = {t: [0, 0, 0, 0] for t in type_streams}  # tp, fp, fn, tn
-    for streams in _aligned_streams(preds, gts, thresholds):
-        for event_type, stream in type_streams.items():
-            p, g = streams[stream]
-            tp, fp, fn = segment_counts(p, g)
-            tn = p.size - tp - fp - fn
-            for k, val in enumerate((tp, fp, fn, tn)):
-                totals[event_type][k] += val
+    totals = counts.sum(axis=-1).T.tolist()  # per stream [tp, fp, fn]
     rates = {}
-    for event_type, (tp, fp, fn, tn) in totals.items():
-        pos = tp + fn
-        negs = tn + fp
+    for event_type, stream in (("A", "Ao"), ("V", "Vo"), ("AV", "AV")):
+        tp, fp, fn = totals[STREAMS.index(stream)]
+        tn = cells - tp - fp - fn
+        pos, neg = tp + fn, tn + fp
         rates[event_type] = {
-            "TP": 100.0 * tp / pos if pos else 0.0,
-            "TN": 100.0 * tn / negs if negs else 0.0,
-            "FP": 100.0 * fp / negs if negs else 0.0,
-            "FN": 100.0 * fn / pos if pos else 0.0,
+            "TP": _percent(tp, pos),
+            "TN": _percent(tn, neg),
+            "FP": _percent(fp, neg),
+            "FN": _percent(fn, pos),
         }
     return rates
+
+
+def full_report(preds, gts, thresholds=None, config=None):
+    """All nine metrics at segment and event level, plus the segment confusion
+    rates per event type, over an aligned corpus.
+
+    `preds` maps video id to either a BinaryParse or a (probs_audio,
+    probs_visual) pair that is thresholded here; `gts` maps video id to a
+    BinaryParse. Prediction and ground-truth ids must match and each video's
+    parses must share one shape. The report is independent of enumeration
+    order.
+    """
+    config = config or MetricConfig()
+    config.validate()
+    pred_ids, gt_ids = set(preds), set(gts)
+    if pred_ids != gt_ids:
+        raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
+    segment, event, cells = [], [], 0
+    for vid in sorted(preds):
+        pred = stream_stack(_as_parse(preds[vid], thresholds))
+        gt = stream_stack(gts[vid])
+        if pred.shape != gt.shape:
+            raise DimensionError(
+                f"video {vid}: prediction shape {pred.shape[1:]} vs ground truth {gt.shape[1:]}"
+            )
+        segment.append(segment_counts(pred, gt))
+        matches = [
+            match_events(
+                extract_event_proposals(p, s), extract_event_proposals(g, s), config.iou_threshold
+            )
+            for s, p, g in zip(STREAMS, pred, gt)
+        ]
+        event.append(tuple(zip(*matches)))
+        cells += gt[0].size
+    segment = _by_stream(segment)
+    return MetricReport(
+        segment=_level_scores(segment, config.aggregation),
+        event=_level_scores(_by_stream(event), config.aggregation),
+        rates=_rates(segment, cells),
+    )

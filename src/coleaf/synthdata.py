@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .branches import VideoSample
-from .errors import ConfigError, DimensionError, FileFormatError
+from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
 from .metrics import BinaryParse
 
 
@@ -243,11 +243,12 @@ def load_corpus(path):
 
     header = parse(1, lines[0], ("n_videos", "T", "C", "D", "class_names"))
     t, c, d = header["T"], header["C"], header["D"]
-    samples = []
+    samples, id_lines = [], {}
     for offset, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
         rec = parse(offset, text, ("id", "audio", "visual", "weak_label"))
+        check_video_id(rec["id"], id_lines, path, offset)
         try:
             gt = None
             if rec.get("gt_audio") is not None:

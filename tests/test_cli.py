@@ -159,6 +159,28 @@ def test_eval_of_out_of_range_predictions_exits_2(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_corpus_with_a_repeated_id_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=3)
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["id"] = "vid00000"
+    lines[3] = json.dumps(rec)
+    corpus.write_text("\n".join(lines) + "\n")
+    status = run_cli("train", "--corpus", str(corpus), "--out", str(tmp_path / "run"))
+    assert status == 2
+    assert ":4: id 'vid00000' repeats line 2" in capsys.readouterr().err
+
+
+def test_eval_of_predictions_with_a_non_string_id_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=1)
+    preds = tmp_path / "p.jsonl"
+    row = {"id": ["vid00000"], "probs_audio": [[0.5] * 4] * 6, "probs_visual": [[0.5] * 4] * 6}
+    preds.write_text(json.dumps(row) + "\n")
+    status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))
+    assert status == 2
+    assert ":1: id must be a string" in capsys.readouterr().err
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")

@@ -311,6 +311,21 @@ def test_load_predictions_rejects_a_line_that_is_not_an_object(tmp_path):
     assert f"{path}:1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "new_id, message",
+    [("a", "repeats line 1"), (["a"], "must be a string"), (None, "must be a string")],
+    ids=["repeated", "list", "null"],
+)
+def test_load_predictions_rejects_a_bad_id(tmp_path, new_id, message):
+    path = tmp_path / "preds.jsonl"
+    rows = [{"id": vid, "probs_audio": [[0.1, 0.9]], "probs_visual": [[0.0, 1.0]]} for vid in ("a", new_id)]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(FileFormatError) as err:
+        load_predictions(path)
+    assert f"{path}:2:" in str(err.value)
+    assert message in str(err.value)
+
+
 def test_params_round_trip(tmp_path):
     params = init_branch_params(8, 4, 5)
     path = tmp_path / "params.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
 from coleaf.metrics import (
@@ -13,10 +14,13 @@ from coleaf.metrics import (
     match_events,
     segment_counts,
     segment_fscore,
+    stream_stack,
     threshold_parse,
 )
 
 from oracles import (
+    oracle_cell_counts,
+    oracle_exclusive,
     oracle_full_report,
     oracle_greedy_match,
     oracle_optimal_match,
@@ -267,3 +271,74 @@ def test_report_text_is_stable():
     assert first == second
     assert first.splitlines()[0].startswith("segment.A = ")
     assert len(first.splitlines()) == 18
+
+
+def test_segment_counts_of_a_stack_are_the_per_stream_counts():
+    rng = np.random.default_rng(11)
+    pred = BinaryParse(rng.integers(0, 2, (6, 3)), rng.integers(0, 2, (6, 3)))
+    gt = BinaryParse(rng.integers(0, 2, (6, 3)), rng.integers(0, 2, (6, 3)))
+    stacked = np.transpose(segment_counts(stream_stack(pred), stream_stack(gt)))
+    pe, ge = derive_exclusive(pred), derive_exclusive(gt)
+    pairs = [
+        (pred.audio, gt.audio),
+        (pred.visual, gt.visual),
+        (pe.audible_visible, ge.audible_visible),
+        (pe.audio_only, ge.audio_only),
+        (pe.visual_only, ge.visual_only),
+    ]
+    assert stacked.tolist() == [list(oracle_cell_counts(p, g)) for p, g in pairs]
+
+
+def _oracle_rates(pred_parses, gt_parses):
+    totals = {event_type: [0, 0, 0, 0] for event_type in ("A", "V", "AV")}  # tp, fp, fn, cells
+    for vid, (pa, pv) in pred_parses.items():
+        streams = zip(oracle_exclusive(pa, pv), oracle_exclusive(*gt_parses[vid]))
+        for event_type, (p, g) in zip(("A", "V", "AV"), streams):
+            for k, n in enumerate((*oracle_cell_counts(p, g), p.size)):
+                totals[event_type][k] += n
+    rates = {}
+    for event_type, (tp, fp, fn, cells) in totals.items():
+        tn = cells - tp - fp - fn
+        pos, neg = tp + fn, tn + fp
+        rates[event_type] = {
+            "TP": 100.0 * tp / pos if pos else 0.0,
+            "TN": 100.0 * tn / neg if neg else 0.0,
+            "FP": 100.0 * fp / neg if neg else 0.0,
+            "FN": 100.0 * fn / pos if pos else 0.0,
+        }
+    return rates
+
+
+@st.composite
+def _corpora(draw):
+    """Random parses for up to 150 videos of mixed T x C, keyed in a shuffled insertion order."""
+    n_videos = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    parses = {}
+    for k in draw(st.permutations(range(n_videos))):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+        parses[f"id{k}"] = [(rng.uniform(size=(2, *shape)) < density).astype(np.int64) for _ in "pg"]
+    gt_order = draw(st.permutations(sorted(parses)))
+    preds = {vid: BinaryParse(*parses[vid][0]) for vid in parses}
+    gts = {vid: BinaryParse(*parses[vid][1]) for vid in gt_order}
+    return preds, gts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=_corpora(),
+    iou=st.sampled_from((0.3, 0.5, 1.0)),
+    aggregation=st.sampled_from(("micro", "per-video-mean")),
+)
+def test_full_report_equals_oracle_bit_for_bit(corpus, iou, aggregation):
+    # past 8 videos numpy's pairwise summation can order a mean differently
+    # from a running sum, which small corpora cannot show
+    preds, gts = corpus
+    report = full_report(preds, gts, config=MetricConfig(iou_threshold=iou, aggregation=aggregation))
+    o_preds = {vid: (p.audio, p.visual) for vid, p in preds.items()}
+    o_gts = {vid: (g.audio, g.visual) for vid, g in gts.items()}
+    oracle = oracle_full_report(o_preds, o_gts, iou_thr=iou, aggregation=aggregation)
+    assert report.segment.as_dict() == oracle["segment"]
+    assert report.event.as_dict() == oracle["event"]
+    assert report.rates == _oracle_rates(o_preds, o_gts)

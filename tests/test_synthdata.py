@@ -231,6 +231,26 @@ def test_missing_header_key_is_error(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "new_id, message",
+    [("vid00000", "repeats line 2"), ({"a": 1}, "must be a string"), (7, "must be a string")],
+    ids=["repeated", "dict", "number"],
+)
+def test_bad_video_id_names_line(tmp_path, new_id, message):
+    corpus = generate_corpus(small_spec(n_videos=3))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["id"] = new_id
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert f"{path}:4:" in str(err.value)
+    assert message in str(err.value)
+
+
 def test_per_video_streams_independent_of_corpus_size():
     # the first videos of a longer corpus are bit-identical to a shorter one
     long = generate_corpus(small_spec(n_videos=10))
