@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 
@@ -14,6 +15,7 @@ from .errors import (
     DivergenceError,
     FileFormatError,
 )
+from .fileio import atomic_write
 from .harness import (
     TrainConfig,
     ablate,
@@ -79,9 +81,7 @@ def _cmd_train(args):
     params_path = os.path.join(args.out, "params.json")
     log_path = os.path.join(args.out, "trainlog.json")
     save_params(params, params_path)
-    import json
-
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with atomic_write(log_path) as fh:
         json.dump(log.to_mapping(), fh, indent=2)
     last = log.epochs[-1].losses
     print(f"trained {config.epochs} epochs; final mean total loss {last.total:.6f}")
@@ -110,7 +110,7 @@ def _cmd_eval(args):
     report = full_report(preds, gt_parses(corpus), thresholds=args.threshold)
     text = report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
     sys.stdout.write(text)
     return 0
@@ -124,7 +124,7 @@ def _cmd_ablate(args):
     rows = ablate(corpus, config, axes, eval_corpus=eval_corpus)
     csv_text = ablation_table_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(csv_text)
     sys.stdout.write(csv_text)
     return 0

@@ -20,6 +20,7 @@ from .branches import (
     reference_forward,
 )
 from .errors import ConfigError, DivergenceError, FileFormatError, check_video_id
+from .fileio import atomic_write
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -409,7 +410,7 @@ def predict(params, corpus, branch="anchor", unimodal_only=False, out_path=None)
 
 
 def write_predictions(preds, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for vid in preds:
             pa, pv = preds[vid]
             fh.write(
@@ -478,7 +479,7 @@ def save_params(params, path):
         "n_classes": params.n_classes,
         "values": {name: t.data.tolist() for name, t in params.named_parameters()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
 
 

@@ -16,6 +16,8 @@ from .errors import AlignmentError, ConfigError, DimensionError
 STREAMS = ("A", "V", "AV", "Ao", "Vo")
 # rows: the five streams, then the A+V and Ao+Vo pools that Event@AV and Event@AVo score
 _POOLS = np.vstack((np.eye(len(STREAMS), dtype=np.int64), [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]))
+# videos per array pass in `full_report`; bounds the memory one pass takes
+SCORE_BLOCK_VIDEOS = 128
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
 
 
@@ -135,30 +137,38 @@ def parse_threshold(raw):
     return value
 
 
-def threshold_parse(seg_probs_audio, seg_probs_visual, threshold=0.5):
-    """Binarize probabilities; a cell is positive only if strictly above its threshold."""
-    pa = np.asarray(seg_probs_audio, dtype=np.float64)
-    pv = np.asarray(seg_probs_visual, dtype=np.float64)
+def _probability_pair(probs_audio, probs_visual):
+    pa = np.asarray(probs_audio, dtype=np.float64)
+    pv = np.asarray(probs_visual, dtype=np.float64)
     if pa.shape != pv.shape or pa.ndim != 2:
         raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
+    return pa, pv
+
+
+def threshold_parse(seg_probs_audio, seg_probs_visual, threshold=0.5):
+    """Binarize probabilities; a cell is positive only if strictly above its threshold."""
+    pa, pv = _probability_pair(seg_probs_audio, seg_probs_visual)
     thr = _check_threshold(threshold, pa.shape[1])
     return BinaryParse(audio=(pa > thr).astype(np.int64), visual=(pv > thr).astype(np.int64))
 
 
-def derive_exclusive(parse):
-    """Split a two-modality parse into audible-only / visible-only / audible-visible."""
-    a, v = parse.audio, parse.visual
-    return ExclusiveParse(
-        audio_only=a * (1 - v),
-        visual_only=v * (1 - a),
-        audible_visible=a * v,
+def _streams(audio, visual):
+    """The five streams of 0/1 parses whose last two axes are T x C, stacked on a new
+    axis before them in `STREAMS` order."""
+    return np.stack(
+        (audio, visual, audio * visual, audio * (1 - visual), visual * (1 - audio)), axis=-3
     )
 
 
 def stream_stack(parse):
     """The five streams of one parse as a 5 x T x C stack in `STREAMS` order."""
-    ex = derive_exclusive(parse)
-    return np.stack((parse.audio, parse.visual, ex.audible_visible, ex.audio_only, ex.visual_only))
+    return _streams(parse.audio, parse.visual)
+
+
+def derive_exclusive(parse):
+    """Split a two-modality parse into audible-only / visible-only / audible-visible."""
+    _, _, av, ao, vo = stream_stack(parse)
+    return ExclusiveParse(audio_only=ao, visual_only=vo, audible_visible=av)
 
 
 def _fscore(tp, fp, fn):
@@ -234,16 +244,51 @@ def event_fscore(pred_events, gt_events, iou_threshold=0.5):
     return float(_fscore(*match_events(pred_events, gt_events, iou_threshold)))
 
 
-def _as_parse(value, thresholds):
-    if isinstance(value, BinaryParse):
-        return value
-    probs_a, probs_v = value
-    return threshold_parse(probs_a, probs_v, 0.5 if thresholds is None else thresholds)
+def _runs(stacks):
+    """Maximal positive runs along T of a B x 5 x T x C stream stack.
+
+    Returns each run's (video, stream, class) key as one flat index, its first
+    segment and its end (exclusive), ordered by key and then start.
+    """
+    b, s, t, c = stacks.shape
+    padded = np.zeros((b, s, c, t + 2), dtype=np.int8)
+    padded[..., 1:-1] = stacks.swapaxes(-1, -2)
+    # within each key's row of T + 1 edges, starts and ends alternate
+    edges = np.flatnonzero(np.diff(padded, axis=-1))
+    key, start = np.divmod(edges[0::2], t + 1)
+    return key, start, edges[1::2] % (t + 1)
 
 
-def _by_stream(per_video):
-    """Per-video (tp, fp, fn) rows of one value per stream as a 3 x 5 x V count array."""
-    return np.asarray(per_video, dtype=np.int64).reshape(-1, 3, len(STREAMS)).transpose(1, 2, 0)
+def _event_counts(pred, gt, iou_threshold):
+    """Event TP, FP and FN of B x 5 x T x C stream stacks, as a 3 x 5 x B count array."""
+    n_videos, n_streams, _, n_classes = gt.shape
+    (pk, ps, pe), (gk, gs, ge) = _runs(pred), _runs(gt)
+    if iou_threshold >= 0.5:
+        # maximal runs are disjoint and never adjacent, so no run reaches IoU 0.5
+        # with two others: greedy matching is one-to-one and takes every pair
+        # that qualifies. Pair each pred run with the gt runs of its key.
+        n_gt = np.bincount(gk, minlength=n_videos * n_streams * n_classes)
+        gt_first = np.cumsum(n_gt) - n_gt  # each key's first gt run
+        reps = n_gt[pk]
+        pair_first = np.cumsum(reps) - reps  # each pred run's first pair
+        pi = np.repeat(np.arange(pk.size), reps)
+        gj = np.arange(pi.size) + np.repeat(gt_first[pk] - pair_first, reps)
+        inter = np.minimum(pe[pi], ge[gj]) - np.maximum(ps[pi], gs[gj])
+        union = (pe - ps)[pi] + (ge - gs)[gj] - inter
+        # compare the quotient, as match_events does: 0.56 * 25 is not 14
+        hit = inter / union >= iou_threshold
+        tp = np.bincount(pk[pi[hit]] // n_classes, minlength=n_videos * n_streams)
+    else:
+        tp = [
+            match_events(
+                extract_event_proposals(p, s), extract_event_proposals(g, s), iou_threshold
+            )[0]
+            for pv, gv in zip(pred, gt)
+            for s, p, g in zip(STREAMS, pv, gv)
+        ]
+    n_events = [np.bincount(k // n_classes, minlength=n_videos * n_streams) for k in (pk, gk)]
+    counts = np.stack((tp, n_events[0] - tp, n_events[1] - tp))
+    return counts.reshape(3, n_videos, n_streams).swapaxes(1, 2)
 
 
 def _level_scores(counts, aggregation):
@@ -300,35 +345,49 @@ def full_report(preds, gts, thresholds=None, config=None):
 
     `preds` maps video id to either a BinaryParse or a (probs_audio,
     probs_visual) pair that is thresholded here; `gts` maps video id to a
-    BinaryParse. Prediction and ground-truth ids must match and each video's
-    parses must share one shape. The report is independent of enumeration
-    order.
+    BinaryParse. Prediction and ground-truth ids must match, the corpus must
+    not be empty, and each video's parses must share one shape. Videos of one
+    T x C are scored together, `SCORE_BLOCK_VIDEOS` at a time. The report is
+    independent of enumeration order.
     """
     config = config or MetricConfig()
     config.validate()
     pred_ids, gt_ids = set(preds), set(gts)
     if pred_ids != gt_ids:
         raise AlignmentError(missing_in_pred=gt_ids - pred_ids, missing_in_gt=pred_ids - gt_ids)
-    segment, event, cells = [], [], 0
-    for vid in sorted(preds):
-        pred = stream_stack(_as_parse(preds[vid], thresholds))
-        gt = stream_stack(gts[vid])
-        if pred.shape != gt.shape:
+    if not pred_ids:
+        raise ConfigError("no videos to score")
+    ids = sorted(preds)
+    parses, groups = [], {}  # groups: T x C -> positions in `ids`
+    for pos, vid in enumerate(ids):
+        pred, gt = preds[vid], gts[vid]
+        if isinstance(pred, BinaryParse):
+            pred = pred.audio, pred.visual
+        else:
+            pred = _probability_pair(*pred)
+        if pred[0].shape != gt.audio.shape:
             raise DimensionError(
-                f"video {vid}: prediction shape {pred.shape[1:]} vs ground truth {gt.shape[1:]}"
+                f"video {vid}: prediction shape {pred[0].shape} vs ground truth {gt.audio.shape}"
             )
-        segment.append(segment_counts(pred, gt))
-        matches = [
-            match_events(
-                extract_event_proposals(p, s), extract_event_proposals(g, s), config.iou_threshold
-            )
-            for s, p, g in zip(STREAMS, pred, gt)
-        ]
-        event.append(tuple(zip(*matches)))
-        cells += gt[0].size
-    segment = _by_stream(segment)
+        parses.append((pred, (gt.audio, gt.visual)))
+        groups.setdefault(gt.audio.shape, []).append(pos)
+    # level x (tp, fp, fn) x stream x video; each stream's V counts form one
+    # contiguous row in id order, which per-video-mean averages
+    counts = np.empty((2, 3, len(STREAMS), len(ids)), dtype=np.int64)
+    cells = 0
+    for (t, c), positions in groups.items():
+        # 0 and 1 threshold to themselves, so a BinaryParse goes through as is
+        thr = _check_threshold(0.5 if thresholds is None else thresholds, c)
+        cells += t * c * len(positions)
+        for lo in range(0, len(positions), SCORE_BLOCK_VIDEOS):
+            block = positions[lo : lo + SCORE_BLOCK_VIDEOS]
+            pred, gt = np.array([parses[i] for i in block]).swapaxes(0, 1)
+            pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
+            gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
+            counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))
+            counts[1][..., block] = _event_counts(pred, gt, config.iou_threshold)
     return MetricReport(
-        segment=_level_scores(segment, config.aggregation),
-        event=_level_scores(_by_stream(event), config.aggregation),
-        rates=_rates(segment, cells),
+        segment=_level_scores(counts[0], config.aggregation),
+        event=_level_scores(counts[1], config.aggregation),
+        rates=_rates(counts[0], cells),
     )

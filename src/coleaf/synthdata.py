@@ -15,6 +15,7 @@ import numpy as np
 
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
+from .fileio import atomic_write
 from .metrics import BinaryParse
 
 
@@ -208,7 +209,7 @@ def save_corpus(corpus, path):
         else corpus.prototypes_visual.tolist(),
         "spec": None if spec is None else spec.to_mapping(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for s in corpus.samples:
             record = {

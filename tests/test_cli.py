@@ -159,6 +159,16 @@ def test_eval_of_out_of_range_predictions_exits_2(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_eval_of_an_empty_corpus_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"n_videos": 0, "T": 6, "C": 4, "D": 8, "class_names": []}) + "\n")
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("")
+    status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))
+    assert status == 2
+    assert "no videos to score" in capsys.readouterr().err
+
+
 def test_corpus_with_a_repeated_id_exits_2(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=3)
     lines = corpus.read_text().splitlines()

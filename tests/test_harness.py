@@ -280,6 +280,23 @@ def test_predictions_round_trip(tmp_path):
         assert np.array_equal(loaded[vid][0], preds[vid][0])
 
 
+def test_failed_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    probs = np.full((2, 2), 0.25), np.full((2, 2), 0.75)
+    write_predictions({"old": probs}, path)
+    before = path.read_bytes()
+    # "b" cannot be encoded, after "a" has been written
+    bad = {"a": probs, "b": (np.array([[object()]]), np.zeros((1, 1))), "c": probs}
+    with pytest.raises(TypeError):
+        write_predictions(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
+    missing = tmp_path / "no-such-dir" / "preds.jsonl"
+    with pytest.raises(FileNotFoundError) as err:
+        write_predictions({"old": probs}, missing)
+    assert err.value.filename == str(missing)
+
+
 @pytest.mark.parametrize(
     "probs_audio, probs_visual, message",
     [

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
 from coleaf.metrics import (
+    SCORE_BLOCK_VIDEOS,
+    STREAMS,
     BinaryParse,
     EventProposal,
     MetricConfig,
@@ -16,6 +20,7 @@ from coleaf.metrics import (
     segment_fscore,
     stream_stack,
     threshold_parse,
+    _event_counts,
 )
 
 from oracles import (
@@ -342,3 +347,113 @@ def test_full_report_equals_oracle_bit_for_bit(corpus, iou, aggregation):
     assert report.segment.as_dict() == oracle["segment"]
     assert report.event.as_dict() == oracle["event"]
     assert report.rates == _oracle_rates(o_preds, o_gts)
+
+
+@pytest.mark.parametrize("aggregation", ["micro", "per-video-mean"])
+def test_full_report_rejects_an_empty_corpus(aggregation):
+    with pytest.raises(ConfigError, match="no videos to score"):
+        full_report({}, {}, config=MetricConfig(aggregation=aggregation))
+
+
+_BOUNDARY_IOUS = (1 / 2, 14 / 25, 3 / 5, 2 / 3, 7 / 10, 1.0)
+
+
+def _boundary_stacks(rng, t=25, c=6, n_random=40):
+    """Stream stacks of videos whose runs meet at each IoU in `_BOUNDARY_IOUS` exactly,
+    followed by random videos with several runs per class."""
+    pred_runs = [(0, 0), (0, 13), (0, 2), (0, 1), (0, 6), (3, 5)]
+    gt_runs = [(0, 1), (0, 24), (0, 4), (0, 2), (0, 9), (3, 5)]
+    preds, gts = [], []
+    for visual in (False, True):  # audible-only runs, then audible-visible ones
+        parses = []
+        for runs in (pred_runs, gt_runs):
+            a = np.zeros((t, c), dtype=np.int64)
+            for k, (lo, hi) in enumerate(runs):
+                a[lo : hi + 1, k] = 1
+            parses.append(BinaryParse(a, a if visual else np.zeros_like(a)))
+        preds.append(parses[0])
+        gts.append(parses[1])
+    for _ in range(n_random):
+        density = rng.uniform(0.2, 0.8)
+        preds.append(BinaryParse(*(rng.uniform(size=(2, t, c)) < density)))
+        gts.append(BinaryParse(*(rng.uniform(size=(2, t, c)) < density)))
+    return np.stack([stream_stack(p) for p in preds]), np.stack([stream_stack(g) for g in gts])
+
+
+@pytest.mark.parametrize("iou", [0.5, 0.56, 0.6, 2 / 3, 0.7, 1.0, 0.3])
+def test_event_counts_equal_greedy_matching_per_video_and_stream(iou):
+    # 0.56 * 25 is 14.000000000000002, so the run pair of IoU 14/25 qualifies at
+    # 0.56 only if IoU is compared as the quotient match_events computes
+    pred, gt = _boundary_stacks(np.random.default_rng(12))
+    counts = _event_counts(pred, gt, iou)
+    for b in range(pred.shape[0]):
+        for s, stream in enumerate(STREAMS):
+            want = match_events(
+                extract_event_proposals(pred[b, s], stream),
+                extract_event_proposals(gt[b, s], stream),
+                iou,
+            )
+            assert tuple(counts[:, s, b]) == want, (b, stream)
+    exact_hits = counts[0, STREAMS.index("Ao"), 0]  # first video: one run pair per class
+    assert exact_hits == sum(iou <= x for x in _BOUNDARY_IOUS)
+
+
+@pytest.mark.parametrize("aggregation", ["micro", "per-video-mean"])
+@pytest.mark.parametrize("iou", [0.5, 0.3])
+def test_full_report_over_several_blocks_and_shapes_equals_oracle(aggregation, iou):
+    rng = np.random.default_rng(13)
+    preds, gts = {}, {}
+    shapes = [(10, 5)] * (SCORE_BLOCK_VIDEOS + 40) + [(6, 3)] * 30 + [(1, 2)] * 5
+    for k in rng.permutation(len(shapes)):
+        for parses in (preds, gts):
+            parses[f"id{k:03d}"] = BinaryParse(*(rng.uniform(size=(2, *shapes[k])) < 0.4))
+    report = full_report(preds, gts, config=MetricConfig(iou_threshold=iou, aggregation=aggregation))
+    oracle = oracle_full_report(
+        {vid: (p.audio, p.visual) for vid, p in preds.items()},
+        {vid: (g.audio, g.visual) for vid, g in gts.items()},
+        iou_thr=iou,
+        aggregation=aggregation,
+    )
+    assert report.segment.as_dict() == oracle["segment"]
+    assert report.event.as_dict() == oracle["event"]
+
+
+def test_full_report_of_mixed_parses_and_probabilities_equals_thresholding_first():
+    rng = np.random.default_rng(14)
+    thresholds = [0.3, 0.5, 0.7]
+    preds, thresholded, gts = {}, {}, {}
+    for i in range(SCORE_BLOCK_VIDEOS + 10):
+        vid = f"v{i:03d}"
+        probs = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3))
+        thresholded[vid] = threshold_parse(*probs, thresholds)
+        preds[vid] = thresholded[vid] if i % 3 == 0 else probs
+        gts[vid] = BinaryParse(*(rng.uniform(size=(2, 6, 3)) < 0.4))
+    mixed = full_report(preds, gts, thresholds=thresholds)
+    first = full_report(thresholded, gts)
+    assert mixed.as_dict() == first.as_dict()
+    assert mixed.rates == first.rates
+
+
+def test_full_report_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(15)
+    preds, gts = {}, {}
+    for i in range(2000):
+        preds[f"v{i:04d}"] = rng.uniform(size=(10, 5)), rng.uniform(size=(10, 5))
+        gts[f"v{i:04d}"] = BinaryParse(*(rng.uniform(size=(2, 10, 5)) < 0.3))
+    tracemalloc.start()
+    try:
+        full_report(preds, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_full_report_shape_errors_name_the_shapes():
+    gt = {"v": BinaryParse(np.zeros((2, 3)), np.zeros((2, 3)))}
+    with pytest.raises(DimensionError) as err:
+        full_report({"v": (np.zeros((2, 3)), np.zeros((2, 2)))}, gt)
+    assert str(err.value) == "probability matrices must share T x C, got (2, 3) and (2, 2)"
+    with pytest.raises(DimensionError) as err:
+        full_report({"v": (np.zeros((4, 3)), np.zeros((4, 3)))}, gt)
+    assert str(err.value) == "video v: prediction shape (4, 3) vs ground truth (2, 3)"
