@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .metrics import BinaryParse, as_binary
+from .metrics import BinaryParse, as_binary, record_eq
 from .numerics import Tensor
 
 
@@ -71,15 +71,7 @@ class VideoSample:
     def n_classes(self):
         return self.weak_label.shape[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VideoSample)
-            and self.id == other.id
-            and np.array_equal(self.audio_tokens, other.audio_tokens)
-            and np.array_equal(self.visual_tokens, other.visual_tokens)
-            and np.array_equal(self.weak_label, other.weak_label)
-            and self.gt == other.gt
-        )
+    __eq__ = record_eq
 
 
 def param_layout(dim, n_classes):

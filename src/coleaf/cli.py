@@ -21,7 +21,7 @@ from .harness import (
     ablate,
     ablation_table_csv,
     apply_env_seed,
-    gt_parses,
+    evaluate,
     load_params,
     load_predictions,
     load_train_config,
@@ -29,8 +29,9 @@ from .harness import (
     save_params,
     split_corpus,
     train,
+    write_predictions,
 )
-from .metrics import full_report, parse_threshold
+from .metrics import parse_threshold
 from .synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 
@@ -93,13 +94,8 @@ def _cmd_train(args):
 def _cmd_predict(args):
     params = load_params(args.params)
     corpus = load_corpus(args.corpus)
-    predict(
-        params,
-        corpus,
-        branch=args.branch,
-        unimodal_only=args.unimodal_only,
-        out_path=args.out,
-    )
+    preds = predict(params, corpus, branch=args.branch, unimodal_only=args.unimodal_only)
+    write_predictions(preds, args.out)
     print(f"wrote predictions for {len(corpus.samples)} videos to {args.out}")
     return 0
 
@@ -107,7 +103,7 @@ def _cmd_predict(args):
 def _cmd_eval(args):
     preds = load_predictions(args.pred)
     corpus = load_corpus(args.gt)
-    report = full_report(preds, gt_parses(corpus), thresholds=args.threshold)
+    report = evaluate(preds, corpus, threshold=args.threshold)
     text = report.to_text()
     if args.out:
         with atomic_write(args.out) as fh:
@@ -190,8 +186,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as err:
-        path = getattr(err, "filename", None)
-        sys.stderr.write(f"coleaf: error: cannot read {path or err}\n")
+        # raised by a read or a write alike, so name the path and the reason only
+        detail = f"{err.filename}: {err.strerror}" if err.filename else err
+        sys.stderr.write(f"coleaf: error: {detail}\n")
         return 2
     except (
         FileFormatError,

@@ -36,7 +36,7 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import MetricReport, full_report, parse_threshold
+from .metrics import MetricReport, _probability_pair, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -382,7 +382,7 @@ def train(corpus, config, eval_corpus=None):
     return params, log
 
 
-def predict(params, corpus, branch="anchor", unimodal_only=False, out_path=None):
+def predict(params, corpus, branch="anchor", unimodal_only=False):
     """Segment-level probabilities per video from the chosen branch.
 
     Videos must share T x D. They run as forwards over blocks of
@@ -404,8 +404,6 @@ def predict(params, corpus, branch="anchor", unimodal_only=False, out_path=None)
         else:
             probs = reference_forward(block, params).seg_probs.data
         preds.update((sample.id, tuple(video)) for sample, video in zip(block, probs))
-    if out_path is not None:
-        write_predictions(preds, out_path)
     return preds
 
 
@@ -442,22 +440,9 @@ def load_predictions(path):
                     raise FileFormatError(f"{path}:{line_no}: missing key {key}")
             check_video_id(rec["id"], id_lines, path, line_no)
             try:
-                pa = np.asarray(rec["probs_audio"], dtype=np.float64)
-                pv = np.asarray(rec["probs_visual"], dtype=np.float64)
+                preds[rec["id"]] = _probability_pair(rec["probs_audio"], rec["probs_visual"])
             except (TypeError, ValueError) as err:
                 raise FileFormatError(f"{path}:{line_no}: {err}") from err
-            if pa.ndim != 2 or pa.shape != pv.shape:
-                raise FileFormatError(
-                    f"{path}:{line_no}: probs_audio and probs_visual must be T x C matrices "
-                    f"of one shape, got {pa.shape} and {pv.shape}"
-                )
-            for key, probs in (("probs_audio", pa), ("probs_visual", pv)):
-                # NaN fails both comparisons, so it is rejected too
-                if not np.all((probs >= 0.0) & (probs <= 1.0)):
-                    raise FileFormatError(
-                        f"{path}:{line_no}: {key} has a non-finite value or one outside [0,1]"
-                    )
-            preds[rec["id"]] = (pa, pv)
     return preds
 
 
@@ -509,6 +494,8 @@ def load_params(path):
             value = np.asarray(values[name], dtype=np.float64)
         except (TypeError, ValueError) as err:
             raise FileFormatError(f"{path}:1: parameter {name}: {err}") from err
+        if not np.isfinite(value).all():
+            raise FileFormatError(f"{path}:1: parameter {name}: values must be finite")
         if value.shape != shape:
             raise FileFormatError(
                 f"{path}:1: parameter {name} has shape {value.shape}, expected {shape}"
@@ -560,12 +547,17 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
         ]
     rows = []
     gts = gt_parses(eval_corpus)
+    # variants differ only in the axis switches, so these name a configuration;
+    # an axis's off row is often the base, which is then trained once
+    reports = {}
     for label, overrides in variants:
         cfg = replace(base_config, **overrides)
-        params, _ = train(corpus, cfg)
-        preds = predict(params, eval_corpus, unimodal_only=cfg.unimodal_only)
-        report = full_report(preds, gts, thresholds=cfg.eval_threshold)
-        rows.append(AblationRow(label=label, overrides=overrides, report=report))
+        key = tuple(getattr(cfg, axis) for axis in ABLATION_AXES)
+        if key not in reports:
+            params, _ = train(corpus, cfg)
+            preds = predict(params, eval_corpus, unimodal_only=cfg.unimodal_only)
+            reports[key] = full_report(preds, gts, thresholds=cfg.eval_threshold)
+        rows.append(AblationRow(label=label, overrides=overrides, report=reports[key]))
     return rows
 
 

@@ -7,7 +7,7 @@ audible-only or visible-only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,22 @@ def as_binary(values, what):
     return values.astype(np.int64)
 
 
+def record_eq(self, other):
+    """`==` for dataclass records with array fields: records of one type are equal when
+    their array fields are `np.array_equal` (None against an array is unequal) and
+    every other field is `==`."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(eq=False)
 class BinaryParse:
     audio: np.ndarray  # T x C in {0,1}
@@ -42,12 +58,7 @@ class BinaryParse:
                 f"parse matrices must share T x C, got {self.audio.shape} and {self.visual.shape}"
             )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryParse)
-            and np.array_equal(self.audio, other.audio)
-            and np.array_equal(self.visual, other.visual)
-        )
+    __eq__ = record_eq
 
 
 @dataclass
@@ -138,10 +149,16 @@ def parse_threshold(raw):
 
 
 def _probability_pair(probs_audio, probs_visual):
+    """The one check on a video's probabilities: two T x C float matrices of one shape,
+    every value finite and inside [0,1]."""
     pa = np.asarray(probs_audio, dtype=np.float64)
     pv = np.asarray(probs_visual, dtype=np.float64)
     if pa.shape != pv.shape or pa.ndim != 2:
         raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
+    for name, probs in (("audio", pa), ("visual", pv)):
+        # NaN fails both comparisons, so it is rejected too
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError(f"{name} probabilities hold a non-finite value or one outside [0,1]")
     return pa, pv
 
 

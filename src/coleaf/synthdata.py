@@ -16,7 +16,7 @@ import numpy as np
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
 from .fileio import atomic_write
-from .metrics import BinaryParse
+from .metrics import BinaryParse, record_eq
 
 
 @dataclass(eq=False)
@@ -75,13 +75,7 @@ class CorpusSpec:
             data["cooccur"] = np.asarray(data["cooccur"], dtype=np.float64)
         return cls(**data)
 
-    def __eq__(self, other):
-        if not isinstance(other, CorpusSpec):
-            return NotImplemented
-        a, b = self.to_mapping(), other.to_mapping()
-        return all(
-            np.array_equal(a[k], b[k]) if k == "cooccur" else a[k] == b[k] for k in a
-        )
+    __eq__ = record_eq
 
 
 @dataclass(eq=False)
@@ -95,17 +89,7 @@ class GeneratedCorpus:
     def n_videos(self):
         return len(self.samples)
 
-    def __eq__(self, other):
-        if not isinstance(other, GeneratedCorpus):
-            return NotImplemented
-        protos_equal = all(
-            (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
-            for a, b in (
-                (self.prototypes_audio, other.prototypes_audio),
-                (self.prototypes_visual, other.prototypes_visual),
-            )
-        )
-        return protos_equal and self.spec == other.spec and self.samples == other.samples
+    __eq__ = record_eq
 
 
 def weak_labels_from_temporal(gt):
@@ -192,6 +176,8 @@ def save_corpus(corpus, path):
     spec = corpus.spec
     if spec is not None:
         t, c, d = spec.segments, spec.classes, spec.dim
+    elif not corpus.samples:
+        raise ConfigError("an empty corpus without a spec has no T, C and D to write")
     else:
         first = corpus.samples[0]
         t, c, d = first.n_segments, first.n_classes, first.dim

@@ -80,6 +80,42 @@ def test_train_missing_corpus_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def _trained(tmp_path, corpus):
+    out_dir = tmp_path / "run"
+    assert run_cli(
+        "train", "--corpus", str(corpus), "--seed", "3", "--out", str(out_dir),
+        "--config", str(write_config(tmp_path, "epochs = 1\nbatch_size = 2\n")),
+    ) == 0
+    return out_dir / "params.json"
+
+
+def test_predict_to_a_missing_directory_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    capsys.readouterr()
+    out = tmp_path / "missing-dir" / "p.jsonl"
+    status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(out))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{out}: No such file or directory" in err
+    assert "cannot read" not in err
+
+
+def test_predict_with_non_finite_params_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    payload = json.loads(params.read_text())
+    payload["values"] = {
+        name: np.full(np.shape(value), np.nan).tolist() for name, value in payload["values"].items()
+    }
+    params.write_text(json.dumps(payload))
+    preds = tmp_path / "p.jsonl"
+    status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    assert f"{params}:1: parameter " in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("train", "--corpus", "x.jsonl", "--out", "y", "--frobnicate") == 1
     assert "usage" in capsys.readouterr().err

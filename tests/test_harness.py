@@ -18,6 +18,7 @@ from coleaf.harness import (
     apply_env_seed,
     effective_lr,
     evaluate,
+    gt_parses,
     load_params,
     load_predictions,
     load_train_config,
@@ -535,3 +536,108 @@ def test_fullscale_preset_values():
     assert cfg.epochs == 15
     assert cfg.lr_decay_factor == 0.25
     assert cfg.lr_decay_every_epochs == 6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0, -0.1], ids=["nan", "inf", "two", "negative"])
+def test_evaluate_rejects_probabilities_outside_the_unit_interval(bad):
+    corpus = desk_corpus(n_videos=3)
+    preds = predict(init_branch_params(8, 4, 5), corpus)
+    preds[corpus.samples[1].id][1][0, 0] = bad
+    with pytest.raises(ValueError, match=r"visual probabilities .* outside \[0,1\]"):
+        evaluate(preds, corpus)
+
+
+def test_load_predictions_skips_blank_lines(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    rows = [{"id": vid, "probs_audio": [[0.1, 0.9]], "probs_visual": [[0.0, 1.0]]} for vid in "ab"]
+    path.write_text(json.dumps(rows[0]) + "\n\n   \n" + json.dumps(rows[1]) + "\n")
+    assert list(load_predictions(path)) == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "b", "probs_audio": [[0.5, 0.5]],', ":2: Expecting"),
+        ('{"id": "b", "probs_audio": [[0.5, 0.5]]}', ":2: missing key probs_visual"),
+        ('{"probs_audio": [[0.5, 0.5]], "probs_visual": [[0.5, 0.5]]}', ":2: missing key id"),
+    ],
+    ids=["bad-json", "missing-probs", "missing-id"],
+)
+def test_load_predictions_rejects_a_malformed_line(tmp_path, line, message):
+    path = tmp_path / "preds.jsonl"
+    good = {"id": "a", "probs_audio": [[0.1, 0.9]], "probs_visual": [[0.0, 1.0]]}
+    path.write_text(json.dumps(good) + "\n" + line + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_predictions(path)
+    assert f"{path}{message}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("bad-json", ":1: Expecting"),
+        ("missing-key", ":1: missing key n_classes"),
+        (
+            "name-mismatch",
+            ":1: parameter names do not match (missing ['anchor.classifier.bias'], "
+            "extra ['anchor.bias'])",
+        ),
+        ("infinite", ":1: parameter anchor.classifier.bias: values must be finite"),
+    ],
+    ids=["bad-json", "missing-key", "name-mismatch", "infinite"],
+)
+def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
+    payload = json.loads((DATA_DIR / "params_d2_c2_seed5.json").read_text())
+    values = payload["values"]
+    if edit == "missing-key":
+        del payload["n_classes"]
+    elif edit == "name-mismatch":
+        values["anchor.bias"] = values.pop("anchor.classifier.bias")
+    elif edit == "infinite":
+        values["anchor.classifier.bias"] = [math.inf, 0.0]  # written as Infinity
+    path = tmp_path / "params.json"
+    path.write_text("{" if edit == "bad-json" else json.dumps(payload))
+    with pytest.raises(FileFormatError) as err:
+        load_params(path)
+    assert f"{path}{message}" in str(err.value)
+
+
+def test_gt_parses_needs_ground_truth_on_every_video():
+    corpus = desk_corpus(n_videos=3)
+    corpus.samples[1] = dataclasses.replace(corpus.samples[1], gt=None)
+    with pytest.raises(ConfigError, match=f"video {corpus.samples[1].id} has no segment ground truth"):
+        gt_parses(corpus)
+
+
+def test_predict_rejects_an_unknown_branch():
+    with pytest.raises(ConfigError, match="unknown branch 'both'"):
+        predict(init_branch_params(8, 4, 5), desk_corpus(n_videos=2), branch="both")
+
+
+def test_per_class_eval_threshold_reads_back_from_the_train_log():
+    config = quick_config(epochs=1, eval_threshold=(0.3, 0.5, 0.6, 0.7))
+    _, log = train(desk_corpus(n_videos=4), config)
+    mapping = log.to_mapping(include_wall_clock=False)
+    # trainlog.json holds exactly what the in-memory log maps to
+    assert json.loads(json.dumps(mapping)) == mapping
+    assert TrainConfig.from_mapping(mapping["config"]) == config
+
+
+def test_ablate_trains_each_distinct_configuration_once(monkeypatch):
+    configs = []
+
+    def counting_train(corpus, config, **kwargs):
+        configs.append(config)
+        return train(corpus, config, **kwargs)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    axes = ["unimodal_only", "disable_event_contrastive"]
+    rows = ablate(
+        desk_corpus(n_videos=15), quick_config(epochs=1), axes, eval_corpus=desk_corpus(n_videos=6, seed=2)
+    )
+    assert [row.label for row in rows] == [
+        "unimodal_only=off", "unimodal_only=on",
+        "disable_event_contrastive=off", "disable_event_contrastive=on",
+    ]
+    assert len(configs) == 3
+    assert rows[0].report.as_dict() == rows[2].report.as_dict()

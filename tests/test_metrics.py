@@ -457,3 +457,17 @@ def test_full_report_shape_errors_name_the_shapes():
     with pytest.raises(DimensionError) as err:
         full_report({"v": (np.zeros((4, 3)), np.zeros((4, 3)))}, gt)
     assert str(err.value) == "video v: prediction shape (4, 3) vs ground truth (2, 3)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, -0.1], ids=["nan", "inf", "two", "negative"])
+@pytest.mark.parametrize("modality", ["audio", "visual"])
+def test_probabilities_must_be_finite_and_inside_the_unit_interval(bad, modality):
+    gts = {vid: BinaryParse(np.zeros((2, 3)), np.ones((2, 3))) for vid in ("a", "b")}
+    pair = {"audio": np.full((2, 3), 0.5), "visual": np.full((2, 3), 0.5)}
+    pair[modality][1, 2] = bad
+    pair = pair["audio"], pair["visual"]
+    message = rf"{modality} probabilities hold a non-finite value or one outside \[0,1\]"
+    with pytest.raises(ValueError, match=message):
+        full_report({"a": pair, "b": (np.zeros((2, 3)), np.ones((2, 3)))}, gts)
+    with pytest.raises(ValueError, match=message):
+        threshold_parse(*pair)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -288,3 +289,74 @@ def test_bad_ground_truth_names_line(tmp_path, changes):
     with pytest.raises(FileFormatError) as err:
         load_corpus(path)
     assert f"{path}:3:" in str(err.value)
+
+
+def _saved_lines(tmp_path, corpus):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("changes", [{"T": 7}, {"D": 9}, {"C": 5}], ids=["T", "D", "C"])
+def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=2)))
+    header = json.loads(lines[0])
+    header.update(changes)
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert f"{path}:2: video vid00000 has T x D (6, 8) and C 4, header says" in str(err.value)
+
+
+def test_header_video_count_must_match_the_records(tmp_path):
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=3)))
+    header = json.loads(lines[0])
+    header["n_videos"] = 5
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert f"{path}:4: header promises 5 videos, found 3" in str(err.value)
+
+
+def test_cooccur_spec_round_trips_and_regenerates_the_corpus(tmp_path):
+    cooccur = np.full((4, 4), 2.0) - 2.0 * np.eye(4)
+    corpus = generate_corpus(small_spec(n_videos=4, cooccur=cooccur))
+    path, _ = _saved_lines(tmp_path, corpus)
+    loaded = load_corpus(path)
+    assert loaded == corpus
+    assert loaded.spec.cooccur.dtype == np.float64
+    # the spec read back drives the generator like the one written
+    assert generate_corpus(loaded.spec) == corpus
+
+
+def test_empty_corpus_without_a_spec_cannot_be_saved(tmp_path):
+    path = tmp_path / "minimal.jsonl"
+    header = {"n_videos": 0, "T": 4, "C": 2, "D": 3, "class_names": ["a", "b"], "spec": None}
+    path.write_text(json.dumps(header) + "\n")
+    loaded = load_corpus(path)
+    with pytest.raises(ConfigError, match="empty corpus without a spec has no T, C and D"):
+        save_corpus(loaded, tmp_path / "again.jsonl")
+    assert not (tmp_path / "again.jsonl").exists()
+
+
+def test_records_compare_by_value_and_type():
+    def make():
+        return generate_corpus(small_spec(n_videos=2, cooccur=np.ones((4, 4)) - np.eye(4)))
+
+    a, b = make(), make()
+    pairs = [(a, b), (a.spec, b.spec), (a.samples[0], b.samples[0]), (a.samples[0].gt, b.samples[0].gt)]
+    for x, y in pairs:
+        assert x is not y and x == y and not x != y
+    # another type is never equal, in either order
+    gt = a.samples[0].gt
+    for x, other in [(a, a.samples), (a.spec, a.spec.to_mapping()), (a.samples[0], gt),
+                     (gt, (gt.audio, gt.visual))]:
+        assert x != other and other != x
+    # None against an array, in either order, and a differing array
+    for record, name in [(a, "prototypes_audio"), (a.spec, "cooccur"), (a.samples[0], "gt")]:
+        cleared = dataclasses.replace(record, **{name: None})
+        assert cleared != record and record != cleared
+    assert dataclasses.replace(a.spec, cooccur=2 * a.spec.cooccur) != a.spec
+    assert BinaryParse(gt.audio, 1 - gt.visual) != gt
