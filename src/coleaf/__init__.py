@@ -32,10 +32,8 @@ from .metrics import (
     MetricConfig,
     MetricReport,
     derive_exclusive,
-    event_fscore,
     extract_event_proposals,
     full_report,
-    segment_fscore,
     threshold_parse,
 )
 from .numerics import Tensor, attention, backward, bce, matmul, sigmoid, softmax

@@ -177,6 +177,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gen-data" and args.eval_out and args.eval_videos < 1:
+            parser.error(
+                f"--eval-videos must be at least 1 with --eval-out, got {args.eval_videos}"
+            )
     except SystemExit as exc:
         return exc.code
     except ConfigError as err:

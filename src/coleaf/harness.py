@@ -36,7 +36,7 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import MetricReport, _probability_pair, full_report, parse_threshold
+from .metrics import MetricReport, _check_threshold, _probability_pair, full_report, parse_threshold
 from .numerics import Tensor
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -311,6 +311,13 @@ def _check_one_shape(samples):
             )
 
 
+def _check_eval_threshold(threshold, eval_corpus):
+    """A per-class threshold must have one value per class of the corpus it scores;
+    checked before the first step rather than at the first evaluation."""
+    if eval_corpus.samples:
+        _check_threshold(threshold, eval_corpus.samples[0].n_classes)
+
+
 def _train_step(batch, params, adam, lr, config, epoch, step):
     """One Adam step on the mean of a batch's per-video objectives.
 
@@ -346,6 +353,8 @@ def train(corpus, config, eval_corpus=None):
     if not samples:
         raise ConfigError("training corpus is empty")
     _check_one_shape(samples)
+    if eval_corpus is not None:
+        _check_eval_threshold(config.eval_threshold, eval_corpus)
     contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
     first = samples[0]
     if contrastive and first.n_segments < 2:
@@ -454,8 +463,8 @@ def gt_parses(corpus):
     return {sample.id: sample.gt for sample in corpus.samples}
 
 
-def evaluate(preds, corpus, threshold=0.5, metric_config=None):
-    return full_report(preds, gt_parses(corpus), thresholds=threshold, config=metric_config)
+def evaluate(preds, corpus, threshold=0.5):
+    return full_report(preds, gt_parses(corpus), thresholds=threshold)
 
 
 def save_params(params, path):
@@ -538,6 +547,7 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
             raise ConfigError(f"unknown ablation axis {axis!r}; valid axes: {', '.join(ABLATION_AXES)}")
     if eval_corpus is None:
         corpus, eval_corpus = split_corpus(corpus)
+    _check_eval_threshold(base_config.eval_threshold, eval_corpus)
     variants = [("base", {})]
     if axes:
         variants = [

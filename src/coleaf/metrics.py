@@ -113,12 +113,9 @@ class MetricReport:
 
 @dataclass
 class MetricConfig:
-    iou_threshold: float = 0.5
     aggregation: str = "micro"  # or "per-video-mean"
 
     def validate(self):
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ConfigError(f"iou_threshold must be in (0,1], got {self.iou_threshold}")
         if self.aggregation not in ("micro", "per-video-mean"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
@@ -177,14 +174,9 @@ def _streams(audio, visual):
     )
 
 
-def stream_stack(parse):
-    """The five streams of one parse as a 5 x T x C stack in `STREAMS` order."""
-    return _streams(parse.audio, parse.visual)
-
-
 def derive_exclusive(parse):
     """Split a two-modality parse into audible-only / visible-only / audible-visible."""
-    _, _, av, ao, vo = stream_stack(parse)
+    _, _, av, ao, vo = _streams(parse.audio, parse.visual)
     return ExclusiveParse(audio_only=ao, visual_only=vo, audible_visible=av)
 
 
@@ -202,11 +194,6 @@ def segment_counts(pred, gt):
         raise DimensionError(f"stream shapes differ: {pred.shape} vs {gt.shape}")
     tp = np.sum(pred * gt, axis=(-2, -1))
     return tp, np.sum(pred, axis=(-2, -1)) - tp, np.sum(gt, axis=(-2, -1)) - tp
-
-
-def segment_fscore(pred, gt):
-    """F-score over all cells of one stream; 100 when no positives exist anywhere."""
-    return float(_fscore(*segment_counts(pred, gt)))
 
 
 def extract_event_proposals(stream_matrix, stream):
@@ -257,10 +244,6 @@ def match_events(pred_events, gt_events, iou_threshold=0.5):
     return tp, len(pred_events) - tp, len(gt_events) - tp
 
 
-def event_fscore(pred_events, gt_events, iou_threshold=0.5):
-    return float(_fscore(*match_events(pred_events, gt_events, iou_threshold)))
-
-
 def _runs(stacks):
     """Maximal positive runs along T of a B x 5 x T x C stream stack.
 
@@ -276,33 +259,26 @@ def _runs(stacks):
     return key, start, edges[1::2] % (t + 1)
 
 
-def _event_counts(pred, gt, iou_threshold):
-    """Event TP, FP and FN of B x 5 x T x C stream stacks, as a 3 x 5 x B count array."""
+def _event_counts(pred, gt):
+    """Event TP, FP and FN of B x 5 x T x C stream stacks at IoU 0.5, as a 3 x 5 x B count array.
+
+    Maximal runs are disjoint and never adjacent, so no run reaches IoU 0.5
+    with two others: greedy matching is one-to-one, and its TP per key is the
+    number of qualifying run pairs.
+    """
     n_videos, n_streams, _, n_classes = gt.shape
     (pk, ps, pe), (gk, gs, ge) = _runs(pred), _runs(gt)
-    if iou_threshold >= 0.5:
-        # maximal runs are disjoint and never adjacent, so no run reaches IoU 0.5
-        # with two others: greedy matching is one-to-one and takes every pair
-        # that qualifies. Pair each pred run with the gt runs of its key.
-        n_gt = np.bincount(gk, minlength=n_videos * n_streams * n_classes)
-        gt_first = np.cumsum(n_gt) - n_gt  # each key's first gt run
-        reps = n_gt[pk]
-        pair_first = np.cumsum(reps) - reps  # each pred run's first pair
-        pi = np.repeat(np.arange(pk.size), reps)
-        gj = np.arange(pi.size) + np.repeat(gt_first[pk] - pair_first, reps)
-        inter = np.minimum(pe[pi], ge[gj]) - np.maximum(ps[pi], gs[gj])
-        union = (pe - ps)[pi] + (ge - gs)[gj] - inter
-        # compare the quotient, as match_events does: 0.56 * 25 is not 14
-        hit = inter / union >= iou_threshold
-        tp = np.bincount(pk[pi[hit]] // n_classes, minlength=n_videos * n_streams)
-    else:
-        tp = [
-            match_events(
-                extract_event_proposals(p, s), extract_event_proposals(g, s), iou_threshold
-            )[0]
-            for pv, gv in zip(pred, gt)
-            for s, p, g in zip(STREAMS, pv, gv)
-        ]
+    # pair each pred run with the gt runs of its key
+    n_gt = np.bincount(gk, minlength=n_videos * n_streams * n_classes)
+    gt_first = np.cumsum(n_gt) - n_gt  # each key's first gt run
+    reps = n_gt[pk]
+    pair_first = np.cumsum(reps) - reps  # each pred run's first pair
+    pi = np.repeat(np.arange(pk.size), reps)
+    gj = np.arange(pi.size) + np.repeat(gt_first[pk] - pair_first, reps)
+    inter = np.minimum(pe[pi], ge[gj]) - np.maximum(ps[pi], gs[gj])
+    union = (pe - ps)[pi] + (ge - gs)[gj] - inter
+    hit = 2 * inter >= union  # IoU >= 1/2, exact in integers
+    tp = np.bincount(pk[pi[hit]] // n_classes, minlength=n_videos * n_streams)
     n_events = [np.bincount(k // n_classes, minlength=n_videos * n_streams) for k in (pk, gk)]
     counts = np.stack((tp, n_events[0] - tp, n_events[1] - tp))
     return counts.reshape(3, n_videos, n_streams).swapaxes(1, 2)
@@ -358,14 +334,14 @@ def _rates(counts, cells):
 
 def full_report(preds, gts, thresholds=None, config=None):
     """All nine metrics at segment and event level, plus the segment confusion
-    rates per event type, over an aligned corpus.
+    rates per event type, over an aligned corpus of one T x C.
 
     `preds` maps video id to either a BinaryParse or a (probs_audio,
     probs_visual) pair that is thresholded here; `gts` maps video id to a
     BinaryParse. Prediction and ground-truth ids must match, the corpus must
-    not be empty, and each video's parses must share one shape. Videos of one
-    T x C are scored together, `SCORE_BLOCK_VIDEOS` at a time. The report is
-    independent of enumeration order.
+    not be empty, and every parse must have the first video's T x C. Events
+    match at IoU 0.5. Videos are scored `SCORE_BLOCK_VIDEOS` at a time, and
+    the report is independent of enumeration order.
     """
     config = config or MetricConfig()
     config.validate()
@@ -375,36 +351,38 @@ def full_report(preds, gts, thresholds=None, config=None):
     if not pred_ids:
         raise ConfigError("no videos to score")
     ids = sorted(preds)
-    parses, groups = [], {}  # groups: T x C -> positions in `ids`
-    for pos, vid in enumerate(ids):
+    shape = gts[ids[0]].audio.shape
+    parses = []
+    for vid in ids:
         pred, gt = preds[vid], gts[vid]
         if isinstance(pred, BinaryParse):
             pred = pred.audio, pred.visual
         else:
             pred = _probability_pair(*pred)
-        if pred[0].shape != gt.audio.shape:
+        if gt.audio.shape != shape:
             raise DimensionError(
-                f"video {vid}: prediction shape {pred[0].shape} vs ground truth {gt.audio.shape}"
+                f"video {vid} has ground truth T x C = {gt.audio.shape}, but the first "
+                f"video {ids[0]} has {shape}; every video of a corpus needs the same T and C"
+            )
+        if pred[0].shape != shape:
+            raise DimensionError(
+                f"video {vid}: prediction shape {pred[0].shape} vs ground truth {shape}"
             )
         parses.append((pred, (gt.audio, gt.visual)))
-        groups.setdefault(gt.audio.shape, []).append(pos)
+    # 0 and 1 threshold to themselves, so a BinaryParse goes through as is
+    thr = _check_threshold(0.5 if thresholds is None else thresholds, shape[1])
     # level x (tp, fp, fn) x stream x video; each stream's V counts form one
     # contiguous row in id order, which per-video-mean averages
     counts = np.empty((2, 3, len(STREAMS), len(ids)), dtype=np.int64)
-    cells = 0
-    for (t, c), positions in groups.items():
-        # 0 and 1 threshold to themselves, so a BinaryParse goes through as is
-        thr = _check_threshold(0.5 if thresholds is None else thresholds, c)
-        cells += t * c * len(positions)
-        for lo in range(0, len(positions), SCORE_BLOCK_VIDEOS):
-            block = positions[lo : lo + SCORE_BLOCK_VIDEOS]
-            pred, gt = np.array([parses[i] for i in block]).swapaxes(0, 1)
-            pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
-            gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
-            counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))
-            counts[1][..., block] = _event_counts(pred, gt, config.iou_threshold)
+    for lo in range(0, len(ids), SCORE_BLOCK_VIDEOS):
+        block = slice(lo, lo + SCORE_BLOCK_VIDEOS)
+        pred, gt = np.array(parses[block]).swapaxes(0, 1)
+        pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
+        gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
+        counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))
+        counts[1][..., block] = _event_counts(pred, gt)
     return MetricReport(
         segment=_level_scores(counts[0], config.aggregation),
         event=_level_scores(counts[1], config.aggregation),
-        rates=_rates(counts[0], cells),
+        rates=_rates(counts[0], shape[0] * shape[1] * len(ids)),
     )

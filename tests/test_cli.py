@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from coleaf.cli import main
 
@@ -298,6 +299,20 @@ def test_gen_data_with_held_out_split(tmp_path):
     assert np.array_equal(train_c.prototypes_audio, eval_c.prototypes_audio)
     train_ids = {s.id for s in train_c.samples}
     assert all(s.id not in train_ids for s in eval_c.samples)
+
+
+@pytest.mark.parametrize(
+    "n_eval", [[], ["--eval-videos", "0"], ["--eval-videos", "-5"]], ids=["unset", "0", "-5"]
+)
+def test_gen_data_with_eval_out_needs_a_held_out_video(tmp_path, capsys, n_eval):
+    train_path, eval_path = tmp_path / "tr.jsonl", tmp_path / "ev.jsonl"
+    status = run_cli(
+        "gen-data", "--out", str(train_path), "--eval-out", str(eval_path),
+        "--n-videos", "40", *n_eval,
+    )
+    assert status == 1
+    assert "--eval-videos must be at least 1 with --eval-out" in capsys.readouterr().err
+    assert not train_path.exists() and not eval_path.exists()
 
 
 def test_predict_reference_branch(tmp_path):

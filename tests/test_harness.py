@@ -623,6 +623,18 @@ def test_per_class_eval_threshold_reads_back_from_the_train_log():
     assert TrainConfig.from_mapping(mapping["config"]) == config
 
 
+def test_a_per_class_eval_threshold_of_the_wrong_length_fails_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(AdamState, "step", lambda *args: steps.append(args))
+    config = quick_config(epochs=1, eval_threshold=(0.3, 0.5, 0.7))  # the corpora have C=4
+    message = r"one value per class, got shape \(3,\)"
+    with pytest.raises(ConfigError, match=message):
+        train(desk_corpus(n_videos=16), config, eval_corpus=desk_corpus(n_videos=4, seed=2))
+    with pytest.raises(ConfigError, match=message):
+        ablate(desk_corpus(n_videos=16), config, ["unimodal_only"])
+    assert steps == []
+
+
 def test_ablate_trains_each_distinct_configuration_once(monkeypatch):
     configs = []
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
 from coleaf.metrics import (
@@ -12,15 +13,13 @@ from coleaf.metrics import (
     EventProposal,
     MetricConfig,
     derive_exclusive,
-    event_fscore,
     extract_event_proposals,
     full_report,
     match_events,
     segment_counts,
-    segment_fscore,
-    stream_stack,
     threshold_parse,
     _event_counts,
+    _streams,
 )
 
 from oracles import (
@@ -84,22 +83,52 @@ def test_derive_exclusive_truth_table_and_partition():
     assert np.all(ex.audio_only * ex.visual_only == 0)
 
 
+@st.composite
+def _predicted_parses(draw):
+    """A parse thresholded from random probabilities of a random T x C."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 4)))
+    pa, pv = (draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) for _ in "av")
+    return threshold_parse(pa, pv, draw(st.floats(0.01, 0.99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parse=_predicted_parses())
+def test_exclusive_streams_partition_each_predicted_cell(parse):
+    a, v = parse.audio, parse.visual
+    ex = derive_exclusive(parse)
+    ao, vo, av = ex.audio_only, ex.visual_only, ex.audible_visible
+    assert not np.any(ao * vo) and not np.any(ao * av) and not np.any(vo * av)
+    assert np.array_equal(ao + vo + av, a | v)
+    assert np.array_equal(ao + av, a)
+    assert np.array_equal(vo + av, v)
+
+
+def _audio_report(preds, gts):
+    """The report of a corpus whose audio parses are `preds` and `gts` and whose visual
+    parses are empty, so that its A scores are the audio stream's alone."""
+    pairs = [{}, {}]
+    for k, (p, g) in enumerate(zip(preds, gts)):
+        for parses, audio in zip(pairs, (p, g)):
+            parses[f"v{k}"] = BinaryParse(audio, np.zeros_like(audio))
+    return full_report(*pairs)
+
+
 def test_segment_fscore_perfect_and_all_wrong():
     gt = np.array([[1, 0], [0, 1]])
-    assert segment_fscore(gt, gt) == 100.0
-    assert segment_fscore(np.ones_like(gt), np.zeros_like(gt)) == 0.0
+    assert _audio_report([gt], [gt]).segment.a == 100.0
+    assert _audio_report([np.ones_like(gt)], [np.zeros_like(gt)]).segment.a == 0.0
 
 
 def test_segment_fscore_empty_confusion_is_100():
     z = np.zeros((3, 2), dtype=int)
-    assert segment_fscore(z, z) == 100.0
+    assert set(_audio_report([z], [z]).segment.as_dict().values()) == {100.0}
 
 
 def test_segment_fscore_matches_cell_count_oracle():
     rng = np.random.default_rng(1)
     preds = [rng.integers(0, 2, (5, 3)) for _ in range(3)]
     gts = [rng.integers(0, 2, (5, 3)) for _ in range(3)]
-    got = segment_fscore(np.concatenate(preds), np.concatenate(gts))
+    got = _audio_report(preds, gts).segment.a
     tp = fp = fn = 0
     for p, g in zip(preds, gts):
         for i in range(5):
@@ -113,7 +142,7 @@ def test_segment_fscore_matches_cell_count_oracle():
 
 def test_segment_fscore_shape_mismatch():
     with pytest.raises(DimensionError):
-        segment_fscore(np.zeros((2, 2)), np.zeros((3, 2)))
+        segment_counts(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 def test_extract_event_proposals():
@@ -133,16 +162,21 @@ def test_extract_event_proposals_matches_run_length_oracle():
 
 
 def test_event_fscore_identical_sets():
-    events = [EventProposal(0, 1, 3, "A"), EventProposal(2, 0, 0, "A")]
-    assert event_fscore(events, list(events)) == 100.0
+    audio = np.zeros((4, 3), dtype=int)
+    audio[1:4, 0] = audio[0, 2] = 1
+    events = extract_event_proposals(audio, "A")
+    assert events == [EventProposal(0, 1, 3, "A"), EventProposal(2, 0, 0, "A")]
+    assert _audio_report([audio], [audio]).event.a == 100.0
+    assert match_events(events, list(events)) == (2, 0, 0)
 
 
 def test_event_fscore_low_iou_is_no_match():
-    pred = [EventProposal(0, 0, 4, "A")]
-    gt = [EventProposal(0, 0, 1, "A")]
+    pred, gt = np.zeros((5, 1), dtype=int), np.zeros((5, 1), dtype=int)
+    pred[0:5, 0] = gt[0:2, 0] = 1
     # IoU = 2/5 < 0.5
-    assert event_fscore(pred, gt) == 0.0
-    assert match_events(pred, gt) == (0, 1, 1)
+    assert _audio_report([pred], [gt]).event.a == 0.0
+    events = extract_event_proposals(pred, "A"), extract_event_proposals(gt, "A")
+    assert match_events(*events) == (0, 1, 1)
 
 
 def test_event_matching_equals_optimal_on_small_sets():
@@ -252,11 +286,8 @@ def test_segment_equals_event_for_unit_runs():
     base[::2] = rng.integers(0, 2, ((t + 1) // 2, c))
     pred = np.zeros_like(base)
     pred[::2] = rng.integers(0, 2, ((t + 1) // 2, c))
-    seg = segment_fscore(pred, base)
-    ev = event_fscore(
-        extract_event_proposals(pred, "A"), extract_event_proposals(base, "A")
-    )
-    assert seg == ev
+    report = _audio_report([pred], [base])
+    assert report.segment.a == report.event.a
 
 
 def test_type_scores_are_means():
@@ -282,7 +313,8 @@ def test_segment_counts_of_a_stack_are_the_per_stream_counts():
     rng = np.random.default_rng(11)
     pred = BinaryParse(rng.integers(0, 2, (6, 3)), rng.integers(0, 2, (6, 3)))
     gt = BinaryParse(rng.integers(0, 2, (6, 3)), rng.integers(0, 2, (6, 3)))
-    stacked = np.transpose(segment_counts(stream_stack(pred), stream_stack(gt)))
+    pred_streams, gt_streams = _streams(pred.audio, pred.visual), _streams(gt.audio, gt.visual)
+    stacked = np.transpose(segment_counts(pred_streams, gt_streams))
     pe, ge = derive_exclusive(pred), derive_exclusive(gt)
     pairs = [
         (pred.audio, gt.audio),
@@ -316,13 +348,13 @@ def _oracle_rates(pred_parses, gt_parses):
 
 @st.composite
 def _corpora(draw):
-    """Random parses for up to 150 videos of mixed T x C, keyed in a shuffled insertion order."""
+    """Random parses for up to 150 videos of one random T x C, keyed in a shuffled insertion order."""
     n_videos = draw(st.integers(1, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.floats(0.0, 1.0))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 3)))
     parses = {}
     for k in draw(st.permutations(range(n_videos))):
-        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 4)))
         parses[f"id{k}"] = [(rng.uniform(size=(2, *shape)) < density).astype(np.int64) for _ in "pg"]
     gt_order = draw(st.permutations(sorted(parses)))
     preds = {vid: BinaryParse(*parses[vid][0]) for vid in parses}
@@ -331,19 +363,15 @@ def _corpora(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    corpus=_corpora(),
-    iou=st.sampled_from((0.3, 0.5, 1.0)),
-    aggregation=st.sampled_from(("micro", "per-video-mean")),
-)
-def test_full_report_equals_oracle_bit_for_bit(corpus, iou, aggregation):
+@given(corpus=_corpora(), aggregation=st.sampled_from(("micro", "per-video-mean")))
+def test_full_report_equals_oracle_bit_for_bit(corpus, aggregation):
     # past 8 videos numpy's pairwise summation can order a mean differently
     # from a running sum, which small corpora cannot show
     preds, gts = corpus
-    report = full_report(preds, gts, config=MetricConfig(iou_threshold=iou, aggregation=aggregation))
+    report = full_report(preds, gts, config=MetricConfig(aggregation=aggregation))
     o_preds = {vid: (p.audio, p.visual) for vid, p in preds.items()}
     o_gts = {vid: (g.audio, g.visual) for vid, g in gts.items()}
-    oracle = oracle_full_report(o_preds, o_gts, iou_thr=iou, aggregation=aggregation)
+    oracle = oracle_full_report(o_preds, o_gts, aggregation=aggregation)
     assert report.segment.as_dict() == oracle["segment"]
     assert report.event.as_dict() == oracle["event"]
     assert report.rates == _oracle_rates(o_preds, o_gts)
@@ -355,67 +383,66 @@ def test_full_report_rejects_an_empty_corpus(aggregation):
         full_report({}, {}, config=MetricConfig(aggregation=aggregation))
 
 
-_BOUNDARY_IOUS = (1 / 2, 14 / 25, 3 / 5, 2 / 3, 7 / 10, 1.0)
+# run pairs as (pred span, gt span), inclusive, keyed by their IoU; 12/25 sits just below 1/2
+_RUN_PAIRS = {
+    3 / 10: ((0, 2), (0, 9)),
+    12 / 25: ((0, 11), (0, 24)),
+    1 / 2: ((0, 0), (0, 1)),
+    14 / 25: ((0, 13), (0, 24)),
+    3 / 5: ((0, 2), (0, 4)),
+    2 / 3: ((0, 1), (0, 2)),
+    7 / 10: ((0, 6), (0, 9)),
+    1.0: ((3, 5), (3, 5)),
+}
 
 
-def _boundary_stacks(rng, t=25, c=6, n_random=40):
-    """Stream stacks of videos whose runs meet at each IoU in `_BOUNDARY_IOUS` exactly,
-    followed by random videos with several runs per class."""
-    pred_runs = [(0, 0), (0, 13), (0, 2), (0, 1), (0, 6), (3, 5)]
-    gt_runs = [(0, 1), (0, 24), (0, 4), (0, 2), (0, 9), (3, 5)]
+def _boundary_stacks(rng, pair, t=25, c=6, n_random=40):
+    """Stream stacks of two videos whose one run pair in class 0 is `pair`, audible-only
+    and then audible-visible, followed by random videos with several runs per class."""
     preds, gts = [], []
-    for visual in (False, True):  # audible-only runs, then audible-visible ones
-        parses = []
-        for runs in (pred_runs, gt_runs):
+    for visual in (False, True):
+        for parses, (lo, hi) in zip((preds, gts), pair):
             a = np.zeros((t, c), dtype=np.int64)
-            for k, (lo, hi) in enumerate(runs):
-                a[lo : hi + 1, k] = 1
+            a[lo : hi + 1, 0] = 1
             parses.append(BinaryParse(a, a if visual else np.zeros_like(a)))
-        preds.append(parses[0])
-        gts.append(parses[1])
     for _ in range(n_random):
         density = rng.uniform(0.2, 0.8)
         preds.append(BinaryParse(*(rng.uniform(size=(2, t, c)) < density)))
         gts.append(BinaryParse(*(rng.uniform(size=(2, t, c)) < density)))
-    return np.stack([stream_stack(p) for p in preds]), np.stack([stream_stack(g) for g in gts])
+    return tuple(np.stack([_streams(p.audio, p.visual) for p in ps]) for ps in (preds, gts))
 
 
-@pytest.mark.parametrize("iou", [0.5, 0.56, 0.6, 2 / 3, 0.7, 1.0, 0.3])
-def test_event_counts_equal_greedy_matching_per_video_and_stream(iou):
-    # 0.56 * 25 is 14.000000000000002, so the run pair of IoU 14/25 qualifies at
-    # 0.56 only if IoU is compared as the quotient match_events computes
-    pred, gt = _boundary_stacks(np.random.default_rng(12))
-    counts = _event_counts(pred, gt, iou)
+@pytest.mark.parametrize("pair_iou", list(_RUN_PAIRS))
+def test_event_counts_equal_greedy_matching_per_video_and_stream(pair_iou):
+    # the integer test 2 * inter >= union must agree with both oracles' quotient
+    # IoU >= 0.5, at 1/2 exactly and at 12/25 just below it
+    pred, gt = _boundary_stacks(np.random.default_rng(12), _RUN_PAIRS[pair_iou])
+    counts = _event_counts(pred, gt)
     for b in range(pred.shape[0]):
         for s, stream in enumerate(STREAMS):
-            want = match_events(
-                extract_event_proposals(pred[b, s], stream),
-                extract_event_proposals(gt[b, s], stream),
-                iou,
-            )
-            assert tuple(counts[:, s, b]) == want, (b, stream)
-    exact_hits = counts[0, STREAMS.index("Ao"), 0]  # first video: one run pair per class
-    assert exact_hits == sum(iou <= x for x in _BOUNDARY_IOUS)
+            p, g = oracle_runs(pred[b, s]), oracle_runs(gt[b, s])
+            assert tuple(counts[:, s, b]) == oracle_greedy_match(p, g) == oracle_optimal_match(p, g), (b, stream)
+    hits = counts[0, STREAMS.index("Ao"), 0], counts[0, STREAMS.index("AV"), 1]
+    assert hits == (int(pair_iou >= 0.5),) * 2
 
 
 @pytest.mark.parametrize("aggregation", ["micro", "per-video-mean"])
-@pytest.mark.parametrize("iou", [0.5, 0.3])
-def test_full_report_over_several_blocks_and_shapes_equals_oracle(aggregation, iou):
+def test_full_report_over_several_blocks_and_shapes_equals_oracle(aggregation):
     rng = np.random.default_rng(13)
-    preds, gts = {}, {}
-    shapes = [(10, 5)] * (SCORE_BLOCK_VIDEOS + 40) + [(6, 3)] * 30 + [(1, 2)] * 5
-    for k in rng.permutation(len(shapes)):
-        for parses in (preds, gts):
-            parses[f"id{k:03d}"] = BinaryParse(*(rng.uniform(size=(2, *shapes[k])) < 0.4))
-    report = full_report(preds, gts, config=MetricConfig(iou_threshold=iou, aggregation=aggregation))
-    oracle = oracle_full_report(
-        {vid: (p.audio, p.visual) for vid, p in preds.items()},
-        {vid: (g.audio, g.visual) for vid, g in gts.items()},
-        iou_thr=iou,
-        aggregation=aggregation,
-    )
-    assert report.segment.as_dict() == oracle["segment"]
-    assert report.event.as_dict() == oracle["event"]
+    # one corpus per shape; the first spans two blocks
+    for shape, n_videos in (((10, 5), SCORE_BLOCK_VIDEOS + 40), ((6, 3), 30), ((1, 2), 5)):
+        preds, gts = {}, {}
+        for k in rng.permutation(n_videos):
+            for parses in (preds, gts):
+                parses[f"id{k:03d}"] = BinaryParse(*(rng.uniform(size=(2, *shape)) < 0.4))
+        report = full_report(preds, gts, config=MetricConfig(aggregation=aggregation))
+        oracle = oracle_full_report(
+            {vid: (p.audio, p.visual) for vid, p in preds.items()},
+            {vid: (g.audio, g.visual) for vid, g in gts.items()},
+            aggregation=aggregation,
+        )
+        assert report.segment.as_dict() == oracle["segment"]
+        assert report.event.as_dict() == oracle["event"]
 
 
 def test_full_report_of_mixed_parses_and_probabilities_equals_thresholding_first():
@@ -457,6 +484,20 @@ def test_full_report_shape_errors_name_the_shapes():
     with pytest.raises(DimensionError) as err:
         full_report({"v": (np.zeros((4, 3)), np.zeros((4, 3)))}, gt)
     assert str(err.value) == "video v: prediction shape (4, 3) vs ground truth (2, 3)"
+
+
+def test_full_report_rejects_a_corpus_of_two_shapes():
+    gts = {
+        "a": BinaryParse(np.zeros((2, 3)), np.zeros((2, 3))),
+        "b": BinaryParse(np.zeros((3, 3)), np.zeros((3, 3))),
+    }
+    for preds in (dict(gts), {vid: (g.audio, g.visual) for vid, g in gts.items()}):
+        with pytest.raises(DimensionError) as err:
+            full_report(preds, gts)
+        assert str(err.value) == (
+            "video b has ground truth T x C = (3, 3), but the first video a has (2, 3); "
+            "every video of a corpus needs the same T and C"
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, -0.1], ids=["nan", "inf", "two", "negative"])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coleaf import numerics as nm
 from coleaf.errors import ContractError, DimensionError
 from coleaf.numerics import Tensor
 
-from oracles import naive_attention, naive_bce, naive_matmul, relative_error
+from oracles import central_difference, naive_attention, naive_bce, naive_matmul, relative_error
 
 
 def test_matmul_identity():
@@ -177,10 +178,6 @@ def test_gradient_accumulates_across_uses():
     assert float(grads[x]) == pytest.approx(6.0)
 
 
-def _fd_scalar(f, x, h=1e-5):
-    return (f(x + h) - f(x - h)) / (2 * h)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_finite_difference_composite(seed):
     """Random composite of every primitive against central differences."""
@@ -216,7 +213,7 @@ def test_finite_difference_composite(seed):
                 values[key][idx] = v
                 return build(values)[0].item()
 
-            fd = _fd_scalar(f, base[key][idx])
+            fd = central_difference(f, base[key][idx])
             assert relative_error(float(g[idx]), fd) <= 1e-5
 
 
@@ -233,7 +230,7 @@ def _check_all_gradients(build, arrays):
                 values[i][idx] = v
                 return build(*[Tensor(x) for x in values]).item()
 
-            fd = _fd_scalar(f, base[idx])
+            fd = central_difference(f, base[idx])
             assert relative_error(float(grads[tensor][idx]), fd) <= 1e-5
 
 
@@ -267,6 +264,34 @@ def test_batched_matmul_matches_slices_and_finite_differences(shape_a, shape_b):
         assert np.max(np.abs(out[index] - naive_matmul(a_all[index], b_all[index]))) < 1e-12
     weight = Tensor(rng.normal(size=out.shape))
     _check_all_gradients(lambda x, y: (nm.matmul(x, y) * weight).sum(), [a, b])
+
+
+@st.composite
+def _broadcast_shapes(draw):
+    """Two shapes that broadcast together: each drops some leading axes of one
+    common shape and sets some of the axes it keeps to 1."""
+    common = draw(st.lists(st.integers(1, 3), max_size=3))
+
+    def operand():
+        kept = common[draw(st.integers(0, len(common))) :]
+        return tuple(1 if draw(st.booleans()) else n for n in kept)
+
+    return operand(), operand()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shapes=_broadcast_shapes(),
+    op=st.sampled_from([nm.add, nm.sub, nm.mul, nm.div]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadcast_gradients_match_finite_differences(shapes, op, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shapes[0])
+    # the divisor keeps away from 0, where div's gradient blows up
+    b = np.asarray(rng.uniform(0.5, 2.0, size=shapes[1]) * rng.choice((-1.0, 1.0), size=shapes[1]))
+    weight = Tensor(rng.normal(size=np.broadcast_shapes(*shapes)))
+    _check_all_gradients(lambda x, y: (op(x, y) * weight).sum(), [a, b])
 
 
 @pytest.mark.parametrize("axes", [None, (1, 0, 2), (2, 0, 1)])
