@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -15,7 +14,7 @@ from .errors import (
     DivergenceError,
     FileFormatError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .harness import (
     TrainConfig,
     ablate,
@@ -55,7 +54,7 @@ _SPEC_FLAGS = [f for f in dataclasses.fields(CorpusSpec) if f.name != "cooccur"]
 
 
 def _cmd_gen_data(args):
-    n_eval = args.eval_videos if args.eval_out else 0
+    n_eval = args.eval_videos  # at least 1 with --eval-out, else 0
     values = {f.name: getattr(args, f.name) for f in _SPEC_FLAGS}
     values["n_videos"] += n_eval
     spec = CorpusSpec(**values)
@@ -82,8 +81,7 @@ def _cmd_train(args):
     params_path = os.path.join(args.out, "params.json")
     log_path = os.path.join(args.out, "trainlog.json")
     save_params(params, params_path)
-    with atomic_write(log_path) as fh:
-        json.dump(log.to_mapping(), fh, indent=2)
+    write_json(log_path, log.to_mapping(), indent=2)
     last = log.epochs[-1].losses
     print(f"trained {config.epochs} epochs; final mean total loss {last.total:.6f}")
     print(f"params: {params_path}")
@@ -181,6 +179,8 @@ def main(argv=None):
             parser.error(
                 f"--eval-videos must be at least 1 with --eval-out, got {args.eval_videos}"
             )
+        if args.command == "gen-data" and args.eval_videos and not args.eval_out:
+            parser.error(f"--eval-videos {args.eval_videos} needs --eval-out")
     except SystemExit as exc:
         return exc.code
     except ConfigError as err:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 import typing
@@ -20,7 +19,7 @@ from .branches import (
     reference_forward,
 )
 from .errors import ConfigError, DivergenceError, FileFormatError, check_video_id
-from .fileio import atomic_write
+from .fileio import json_lines, parse_record, write_json, write_json_lines
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -311,11 +310,20 @@ def _check_one_shape(samples):
             )
 
 
-def _check_eval_threshold(threshold, eval_corpus):
-    """A per-class threshold must have one value per class of the corpus it scores;
+def _check_eval_corpus(samples, eval_corpus, threshold):
+    """The corpus scored after training must be non-empty, of one T x D, and share the
+    training videos' C and D, and a per-class threshold must have one value per class;
     checked before the first step rather than at the first evaluation."""
-    if eval_corpus.samples:
-        _check_threshold(threshold, eval_corpus.samples[0].n_classes)
+    if not eval_corpus.samples:
+        raise ConfigError("evaluation corpus is empty")
+    _check_one_shape(eval_corpus.samples)
+    first = eval_corpus.samples[0]
+    if samples and (first.n_classes, first.dim) != (samples[0].n_classes, samples[0].dim):
+        raise ConfigError(
+            f"evaluation corpus has C={first.n_classes}, D={first.dim}, "
+            f"training corpus has C={samples[0].n_classes}, D={samples[0].dim}"
+        )
+    _check_threshold(threshold, first.n_classes)
 
 
 def _train_step(batch, params, adam, lr, config, epoch, step):
@@ -354,7 +362,7 @@ def train(corpus, config, eval_corpus=None):
         raise ConfigError("training corpus is empty")
     _check_one_shape(samples)
     if eval_corpus is not None:
-        _check_eval_threshold(config.eval_threshold, eval_corpus)
+        _check_eval_corpus(samples, eval_corpus, config.eval_threshold)
     contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
     first = samples[0]
     if contrastive and first.n_segments < 2:
@@ -417,13 +425,9 @@ def predict(params, corpus, branch="anchor", unimodal_only=False):
 
 
 def write_predictions(preds, path):
-    with atomic_write(path) as fh:
-        for vid in preds:
-            pa, pv = preds[vid]
-            fh.write(
-                json.dumps({"id": vid, "probs_audio": pa.tolist(), "probs_visual": pv.tolist()})
-                + "\n"
-            )
+    write_json_lines(
+        path, ({"id": vid, "probs_audio": pa, "probs_visual": pv} for vid, (pa, pv) in preds.items())
+    )
 
 
 def load_predictions(path):
@@ -434,24 +438,13 @@ def load_predictions(path):
     naming the line.
     """
     preds, id_lines = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise FileFormatError(f"{path}:{line_no}: {err.msg}") from err
-            if not isinstance(rec, dict):
-                raise FileFormatError(f"{path}:{line_no}: expected a JSON object")
-            for key in ("id", "probs_audio", "probs_visual"):
-                if key not in rec:
-                    raise FileFormatError(f"{path}:{line_no}: missing key {key}")
-            check_video_id(rec["id"], id_lines, path, line_no)
-            try:
-                preds[rec["id"]] = _probability_pair(rec["probs_audio"], rec["probs_visual"])
-            except (TypeError, ValueError) as err:
-                raise FileFormatError(f"{path}:{line_no}: {err}") from err
+    for line_no, raw in json_lines(path):
+        rec = parse_record(raw, ("id", "probs_audio", "probs_visual"), path, line_no)
+        check_video_id(rec["id"], id_lines, path, line_no)
+        try:
+            preds[rec["id"]] = _probability_pair(rec["probs_audio"], rec["probs_visual"])
+        except (TypeError, ValueError) as err:
+            raise FileFormatError(f"{path}:{line_no}: {err}") from err
     return preds
 
 
@@ -468,27 +461,18 @@ def evaluate(preds, corpus, threshold=0.5):
 
 
 def save_params(params, path):
-    payload = {
-        "dim": params.dim,
-        "n_classes": params.n_classes,
-        "values": {name: t.data.tolist() for name, t in params.named_parameters()},
-    }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh)
+    values = {name: t.data for name, t in params.named_parameters()}
+    write_json(path, {"dim": params.dim, "n_classes": params.n_classes, "values": values})
 
 
 def load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FileFormatError(f"{path}:{err.lineno}: {err.msg}") from err
-    for key in ("dim", "n_classes", "values"):
-        if key not in payload:
-            raise FileFormatError(f"{path}:1: missing key {key}")
+    with open(path, "rb") as fh:
+        payload = parse_record(fh.read(), ("dim", "n_classes", "values"), path)
     dim, n_classes, values = payload["dim"], payload["n_classes"], payload["values"]
     if any(type(n) is not int or n < 1 for n in (dim, n_classes)):
         raise FileFormatError(f"{path}:1: dim and n_classes must be positive integers")
+    if not isinstance(values, dict):
+        raise FileFormatError(f"{path}:1: values must be an object of parameter name to array")
     layout = param_layout(dim, n_classes)
     names = {name for name, _ in layout}
     extra = sorted(set(values) - names)
@@ -547,7 +531,7 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
             raise ConfigError(f"unknown ablation axis {axis!r}; valid axes: {', '.join(ABLATION_AXES)}")
     if eval_corpus is None:
         corpus, eval_corpus = split_corpus(corpus)
-    _check_eval_threshold(base_config.eval_threshold, eval_corpus)
+    _check_eval_corpus(corpus.samples, eval_corpus, base_config.eval_threshold)
     variants = [("base", {})]
     if axes:
         variants = [

@@ -8,14 +8,13 @@ order-independent and reproducible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
-from .fileio import atomic_write
+from .fileio import json_lines, parse_record, write_json_lines
 from .metrics import BinaryParse, record_eq
 
 
@@ -63,10 +62,7 @@ class CorpusSpec:
                 raise ConfigError("cooccur boosts must be non-negative")
 
     def to_mapping(self):
-        out = asdict(self)
-        if self.cooccur is not None:
-            out["cooccur"] = np.asarray(self.cooccur).tolist()
-        return out
+        return asdict(self)
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -187,55 +183,36 @@ def save_corpus(corpus, path):
         "C": c,
         "D": d,
         "class_names": [f"class_{i:02d}" for i in range(c)],
-        "prototypes_audio": None
-        if corpus.prototypes_audio is None
-        else corpus.prototypes_audio.tolist(),
-        "prototypes_visual": None
-        if corpus.prototypes_visual is None
-        else corpus.prototypes_visual.tolist(),
+        "prototypes_audio": corpus.prototypes_audio,
+        "prototypes_visual": corpus.prototypes_visual,
         "spec": None if spec is None else spec.to_mapping(),
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(header) + "\n")
-        for s in corpus.samples:
-            record = {
-                "id": s.id,
-                "audio": s.audio_tokens.tolist(),
-                "visual": s.visual_tokens.tolist(),
-                "weak_label": s.weak_label.tolist(),
-                "gt_audio": None if s.gt is None else s.gt.audio.tolist(),
-                "gt_visual": None if s.gt is None else s.gt.visual.tolist(),
-            }
-            fh.write(json.dumps(record) + "\n")
+    records = [
+        {
+            "id": s.id,
+            "audio": s.audio_tokens,
+            "visual": s.visual_tokens,
+            "weak_label": s.weak_label,
+            "gt_audio": None if s.gt is None else s.gt.audio,
+            "gt_visual": None if s.gt is None else s.gt.visual,
+        }
+        for s in corpus.samples
+    ]
+    write_json_lines(path, [header, *records])
 
 
 def load_corpus(path):
     """Read a corpus file written by `save_corpus`; round-trips bit-exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    lines = json_lines(path)
+    header_line, raw = next(lines, (1, None))
+    if raw is None:
         raise FileFormatError(f"{path}:1: empty file, expected a header object")
-
-    def parse(line_no, text, required):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise FileFormatError(f"{path}:{line_no}: {err.msg}") from err
-        if not isinstance(obj, dict):
-            raise FileFormatError(f"{path}:{line_no}: expected a JSON object")
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise FileFormatError(f"{path}:{line_no}: missing keys {', '.join(missing)}")
-        return obj
-
-    header = parse(1, lines[0], ("n_videos", "T", "C", "D", "class_names"))
+    header = parse_record(raw, ("n_videos", "T", "C", "D", "class_names"), path, header_line)
     t, c, d = header["T"], header["C"], header["D"]
-    samples, id_lines = [], {}
-    for offset, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
-        rec = parse(offset, text, ("id", "audio", "visual", "weak_label"))
-        check_video_id(rec["id"], id_lines, path, offset)
+    samples, id_lines, line_no = [], {}, header_line
+    for line_no, raw in lines:
+        rec = parse_record(raw, ("id", "audio", "visual", "weak_label"), path, line_no)
+        check_video_id(rec["id"], id_lines, path, line_no)
         try:
             gt = None
             if rec.get("gt_audio") is not None:
@@ -248,23 +225,59 @@ def load_corpus(path):
                 gt=gt,
             )
         except (TypeError, ValueError, DimensionError) as err:
-            raise FileFormatError(f"{path}:{offset}: {err}") from err
+            raise FileFormatError(f"{path}:{line_no}: {err}") from err
         if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
             raise FileFormatError(
-                f"{path}:{offset}: video {sample.id} has T x D {sample.audio_tokens.shape} "
+                f"{path}:{line_no}: video {sample.id} has T x D {sample.audio_tokens.shape} "
                 f"and C {sample.n_classes}, header says T={t}, D={d}, C={c}"
             )
         samples.append(sample)
     if len(samples) != header["n_videos"]:
         raise FileFormatError(
-            f"{path}:{len(lines)}: header promises {header['n_videos']} videos, found {len(samples)}"
+            f"{path}:{line_no}: header promises {header['n_videos']} videos, found {len(samples)}"
         )
-    protos_a = header.get("prototypes_audio")
-    protos_v = header.get("prototypes_visual")
-    spec_map = header.get("spec")
+    where = f"{path}:{header_line}"
     return GeneratedCorpus(
         samples=samples,
-        prototypes_audio=None if protos_a is None else np.asarray(protos_a, dtype=np.float64),
-        prototypes_visual=None if protos_v is None else np.asarray(protos_v, dtype=np.float64),
-        spec=None if spec_map is None else CorpusSpec.from_mapping(spec_map),
+        prototypes_audio=_header_prototypes(header, "prototypes_audio", c, d, where),
+        prototypes_visual=_header_prototypes(header, "prototypes_visual", c, d, where),
+        spec=_header_spec(header, t, c, d, where),
     )
+
+
+def _header_prototypes(header, key, c, d, where):
+    """The header's prototype matrix under `key`, or None: C x D finite numbers."""
+    value = header.get(key)
+    if value is None:
+        return None
+    try:
+        matrix = np.asarray(value)
+        ok = matrix.dtype.kind in "iuf" and matrix.shape == (c, d) and np.isfinite(matrix).all()
+    except ValueError:  # ragged rows
+        ok = False
+    if not ok:
+        raise FileFormatError(f"{where}: {key} must be a {c} x {d} matrix of finite numbers")
+    return matrix.astype(np.float64)
+
+
+def _header_spec(header, t, c, d, where):
+    """The header's `spec`, or None: a valid `CorpusSpec` of the header's T, C and D.
+
+    Its `n_videos` may differ from the file's, as it does in a split corpus.
+    """
+    mapping = header.get("spec")
+    if mapping is None:
+        return None
+    if not isinstance(mapping, dict):
+        raise FileFormatError(f"{where}: spec must be an object, got {mapping!r}")
+    try:
+        spec = CorpusSpec.from_mapping(mapping)
+        spec.validate()
+    except (TypeError, ValueError) as err:  # an unknown field is a TypeError
+        raise FileFormatError(f"{where}: spec: {err}") from err
+    if (spec.segments, spec.classes, spec.dim) != (t, c, d):
+        raise FileFormatError(
+            f"{where}: spec has segments={spec.segments}, classes={spec.classes}, "
+            f"dim={spec.dim}, header says T={t}, C={c}, D={d}"
+        )
+    return spec

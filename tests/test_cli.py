@@ -228,6 +228,23 @@ def test_eval_of_predictions_with_a_non_string_id_exits_2(tmp_path, capsys):
     assert ":1: id must be a string" in capsys.readouterr().err
 
 
+def test_non_object_params_and_a_mismatched_corpus_spec_exit_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    lines = corpus.read_text().splitlines()
+    header = json.loads(lines[0])
+    params.write_text("5")
+    preds = tmp_path / "p.jsonl"
+    status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    assert f"{params}:1: expected a JSON object" in capsys.readouterr().err
+    header["spec"]["classes"] = 7
+    corpus.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert run_cli("train", "--corpus", str(corpus), "--out", str(tmp_path / "again")) == 2
+    assert f"{corpus}:1: spec has segments=6, classes=7" in capsys.readouterr().err
+    assert not preds.exists() and not (tmp_path / "again").exists()
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")
@@ -302,16 +319,23 @@ def test_gen_data_with_held_out_split(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n_eval", [[], ["--eval-videos", "0"], ["--eval-videos", "-5"]], ids=["unset", "0", "-5"]
+    "eval_out, n_eval, message",
+    [
+        (True, [], "--eval-videos must be at least 1 with --eval-out"),
+        (True, ["--eval-videos", "0"], "--eval-videos must be at least 1 with --eval-out"),
+        (True, ["--eval-videos", "-5"], "--eval-videos must be at least 1 with --eval-out"),
+        (False, ["--eval-videos", "5"], "--eval-videos 5 needs --eval-out"),
+    ],
+    ids=["unset", "0", "-5", "no-eval-out"],
 )
-def test_gen_data_with_eval_out_needs_a_held_out_video(tmp_path, capsys, n_eval):
+def test_gen_data_with_eval_out_needs_a_held_out_video(tmp_path, capsys, eval_out, n_eval, message):
     train_path, eval_path = tmp_path / "tr.jsonl", tmp_path / "ev.jsonl"
     status = run_cli(
-        "gen-data", "--out", str(train_path), "--eval-out", str(eval_path),
+        "gen-data", "--out", str(train_path), *(["--eval-out", str(eval_path)] if eval_out else []),
         "--n-videos", "40", *n_eval,
     )
     assert status == 1
-    assert "--eval-videos must be at least 1 with --eval-out" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not train_path.exists() and not eval_path.exists()
 
 

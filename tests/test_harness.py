@@ -583,8 +583,11 @@ def test_load_predictions_rejects_a_malformed_line(tmp_path, line, message):
             "extra ['anchor.bias'])",
         ),
         ("infinite", ":1: parameter anchor.classifier.bias: values must be finite"),
+        ("number", ":1: expected a JSON object"),
+        ("values-number", ":1: values must be an object"),
+        ("values-list", ":1: values must be an object"),
     ],
-    ids=["bad-json", "missing-key", "name-mismatch", "infinite"],
+    ids=["bad-json", "missing-key", "name-mismatch", "infinite", "number", "values-number", "values-list"],
 )
 def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
     payload = json.loads((DATA_DIR / "params_d2_c2_seed5.json").read_text())
@@ -595,6 +598,12 @@ def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
         values["anchor.bias"] = values.pop("anchor.classifier.bias")
     elif edit == "infinite":
         values["anchor.classifier.bias"] = [math.inf, 0.0]  # written as Infinity
+    elif edit == "number":
+        payload = 5
+    elif edit == "values-number":
+        payload["values"] = 3
+    elif edit == "values-list":
+        payload["values"] = [[1]]
     path = tmp_path / "params.json"
     path.write_text("{" if edit == "bad-json" else json.dumps(payload))
     with pytest.raises(FileFormatError) as err:
@@ -632,6 +641,18 @@ def test_a_per_class_eval_threshold_of_the_wrong_length_fails_before_the_first_s
         train(desk_corpus(n_videos=16), config, eval_corpus=desk_corpus(n_videos=4, seed=2))
     with pytest.raises(ConfigError, match=message):
         ablate(desk_corpus(n_videos=16), config, ["unimodal_only"])
+    # an evaluation corpus that is empty or of another C or D than the training one (C=4, D=8)
+    config = quick_config(epochs=1)
+    for spec, message in [
+        (CorpusSpec(n_videos=0, segments=6, classes=4, dim=8), "evaluation corpus is empty"),
+        (CorpusSpec(n_videos=4, segments=6, classes=5, dim=8), "evaluation corpus has C=5, D=8"),
+        (CorpusSpec(n_videos=4, segments=6, classes=4, dim=6), "evaluation corpus has C=4, D=6"),
+    ]:
+        eval_corpus = generate_corpus(spec)
+        with pytest.raises(ConfigError, match=message):
+            train(desk_corpus(n_videos=16), config, eval_corpus=eval_corpus)
+        with pytest.raises(ConfigError, match=message):
+            ablate(desk_corpus(n_videos=16), config, ["unimodal_only"], eval_corpus=eval_corpus)
     assert steps == []
 
 

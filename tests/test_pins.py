@@ -1,9 +1,11 @@
-"""Files that must not change, pinned by content hash."""
+"""Files that must not change, pinned by content hash, and layout rules that keep one owner."""
 import hashlib
+import re
 from pathlib import Path
 
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 ACCEPTANCE_SHA256 = "eb6caf29894191d636849a8830b31ff3af921b86b0c8e0d89a912fe95bc37835"
+PACKAGE = Path(__file__).parents[1] / "src" / "coleaf"
 
 
 def test_acceptance_suite_is_byte_identical():
@@ -12,4 +14,18 @@ def test_acceptance_suite_is_byte_identical():
         f"{ACCEPTANCE.name} changed (sha256 {digest}). ROADMAP.md, under 'Keep these three "
         "things fixed', requires tests/test_acceptance.py to stay byte-identical: its nine "
         "criteria are the quality bar, so restore the file rather than update this hash."
+    )
+
+
+def test_only_fileio_parses_json():
+    parse = re.compile(r"\bjson\.loads?\b|\bfrom json import\b")
+    parsers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fileio.py" and parse.search(path.read_text(encoding="utf-8"))
+    )
+    assert parsers == [], (
+        f"{', '.join(parsers)} parse JSON themselves. Data files are read through "
+        "coleaf.fileio (json_lines and parse_record), so that every record is checked "
+        "and reported at path:line in one place."
     )

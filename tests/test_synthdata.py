@@ -309,6 +309,35 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
     assert f"{path}:2: video vid00000 has T x D (6, 8) and C 4, header says" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"spec": "x"}, "spec must be an object"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "colour": 1}}, "unexpected keyword argument 'colour'"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "leak": 2.0}}, "spec: leak must lie in [0,1]"),
+        ({"spec": {"segments": 6, "classes": 7, "dim": 8}}, "spec has segments=6, classes=7, dim=8, header says"),
+        ({"prototypes_audio": [["a"] * 8] * 4}, "prototypes_audio must be a 4 x 8 matrix of finite numbers"),
+        ({"prototypes_audio": [[1, 2]]}, "prototypes_audio must be a 4 x 8 matrix"),
+        ({"prototypes_visual": [[1.0] * 8] * 3 + [[1.0] * 7]}, "prototypes_visual must be a 4 x 8 matrix"),
+        ({"prototypes_visual": [[float("nan")] * 8] * 4}, "prototypes_visual must be a 4 x 8 matrix"),
+    ],
+    ids=[
+        "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes",
+        "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan",
+    ],
+)
+def test_bad_header_spec_or_prototypes_names_line_1(tmp_path, changes, message):
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=2)))
+    header = json.loads(lines[0])
+    header.update(changes)
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}:1: ")
+    assert message in str(err.value)
+
+
 def test_header_video_count_must_match_the_records(tmp_path):
     path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=3)))
     header = json.loads(lines[0])
