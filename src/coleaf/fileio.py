@@ -1,7 +1,15 @@
-"""Crash-safe output, and the one place JSON data files are encoded and parsed."""
+"""Crash-safe output, and the one place JSON data files are encoded and parsed.
+
+In JSON Lines data files every float array is one payload object,
+`{"dtype": "<f8", "shape": [...], "b64": "..."}`: the base64 of its
+little-endian float64 bytes, so a round trip is bit-exact without turning
+each float into text. Readers take a nested list as well.
+"""
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -44,9 +52,44 @@ def write_json(path, record, indent=None):
         fh.write(json.dumps(record, indent=indent, default=np.ndarray.tolist))
 
 
+_PAYLOAD_KEYS = frozenset(("dtype", "shape", "b64"))
+
+
+def _payload(array):
+    """A float array as a payload object; any other array as a nested list."""
+    if not isinstance(array, np.ndarray) or array.dtype.kind != "f":
+        return np.ndarray.tolist(array)
+    data = np.asarray(array, dtype="<f8", order="C")
+    return {"dtype": "<f8", "shape": data.shape, "b64": base64.b64encode(data).decode("ascii")}
+
+
+class _PayloadError(ValueError):
+    """A payload object that does not describe a float64 array."""
+
+
+def _from_payload(obj):
+    """`obj` decoded to a writable float64 array if it is a payload object, else `obj`."""
+    if obj.keys() != _PAYLOAD_KEYS:
+        return obj
+    shape, b64 = obj["shape"], obj["b64"]
+    if obj["dtype"] != "<f8":
+        raise _PayloadError(f"payload dtype must be '<f8', got {obj['dtype']!r}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise _PayloadError(f"payload shape must be a list of non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(b64, validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise _PayloadError(f"payload b64 is not base64: {err}") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise _PayloadError(f"payload holds {len(raw)} bytes, shape {shape} of float64 needs {need}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def write_json_lines(path, records):
-    """Atomically write each record as one line of JSON, arrays as in `write_json`."""
-    encode = json.JSONEncoder(default=np.ndarray.tolist).encode
+    """Atomically write each record as one line of JSON, float arrays as payload
+    objects and other arrays as nested lists."""
+    encode = json.JSONEncoder(default=_payload).encode
     with atomic_write(path) as fh:
         for record in records:
             fh.write(encode(record) + "\n")
@@ -63,15 +106,18 @@ def json_lines(path):
 
 def parse_record(raw, required, path, line_no=1):
     """Decode `raw`, which starts at `line_no` of `path`, as one JSON object holding
-    every key in `required`.
+    every key in `required`; each payload object in it becomes a float64 array.
 
-    Bytes that are not UTF-8 or not JSON, a value that is not an object, or a
-    missing key raise `FileFormatError` at the line concerned.
+    Bytes that are not UTF-8 or not JSON, a value that is not an object, a
+    missing key or a bad payload raise `FileFormatError` at the line concerned
+    (for a payload, the line `raw` starts at).
     """
     try:
-        record = json.loads(raw)
+        record = json.loads(raw, object_hook=_from_payload)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path}:{line_no + err.lineno - 1}: {err.msg}") from err
+    except _PayloadError as err:
+        raise FileFormatError(f"{path}:{line_no}: {err}") from err
     except UnicodeDecodeError as err:
         line_no += err.object.count(b"\n", 0, err.start)
         raise FileFormatError(f"{path}:{line_no}: not UTF-8 text") from err

@@ -34,8 +34,10 @@ class CorpusSpec:
     seed: int = 0
 
     def validate(self):
-        if self.n_videos < 0 or self.segments < 1 or self.classes < 1 or self.dim < 1:
-            raise ConfigError("corpus dimensions must be positive")
+        for name, low in (("n_videos", 0), ("segments", 1), ("classes", 1), ("dim", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         mix = self.p_audio_only + self.p_visual_only + self.p_audible_visible
         if abs(mix - 1.0) > 1e-9:
             raise ConfigError(f"event-type mix must sum to 1, got {mix}")
@@ -80,6 +82,10 @@ class GeneratedCorpus:
     prototypes_audio: np.ndarray | None  # C x D
     prototypes_visual: np.ndarray | None
     spec: CorpusSpec | None
+    # a file header's class names; None stands for class_00, class_01, ...
+    class_names: list | None = None
+    # (T, C, D) of a corpus with neither spec nor samples, as its file header gives them
+    shape: tuple | None = None
 
     @property
     def n_videos(self):
@@ -168,21 +174,33 @@ def generate_corpus(spec):
 
 
 def save_corpus(corpus, path):
-    """Write a corpus as JSON Lines: one header object, then one object per video."""
+    """Write a corpus as JSON Lines: one header object, then one object per video.
+
+    Every video must have the corpus's T x D and C, else this is a
+    `ConfigError` and no file is written.
+    """
     spec = corpus.spec
     if spec is not None:
         t, c, d = spec.segments, spec.classes, spec.dim
-    elif not corpus.samples:
-        raise ConfigError("an empty corpus without a spec has no T, C and D to write")
-    else:
+    elif corpus.samples:
         first = corpus.samples[0]
         t, c, d = first.n_segments, first.n_classes, first.dim
+    elif corpus.shape is not None:
+        t, c, d = corpus.shape
+    else:
+        raise ConfigError("an empty corpus without a spec has no T, C and D to write")
+    for s in corpus.samples:
+        if (s.n_segments, s.dim, s.n_classes) != (t, d, c):
+            raise ConfigError(
+                f"video {s.id} has T x D {s.audio_tokens.shape} and C {s.n_classes}, "
+                f"the corpus says T={t}, D={d}, C={c}"
+            )
     header = {
         "n_videos": corpus.n_videos,
         "T": t,
         "C": c,
         "D": d,
-        "class_names": [f"class_{i:02d}" for i in range(c)],
+        "class_names": _default_class_names(c) if corpus.class_names is None else corpus.class_names,
         "prototypes_audio": corpus.prototypes_audio,
         "prototypes_visual": corpus.prototypes_visual,
         "spec": None if spec is None else spec.to_mapping(),
@@ -209,6 +227,8 @@ def load_corpus(path):
         raise FileFormatError(f"{path}:1: empty file, expected a header object")
     header = parse_record(raw, ("n_videos", "T", "C", "D", "class_names"), path, header_line)
     t, c, d = header["T"], header["C"], header["D"]
+    if any(type(n) is not int or n < 1 for n in (t, c, d)):
+        raise FileFormatError(f"{path}:{header_line}: T, C and D must be positive integers")
     samples, id_lines, line_no = [], {}, header_line
     for line_no, raw in lines:
         rec = parse_record(raw, ("id", "audio", "visual", "weak_label"), path, line_no)
@@ -237,12 +257,22 @@ def load_corpus(path):
             f"{path}:{line_no}: header promises {header['n_videos']} videos, found {len(samples)}"
         )
     where = f"{path}:{header_line}"
+    spec = _header_spec(header, t, c, d, where)
+    names = header["class_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise FileFormatError(f"{where}: class_names must be a list of strings")
     return GeneratedCorpus(
         samples=samples,
         prototypes_audio=_header_prototypes(header, "prototypes_audio", c, d, where),
         prototypes_visual=_header_prototypes(header, "prototypes_visual", c, d, where),
-        spec=_header_spec(header, t, c, d, where),
+        spec=spec,
+        class_names=None if names == _default_class_names(c) else names,
+        shape=(t, c, d) if spec is None and not samples else None,
     )
+
+
+def _default_class_names(c):
+    return [f"class_{i:02d}" for i in range(c)]
 
 
 def _header_prototypes(header, key, c, d, where):

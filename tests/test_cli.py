@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coleaf.cli import main
+from coleaf.fileio import parse_record
 
 
 def run_cli(*argv):
@@ -349,9 +350,16 @@ def test_predict_reference_branch(tmp_path):
         "predict", "--params", str(out_dir / "params.json"),
         "--corpus", str(corpus), "--branch", "reference", "--out", str(preds),
     ) == 0
-    first = json.loads(preds.read_text().splitlines()[0])
+    first = parse_record(preds.read_bytes().splitlines()[0], (), preds)
     assert {"id", "probs_audio", "probs_visual"} <= set(first)
     assert np.asarray(first["probs_audio"]).shape == (6, 4)
+
+
+def test_gen_data_with_a_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    assert run_cli("gen-data", "--out", str(path), "--seed", "-1") == 2
+    assert "seed must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def _corpus_of_two_lengths():

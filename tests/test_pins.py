@@ -29,3 +29,18 @@ def test_only_fileio_parses_json():
         "coleaf.fileio (json_lines and parse_record), so that every record is checked "
         "and reported at path:line in one place."
     )
+
+
+def test_only_fileio_imports_base64():
+    imports_base64 = re.compile(r"^\s*(from\s+base64\s+import|import\s[^#\n]*\bbase64\b)", re.M)
+    encoders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fileio.py"
+        and imports_base64.search(path.read_text(encoding="utf-8"))
+    )
+    assert encoders == [], (
+        f"{', '.join(encoders)} import base64. Float arrays in data files are payload "
+        "objects that coleaf.fileio alone encodes and decodes, so that every reader gets "
+        "them checked and as float64 arrays."
+    )

@@ -8,6 +8,7 @@ from coleaf.metrics import BinaryParse
 from coleaf.errors import ConfigError, FileFormatError
 from coleaf.synthdata import (
     CorpusSpec,
+    GeneratedCorpus,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -316,14 +317,18 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "colour": 1}}, "unexpected keyword argument 'colour'"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "leak": 2.0}}, "spec: leak must lie in [0,1]"),
         ({"spec": {"segments": 6, "classes": 7, "dim": 8}}, "spec has segments=6, classes=7, dim=8, header says"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "seed": "x"}}, "spec: seed must be an integer"),
         ({"prototypes_audio": [["a"] * 8] * 4}, "prototypes_audio must be a 4 x 8 matrix of finite numbers"),
         ({"prototypes_audio": [[1, 2]]}, "prototypes_audio must be a 4 x 8 matrix"),
         ({"prototypes_visual": [[1.0] * 8] * 3 + [[1.0] * 7]}, "prototypes_visual must be a 4 x 8 matrix"),
         ({"prototypes_visual": [[float("nan")] * 8] * 4}, "prototypes_visual must be a 4 x 8 matrix"),
+        ({"T": "6"}, "T, C and D must be positive integers"),
+        ({"class_names": [0, 1, 2, 3]}, "class_names must be a list of strings"),
     ],
     ids=[
-        "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes",
+        "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes", "spec-text-seed",
         "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan",
+        "T-text", "class-names-numbers",
     ],
 )
 def test_bad_header_spec_or_prototypes_names_line_1(tmp_path, changes, message):
@@ -360,14 +365,70 @@ def test_cooccur_spec_round_trips_and_regenerates_the_corpus(tmp_path):
     assert generate_corpus(loaded.spec) == corpus
 
 
-def test_empty_corpus_without_a_spec_cannot_be_saved(tmp_path):
-    path = tmp_path / "minimal.jsonl"
-    header = {"n_videos": 0, "T": 4, "C": 2, "D": 3, "class_names": ["a", "b"], "spec": None}
-    path.write_text(json.dumps(header) + "\n")
-    loaded = load_corpus(path)
+def test_empty_corpus_without_a_spec_or_a_header_cannot_be_saved(tmp_path):
     with pytest.raises(ConfigError, match="empty corpus without a spec has no T, C and D"):
-        save_corpus(loaded, tmp_path / "again.jsonl")
+        save_corpus(GeneratedCorpus([], None, None, None), tmp_path / "again.jsonl")
     assert not (tmp_path / "again.jsonl").exists()
+
+
+def _spec_less_file(tmp_path, n_videos, class_names):
+    """A corpus file with `spec: null` whose header names its classes."""
+    samples = generate_corpus(small_spec(n_videos=n_videos, classes=2)).samples
+    corpus = GeneratedCorpus(samples, None, None, None, shape=None if samples else (6, 2, 8))
+    path, lines = _saved_lines(tmp_path, corpus)
+    header = json.loads(lines[0])
+    header["class_names"] = class_names
+    lines[0] = json.dumps(header)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("n_videos", [0, 1])
+def test_header_names_and_shape_survive_a_load_then_save(tmp_path, n_videos):
+    path = _spec_less_file(tmp_path, n_videos, ["dog", "speech"])
+    loaded = load_corpus(path)
+    assert loaded.spec is None and loaded.class_names == ["dog", "speech"]
+    again = tmp_path / "again.jsonl"
+    save_corpus(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_default_class_names_load_as_none(tmp_path):
+    loaded = load_corpus(_spec_less_file(tmp_path, 1, ["class_00", "class_01"]))
+    assert loaded.class_names is None
+    assert loaded == GeneratedCorpus(loaded.samples, None, None, None)
+
+
+@pytest.mark.parametrize("changes", [{"classes": 7}, {"segments": 5}, {"dim": 9}])
+def test_save_rejects_a_spec_that_disagrees_with_the_samples(tmp_path, changes):
+    corpus = generate_corpus(small_spec(n_videos=2))
+    corpus.spec = dataclasses.replace(corpus.spec, **changes)
+    path = tmp_path / "corpus.jsonl"
+    with pytest.raises(ConfigError, match="^video vid00000 has T x D \\(6, 8\\) and C 4, the corpus says"):
+        save_corpus(corpus, path)
+    assert not path.exists()
+
+
+def test_save_rejects_samples_of_two_lengths(tmp_path):
+    samples = generate_corpus(small_spec(n_videos=3)).samples
+    odd = samples[1]
+    samples[1] = dataclasses.replace(odd, audio_tokens=odd.audio_tokens[:-1],
+                                     visual_tokens=odd.visual_tokens[:-1], gt=None)
+    path = tmp_path / "corpus.jsonl"
+    with pytest.raises(ConfigError, match="^video vid00001 has T x D \\(5, 8\\)"):
+        save_corpus(GeneratedCorpus(samples, None, None, None), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "x"), ("seed", 1.5), ("seed", True), ("seed", -1), ("n_videos", -1),
+     ("n_videos", 2.0), ("segments", 0), ("classes", "4"), ("dim", False)],
+)
+def test_spec_integer_fields_are_checked(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer of at least"):
+        small_spec(**{field: value}).validate()
+    small_spec(**{field: np.int64(3)}).validate()
 
 
 def test_records_compare_by_value_and_type():
