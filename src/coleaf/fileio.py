@@ -86,13 +86,18 @@ def _from_payload(obj):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+# Built once rather than per line: both are stateless between calls. The writers build
+# plain trees of dicts, lists and arrays, so the encoder's cycle check would never fire.
+_ENCODER = json.JSONEncoder(default=_payload, check_circular=False)
+_DECODER = json.JSONDecoder(object_hook=_from_payload)
+
+
 def write_json_lines(path, records):
     """Atomically write each record as one line of JSON, float arrays as payload
     objects and other arrays as nested lists."""
-    encode = json.JSONEncoder(default=_payload).encode
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(encode(record) + "\n")
+            fh.write(_ENCODER.encode(record) + "\n")
 
 
 def json_lines(path):
@@ -100,12 +105,12 @@ def json_lines(path):
     without its line break."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
+            if not line.isspace():  # a line is never empty, so this means "not blank"
                 yield line_no, line.rstrip(b"\r\n")
 
 
 def parse_record(raw, required, path, line_no=1):
-    """Decode `raw`, which starts at `line_no` of `path`, as one JSON object holding
+    """Decode the bytes `raw`, which start at `line_no` of `path`, as one JSON object holding
     every key in `required`; each payload object in it becomes a float64 array.
 
     Bytes that are not UTF-8 or not JSON, a value that is not an object, a
@@ -113,7 +118,8 @@ def parse_record(raw, required, path, line_no=1):
     (for a payload, the line `raw` starts at).
     """
     try:
-        record = json.loads(raw, object_hook=_from_payload)
+        # decoded as `json.loads` decodes bytes, so a UTF-8 BOM is still accepted
+        record = _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path}:{line_no + err.lineno - 1}: {err.msg}") from err
     except _PayloadError as err:

@@ -24,7 +24,11 @@ REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "E
 def as_binary(values, what):
     """`values` as int64, rejecting anything but 0 and 1 before the cast could truncate it."""
     values = np.asarray(values)
-    if not np.all((values == 0) | (values == 1)):
+    if values.dtype.kind in "biu":  # two reductions are cheaper than the elementwise test
+        ok = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
+    else:  # a float such as 0.5 lies inside [0, 1] but is not 0 or 1
+        ok = np.all((values == 0) | (values == 1))
+    if not ok:
         raise ValueError(f"{what} must hold only 0 and 1")
     return values.astype(np.int64)
 
@@ -153,8 +157,8 @@ def _probability_pair(probs_audio, probs_visual):
     if pa.shape != pv.shape or pa.ndim != 2:
         raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
     for name, probs in (("audio", pa), ("visual", pv)):
-        # NaN fails both comparisons, so it is rejected too
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        # min and max carry a NaN through, and NaN fails both comparisons, so it is rejected too
+        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
             raise ValueError(f"{name} probabilities hold a non-finite value or one outside [0,1]")
     return pa, pv
 

@@ -176,8 +176,8 @@ def generate_corpus(spec):
 def save_corpus(corpus, path):
     """Write a corpus as JSON Lines: one header object, then one object per video.
 
-    Every video must have the corpus's T x D and C, else this is a
-    `ConfigError` and no file is written.
+    Every video must have the corpus's T x D and C, and `class_names`, if
+    given, must be C strings, else this is a `ConfigError` and no file is written.
     """
     spec = corpus.spec
     if spec is not None:
@@ -195,12 +195,15 @@ def save_corpus(corpus, path):
                 f"video {s.id} has T x D {s.audio_tokens.shape} and C {s.n_classes}, "
                 f"the corpus says T={t}, D={d}, C={c}"
             )
+    names = _default_class_names(c) if corpus.class_names is None else corpus.class_names
+    if not _class_names_ok(names, c):
+        raise ConfigError(f"class_names must be a list of strings, C={c} of them, got {names!r}")
     header = {
         "n_videos": corpus.n_videos,
         "T": t,
         "C": c,
         "D": d,
-        "class_names": _default_class_names(c) if corpus.class_names is None else corpus.class_names,
+        "class_names": names,
         "prototypes_audio": corpus.prototypes_audio,
         "prototypes_visual": corpus.prototypes_visual,
         "spec": None if spec is None else spec.to_mapping(),
@@ -259,8 +262,8 @@ def load_corpus(path):
     where = f"{path}:{header_line}"
     spec = _header_spec(header, t, c, d, where)
     names = header["class_names"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise FileFormatError(f"{where}: class_names must be a list of strings")
+    if not _class_names_ok(names, c):
+        raise FileFormatError(f"{where}: class_names must be a list of strings, C={c} of them")
     return GeneratedCorpus(
         samples=samples,
         prototypes_audio=_header_prototypes(header, "prototypes_audio", c, d, where),
@@ -273,6 +276,10 @@ def load_corpus(path):
 
 def _default_class_names(c):
     return [f"class_{i:02d}" for i in range(c)]
+
+
+def _class_names_ok(names, c):
+    return isinstance(names, list) and len(names) == c and all(isinstance(n, str) for n in names)
 
 
 def _header_prototypes(header, key, c, d, where):

@@ -199,7 +199,7 @@ def test_eval_of_out_of_range_predictions_exits_2(tmp_path, capsys):
 
 def test_eval_of_an_empty_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
-    corpus.write_text(json.dumps({"n_videos": 0, "T": 6, "C": 4, "D": 8, "class_names": []}) + "\n")
+    corpus.write_text(json.dumps({"n_videos": 0, "T": 6, "C": 4, "D": 8, "class_names": list("abcd")}) + "\n")
     preds = tmp_path / "p.jsonl"
     preds.write_text("")
     status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))

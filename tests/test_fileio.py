@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import numpy as np
@@ -67,6 +68,14 @@ def _params(tmp_path, fault):
     return load_params, path, line, "n_classes"
 
 
+def _assert_the_next_file_loads(tmp_path):
+    """The JSON decoder is shared by every reader, so a failed read must leave it ready."""
+    good = tmp_path / "next"
+    good.mkdir()
+    corpus, path = _saved_corpus(good)
+    assert load_corpus(path) == corpus
+
+
 @pytest.mark.parametrize("fault", list(FAULT_MESSAGES))
 @pytest.mark.parametrize("make", [_corpus, _predictions, _params], ids=["corpus", "predictions", "params"])
 def test_each_reader_names_the_line_of_a_malformed_record(tmp_path, make, fault):
@@ -75,6 +84,7 @@ def test_each_reader_names_the_line_of_a_malformed_record(tmp_path, make, fault)
         load(path)
     message = FAULT_MESSAGES[fault] + (key if fault == "missing-key" else "")
     assert str(err.value).startswith(f"{path}:{line}: {message}")
+    _assert_the_next_file_loads(tmp_path)
 
 
 def test_blank_lines_anywhere_in_a_corpus_are_skipped(tmp_path):
@@ -97,7 +107,14 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
     with pytest.raises(FileFormatError) as err:
         load_params(params)
     assert str(err.value) == f"{params}:3: not UTF-8 text"
+    _assert_the_next_file_loads(tmp_path)
 
+
+def test_lines_that_start_with_a_utf8_bom_load_as_without_it(tmp_path):
+    corpus, path = _saved_corpus(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(codecs.BOM_UTF8 + line for line in lines))
+    assert load_corpus(path) == corpus
 
 
 FLOAT64 = np.finfo(np.float64)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
@@ -19,7 +19,9 @@ from coleaf.metrics import (
     segment_counts,
     threshold_parse,
     _event_counts,
+    _probability_pair,
     _streams,
+    as_binary,
 )
 
 from oracles import (
@@ -512,3 +514,80 @@ def test_probabilities_must_be_finite_and_inside_the_unit_interval(bad, modality
         full_report({"a": pair, "b": (np.zeros((2, 3)), np.ones((2, 3)))}, gts)
     with pytest.raises(ValueError, match=message):
         threshold_parse(*pair)
+
+
+def _raises_value_error(check, *args):
+    """The message of the `ValueError` that `check(*args)` raises, or None if it returns."""
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def _label_inputs(draw):
+    """Arrays of each label dtype near and around {0, 1}, some of them as nested lists."""
+    dtype = draw(st.sampled_from((np.bool_, np.uint8, np.int64, np.float64)))
+    if dtype is np.float64:
+        elements = st.sampled_from([0.0, 1.0, -0.0, 0.5, 2.0, -1.0, np.nan, np.inf, 1.0 + 2**-52])
+    elif dtype is np.bool_:
+        elements = st.booleans()
+    else:
+        elements = st.integers(0 if dtype is np.uint8 else -3, 255 if dtype is np.uint8 else 3)
+    shape = draw(st.tuples(st.integers(0, 3), st.integers(0, 4)) | st.tuples(st.integers(0, 5)))
+    values = draw(arrays(dtype, shape, elements=elements))
+    return values.tolist() if draw(st.booleans()) else values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_label_inputs())
+@example(values=np.array([], dtype=np.int64))
+@example(values=np.zeros((0, 3), dtype=np.bool_))
+@example(values=[])
+@example(values=[[0, 1], [1, 2]])
+@example(values=[[0, -1]])
+@example(values=[0.5])
+@example(values=[[1.0, float("nan")]])
+@example(values=np.array([0, 255], dtype=np.uint8))
+def test_as_binary_accepts_exactly_what_the_elementwise_test_accepts(values):
+    """`as_binary` checks integers by their minimum and maximum; the reference is the
+    elementwise test it used for every dtype before."""
+    reference = np.asarray(values)
+    accepted = bool(np.all((reference == 0) | (reference == 1)))
+    message = _raises_value_error(as_binary, values, "weak label")
+    if accepted:
+        assert message is None
+        result = as_binary(values, "weak label")
+        assert result.dtype == np.int64 and np.array_equal(result, reference)
+    else:
+        assert message == "weak label must hold only 0 and 1"
+
+
+_PROBABILITY_EDGES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1 + 1e-16, np.nextafter(1.0, 2.0), -5e-324, 0.5
+]
+
+
+@st.composite
+def _probability_pairs(draw):
+    shape = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    elements = st.sampled_from(_PROBABILITY_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+    return tuple(draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_probability_pairs())
+@example(pair=(np.zeros((0, 4)), np.zeros((0, 4))))
+@example(pair=(np.array([[-0.0, 0.0, 1.0, 1 + 1e-16]]), np.array([[1.0, 0.5, 0.0, -0.0]])))
+@example(pair=(np.array([[0.5, 1.0]]), np.array([[0.0, np.nan]])))
+@example(pair=(np.array([[-np.inf, 0.5]]), np.array([[np.inf, 0.5]])))
+def test_probability_pair_accepts_exactly_what_the_elementwise_test_accepts(pair):
+    """`_probability_pair` checks each matrix by its minimum and maximum; the reference is
+    the elementwise test it used before, which names the first faulty modality."""
+    faulty = [name for name, p in zip(("audio", "visual"), pair) if not np.all((p >= 0.0) & (p <= 1.0))]
+    message = _raises_value_error(_probability_pair, *pair)
+    if faulty:
+        assert message == f"{faulty[0]} probabilities hold a non-finite value or one outside [0,1]"
+    else:
+        assert message is None

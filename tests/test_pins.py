@@ -32,7 +32,9 @@ def test_only_fileio_parses_json():
 
 
 def test_only_fileio_imports_base64():
-    imports_base64 = re.compile(r"^\s*(from\s+base64\s+import|import\s[^#\n]*\bbase64\b)", re.M)
+    imports_base64 = re.compile(
+        r"^\s*(from\s+(base64|binascii)\s+import|import\s[^#\n]*\b(base64|binascii)\b)", re.M
+    )
     encoders = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
@@ -40,7 +42,7 @@ def test_only_fileio_imports_base64():
         and imports_base64.search(path.read_text(encoding="utf-8"))
     )
     assert encoders == [], (
-        f"{', '.join(encoders)} import base64. Float arrays in data files are payload "
+        f"{', '.join(encoders)} import base64 or binascii. Float arrays in data files are payload "
         "objects that coleaf.fileio alone encodes and decodes, so that every reader gets "
         "them checked and as float64 arrays."
     )

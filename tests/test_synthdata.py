@@ -324,11 +324,13 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
         ({"prototypes_visual": [[float("nan")] * 8] * 4}, "prototypes_visual must be a 4 x 8 matrix"),
         ({"T": "6"}, "T, C and D must be positive integers"),
         ({"class_names": [0, 1, 2, 3]}, "class_names must be a list of strings"),
+        ({"class_names": []}, "class_names must be a list of strings, C=4 of them"),
+        ({"class_names": list("abcde")}, "class_names must be a list of strings, C=4 of them"),
     ],
     ids=[
         "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes", "spec-text-seed",
         "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan",
-        "T-text", "class-names-numbers",
+        "T-text", "class-names-numbers", "class-names-none", "class-names-five",
     ],
 )
 def test_bad_header_spec_or_prototypes_names_line_1(tmp_path, changes, message):
@@ -368,6 +370,15 @@ def test_cooccur_spec_round_trips_and_regenerates_the_corpus(tmp_path):
 def test_empty_corpus_without_a_spec_or_a_header_cannot_be_saved(tmp_path):
     with pytest.raises(ConfigError, match="empty corpus without a spec has no T, C and D"):
         save_corpus(GeneratedCorpus([], None, None, None), tmp_path / "again.jsonl")
+    assert not (tmp_path / "again.jsonl").exists()
+
+
+@pytest.mark.parametrize("names", [["dog"], ["dog", 7, "cat", "bird"]], ids=["one", "a-number"])
+def test_a_corpus_whose_class_names_are_not_c_strings_cannot_be_saved(tmp_path, names):
+    corpus = generate_corpus(small_spec(n_videos=1))
+    corpus.class_names = names
+    with pytest.raises(ConfigError, match=r"class_names must be a list of strings, C=4 of them"):
+        save_corpus(corpus, tmp_path / "again.jsonl")
     assert not (tmp_path / "again.jsonl").exists()
 
 
