@@ -37,6 +37,7 @@ from .losses import (
 )
 from .metrics import MetricReport, _check_threshold, _probability_pair, full_report, parse_threshold
 from .numerics import Tensor
+from .synthdata import corpus_shape
 
 SEED_ENV_VAR = "COLEAF_SEED"
 # a predict forward's graph holds about 0.75 MB per video at T=10, D=256, C=25
@@ -91,6 +92,13 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_factor must be in (0,1], got {self.lr_decay_factor}")
         if self.lr_decay_every_epochs < 1:
             raise ConfigError("lr_decay_every_epochs must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.pseudo_threshold < 1.0:
             raise ConfigError(f"pseudo_threshold must be in (0,1), got {self.pseudo_threshold}")
         if self.nce_temperature <= 0:
@@ -299,31 +307,24 @@ def _mean_bundle(rows):
     return LossBundle(*[float(x) for x in rows.mean(axis=0)])
 
 
-def _check_one_shape(samples):
-    """Every video must have the first video's T x D, so that a batch stacks into one block."""
-    first = samples[0].audio_tokens.shape
-    for sample in samples:
-        if sample.audio_tokens.shape != first:
-            raise ConfigError(
-                f"video {sample.id} has T x D = {sample.audio_tokens.shape}, but the first "
-                f"video {samples[0].id} has {first}; every video of a corpus needs the same T and D"
-            )
+def _nonempty_shape(corpus, role):
+    """The (T, C, D) of a corpus that must hold at least one video."""
+    if not corpus.samples:
+        raise ConfigError(f"{role} corpus is empty")
+    return corpus_shape(corpus)
 
 
-def _check_eval_corpus(samples, eval_corpus, threshold):
-    """The corpus scored after training must be non-empty, of one T x D, and share the
-    training videos' C and D, and a per-class threshold must have one value per class;
+def _check_eval_corpus(corpus, eval_corpus, threshold):
+    """The corpus scored after training must be non-empty and share the training
+    corpus's C and D, and a per-class threshold must have one value per class;
     checked before the first step rather than at the first evaluation."""
-    if not eval_corpus.samples:
-        raise ConfigError("evaluation corpus is empty")
-    _check_one_shape(eval_corpus.samples)
-    first = eval_corpus.samples[0]
-    if samples and (first.n_classes, first.dim) != (samples[0].n_classes, samples[0].dim):
+    _, c, d = _nonempty_shape(corpus, "training")
+    _, eval_c, eval_d = _nonempty_shape(eval_corpus, "evaluation")
+    if (eval_c, eval_d) != (c, d):
         raise ConfigError(
-            f"evaluation corpus has C={first.n_classes}, D={first.dim}, "
-            f"training corpus has C={samples[0].n_classes}, D={samples[0].dim}"
+            f"evaluation corpus has C={eval_c}, D={eval_d}, training corpus has C={c}, D={d}"
         )
-    _check_threshold(threshold, first.n_classes)
+    _check_threshold(threshold, c)
 
 
 def _train_step(batch, params, adam, lr, config, epoch, step):
@@ -357,22 +358,19 @@ def train(corpus, config, eval_corpus=None):
     components (plus a metric report per epoch when `eval_corpus` is given).
     """
     config.validate()
-    samples = corpus.samples
-    if not samples:
-        raise ConfigError("training corpus is empty")
-    _check_one_shape(samples)
+    t, c, d = _nonempty_shape(corpus, "training")
     if eval_corpus is not None:
-        _check_eval_corpus(samples, eval_corpus, config.eval_threshold)
+        _check_eval_corpus(corpus, eval_corpus, config.eval_threshold)
     contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
-    first = samples[0]
-    if contrastive and first.n_segments < 2:
+    if contrastive and t < 2:
         raise ConfigError(
             "the event contrastive loss needs at least 2 segments per video; "
             "set disable_event_contrastive = true to train on single-segment videos"
         )
-    params = init_branch_params(first.dim, first.n_classes, config.seed)
+    params = init_branch_params(d, c, config.seed)
     adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
     order_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+    samples = corpus.samples
     start = time.perf_counter()
     epoch_logs = []
     step = 0
@@ -402,16 +400,15 @@ def train(corpus, config, eval_corpus=None):
 def predict(params, corpus, branch="anchor", unimodal_only=False):
     """Segment-level probabilities per video from the chosen branch.
 
-    Videos must share T x D. They run as forwards over blocks of
+    Videos must share T, C and D. They run as forwards over blocks of
     `PREDICT_BLOCK_VIDEOS`, so memory stays bounded on a large corpus. The
     anchor branch is the deployment default; the reference branch is never
     touched on that path.
     """
     if branch not in ("anchor", "reference"):
         raise ConfigError(f"unknown branch {branch!r}")
+    corpus_shape(corpus)  # over the corpus; a forward sees one block
     samples = corpus.samples
-    if samples:
-        _check_one_shape(samples)  # over the corpus; a forward sees one block
     preds = {}
     for lo in range(0, len(samples), PREDICT_BLOCK_VIDEOS):
         block = samples[lo : lo + PREDICT_BLOCK_VIDEOS]
@@ -531,7 +528,7 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
             raise ConfigError(f"unknown ablation axis {axis!r}; valid axes: {', '.join(ABLATION_AXES)}")
     if eval_corpus is None:
         corpus, eval_corpus = split_corpus(corpus)
-    _check_eval_corpus(corpus.samples, eval_corpus, base_config.eval_threshold)
+    _check_eval_corpus(corpus, eval_corpus, base_config.eval_threshold)
     variants = [("base", {})]
     if axes:
         variants = [

@@ -65,13 +65,12 @@ def video_loss_reference(ref, weak_label):
     y = np.asarray(weak_label, dtype=np.float64)
     y = np.broadcast_to(y[..., None, :], probs.shape)
     # n times the mean over n rows is the sum of the n per-row BCE means
-    return nm.bce(Tensor(y), probs, axis=(-2, -1)) * probs.shape[-2]
+    return nm.bce(y, probs, axis=(-2, -1)) * probs.shape[-2]
 
 
 def video_loss_anchor(anchor, weak_label):
     """Video-level BCE on the anchor branch's pooled probabilities."""
-    y = Tensor(np.asarray(weak_label, dtype=np.float64))
-    return nm.bce(y, anchor.video_probs, axis=-1)
+    return nm.bce(weak_label, anchor.video_probs, axis=-1)
 
 
 def distil_pseudo_labels(video_probs_audio, video_probs_visual, threshold, source):
@@ -172,7 +171,7 @@ def self_modality_kd(anchor_pseudo, ref):
         raise ContractError("self-modality distillation expects anchor pseudo-labels")
     target = np.stack([anchor_pseudo.audio, anchor_pseudo.visual], axis=-2).astype(np.float64)
     # sum of the two modalities' means
-    return nm.bce(Tensor(target), ref.video_probs, axis=(-2, -1)) * 2.0
+    return nm.bce(target, ref.video_probs, axis=(-2, -1)) * 2.0
 
 
 def class_correlation(video_probs):

@@ -329,14 +329,19 @@ def softmax(a, axis):
 def bce(target, prob, axis=None):
     """Mean binary cross entropy over `axis` (every axis by default).
 
-    Probabilities are clamped to [eps, 1-eps]; the axes left over hold
-    independent means.
+    `target` is a constant, labels or pseudo-labels: gradients flow to
+    `prob` only. Probabilities are clamped to [eps, 1-eps]; the axes left
+    over hold independent means.
     """
-    target, prob = as_tensor(target), as_tensor(prob)
-    if target.shape != prob.shape:
-        raise DimensionError(f"bce needs equal shapes, got {target.shape} and {prob.shape}")
+    if isinstance(target, Tensor):
+        if target.requires_grad:
+            raise ContractError("bce's target is a constant; detach it first")
+        target = target.data
+    t = np.asarray(target, dtype=np.float64)
+    prob = as_tensor(prob)
+    if t.shape != prob.shape:
+        raise DimensionError(f"bce needs equal shapes, got {t.shape} and {prob.shape}")
     p = np.clip(prob.data, _BCE_EPS, 1.0 - _BCE_EPS)
-    t = target.data
     out = np.asarray(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)), axis=axis))
     n = p.size // out.size
 
@@ -344,11 +349,9 @@ def bce(target, prob, axis=None):
         if axis is not None:
             g = np.expand_dims(g, axis)
         inside = (prob.data > _BCE_EPS) & (prob.data < 1.0 - _BCE_EPS)
-        dprob = np.where(inside, (p - t) / (p * (1.0 - p)), 0.0) * (g / n)
-        dtarget = (np.log1p(-p) - np.log(p)) * (g / n)
-        return dtarget, dprob
+        return (np.where(inside, (p - t) / (p * (1.0 - p)), 0.0) * (g / n),)
 
-    return _make(out, (target, prob), grad_fn)
+    return _make(out, (prob,), grad_fn)
 
 
 def attention(query, kv, wq, wk, wv):

@@ -94,6 +94,28 @@ class GeneratedCorpus:
     __eq__ = record_eq
 
 
+def corpus_shape(corpus):
+    """The (T, C, D) of the spec, else of the first video, else `corpus.shape`, or None.
+
+    Both branches run on stacked blocks of videos, so a video of another
+    T x D or C is a `ConfigError` naming the first such video.
+    """
+    spec, samples = corpus.spec, corpus.samples
+    if spec is not None:
+        t, c, d = spec.segments, spec.classes, spec.dim
+    elif samples:
+        t, c, d = samples[0].n_segments, samples[0].n_classes, samples[0].dim
+    else:
+        return corpus.shape
+    for s in samples:
+        if s.audio_tokens.shape != (t, d) or s.n_classes != c:
+            raise ConfigError(
+                f"video {s.id} has T x D {s.audio_tokens.shape} and C {s.n_classes}, "
+                f"the corpus says T={t}, D={d}, C={c}"
+            )
+    return t, c, d
+
+
 def weak_labels_from_temporal(gt):
     """Video-level label: class present in any segment of either modality."""
     return ((gt.audio.any(axis=0)) | (gt.visual.any(axis=0))).astype(np.int64)
@@ -179,22 +201,10 @@ def save_corpus(corpus, path):
     Every video must have the corpus's T x D and C, and `class_names`, if
     given, must be C strings, else this is a `ConfigError` and no file is written.
     """
-    spec = corpus.spec
-    if spec is not None:
-        t, c, d = spec.segments, spec.classes, spec.dim
-    elif corpus.samples:
-        first = corpus.samples[0]
-        t, c, d = first.n_segments, first.n_classes, first.dim
-    elif corpus.shape is not None:
-        t, c, d = corpus.shape
-    else:
+    shape = corpus_shape(corpus)
+    if shape is None:
         raise ConfigError("an empty corpus without a spec has no T, C and D to write")
-    for s in corpus.samples:
-        if (s.n_segments, s.dim, s.n_classes) != (t, d, c):
-            raise ConfigError(
-                f"video {s.id} has T x D {s.audio_tokens.shape} and C {s.n_classes}, "
-                f"the corpus says T={t}, D={d}, C={c}"
-            )
+    t, c, d = shape
     names = _default_class_names(c) if corpus.class_names is None else corpus.class_names
     if not _class_names_ok(names, c):
         raise ConfigError(f"class_names must be a list of strings, C={c} of them, got {names!r}")
@@ -206,7 +216,7 @@ def save_corpus(corpus, path):
         "class_names": names,
         "prototypes_audio": corpus.prototypes_audio,
         "prototypes_visual": corpus.prototypes_visual,
-        "spec": None if spec is None else spec.to_mapping(),
+        "spec": None if corpus.spec is None else corpus.spec.to_mapping(),
     }
     records = [
         {

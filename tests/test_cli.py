@@ -155,6 +155,30 @@ def test_single_segment_corpus_exits_2_before_training(tmp_path, capsys):
     assert not (out_dir / "params.json").exists()
 
 
+@pytest.mark.parametrize("setting, flags, env, message", [
+    ("adam_beta1 = 1.0", [], None, "adam_beta1 must be in [0,1), got 1.0"),
+    ("adam_beta2 = 1.5", [], None, "adam_beta2 must be in [0,1), got 1.5"),
+    ("adam_eps = 0", [], None, "adam_eps must be positive, got 0.0"),
+    ("seed = -2", [], None, "seed must be >= 0, got -2"),
+    ("", ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    ("", [], "-3", "seed must be >= 0, got -3"),
+])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_bad_adam_settings_and_negative_seeds_exit_2_before_training(
+    tmp_path, capsys, monkeypatch, setting, flags, env, message, command
+):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
+    cfg = write_config(tmp_path, f"epochs = 1\nbatch_size = 4\n{setting}\n")
+    if env is not None:
+        monkeypatch.setenv("COLEAF_SEED", env)
+    out = tmp_path / "run"
+    argv = [command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out), *flags]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_single_segment_corpus_trains_without_event_contrastive(tmp_path):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4, segments=1)
     out_dir = tmp_path / "run"

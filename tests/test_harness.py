@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from coleaf import harness, numerics as nm
-from coleaf.branches import VideoSample, anchor_forward, init_branch_params, reference_forward
+from coleaf.branches import (
+    VideoSample,
+    anchor_forward,
+    init_branch_params,
+    instrumentation,
+    reference_forward,
+)
 from coleaf.errors import ConfigError, DivergenceError, FileFormatError
 from coleaf.harness import (
     ABLATION_AXES,
@@ -210,26 +216,36 @@ def test_batched_objective_passes_finite_differences():
                     sample_coords(rng, params, per_param=1))
 
 
-def _mixed_corpus(change):
-    samples = desk_corpus(n_videos=4).samples
-    odd = samples[2]
-    tokens = odd.audio_tokens[:-1] if change == "T" else odd.audio_tokens[:, :-1]
-    samples[2] = VideoSample(odd.id, tokens, tokens.copy(), odd.weak_label)
+def _mixed_corpus(change, n_videos=4, odd_index=2, seed=1):
+    """A spec-less corpus whose video `odd_index` has one T, D or C more or less."""
+    samples = desk_corpus(n_videos=n_videos, seed=seed).samples
+    odd = samples[odd_index]
+    tokens, label = odd.audio_tokens, odd.weak_label
+    if change == "T":
+        tokens = tokens[:-1]
+    elif change == "D":
+        tokens = tokens[:, :-1]
+    else:
+        label = np.append(label, 0)
+    samples[odd_index] = VideoSample(odd.id, tokens, tokens.copy(), label)
     return GeneratedCorpus(samples, None, None, None)
 
 
-@pytest.mark.parametrize("change", ["T", "D"])
+@pytest.mark.parametrize("change", ["T", "D", "C"])
 def test_train_and_predict_reject_a_corpus_of_two_shapes(change, monkeypatch):
     corpus = _mixed_corpus(change)
     steps = []
     monkeypatch.setattr(AdamState, "step", lambda *args: steps.append(args))
-    with pytest.raises(ConfigError, match=f"video {corpus.samples[2].id} has T x D"):
+    message = f"video {corpus.samples[2].id} has T x D .* the corpus says T=6, D=8, C=4"
+    with pytest.raises(ConfigError, match=message):
         train(corpus, quick_config())
     assert steps == []
     # with blocks of one video no forward sees two shapes; the corpus check does
     monkeypatch.setattr(harness, "PREDICT_BLOCK_VIDEOS", 1)
-    with pytest.raises(ConfigError, match=f"video {corpus.samples[2].id} has T x D"):
+    instrumentation.reset()
+    with pytest.raises(ConfigError, match=message):
         predict(init_branch_params(8, 4, 5), corpus)
+    assert instrumentation.anchor_forward_calls == 0
 
 
 @pytest.mark.parametrize("branch", ["anchor", "reference"])
@@ -474,6 +490,27 @@ def test_config_validation_bounds():
         TrainConfig(lambda_evt=-1.0).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("adam_beta1", 1.0, r"adam_beta1 must be in \[0,1\), got 1.0"),
+    ("adam_beta1", -0.1, r"adam_beta1 must be in \[0,1\), got -0.1"),
+    ("adam_beta2", 1.0, r"adam_beta2 must be in \[0,1\), got 1.0"),
+    ("adam_beta2", math.nan, r"adam_beta2 must be in \[0,1\), got nan"),
+    ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
+    ("adam_eps", -1e-8, "adam_eps must be positive, got -1e-08"),
+    ("adam_eps", math.nan, "adam_eps must be positive, got nan"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_config_rejects_bad_adam_settings_and_a_negative_seed(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**{field: value}).validate()
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig.from_mapping({field: str(value)})
+
+
+def test_config_accepts_the_edges_of_the_adam_ranges():
+    TrainConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, seed=0).validate()
+
+
 def test_env_seed_override(monkeypatch):
     cfg = quick_config(seed=3)
     monkeypatch.setenv("COLEAF_SEED", "99")
@@ -641,14 +678,19 @@ def test_a_per_class_eval_threshold_of_the_wrong_length_fails_before_the_first_s
         train(desk_corpus(n_videos=16), config, eval_corpus=desk_corpus(n_videos=4, seed=2))
     with pytest.raises(ConfigError, match=message):
         ablate(desk_corpus(n_videos=16), config, ["unimodal_only"])
-    # an evaluation corpus that is empty or of another C or D than the training one (C=4, D=8)
+    # an evaluation corpus that is empty or of another C or D than the training one
+    # (C=4, D=8), or whose first video has the training C and a later one not
     config = quick_config(epochs=1)
-    for spec, message in [
-        (CorpusSpec(n_videos=0, segments=6, classes=4, dim=8), "evaluation corpus is empty"),
-        (CorpusSpec(n_videos=4, segments=6, classes=5, dim=8), "evaluation corpus has C=5, D=8"),
-        (CorpusSpec(n_videos=4, segments=6, classes=4, dim=6), "evaluation corpus has C=4, D=6"),
+    for eval_corpus, message in [
+        (generate_corpus(CorpusSpec(n_videos=0, segments=6, classes=4, dim=8)),
+         "evaluation corpus is empty"),
+        (generate_corpus(CorpusSpec(n_videos=4, segments=6, classes=5, dim=8)),
+         "evaluation corpus has C=5, D=8"),
+        (generate_corpus(CorpusSpec(n_videos=4, segments=6, classes=4, dim=6)),
+         "evaluation corpus has C=4, D=6"),
+        (_mixed_corpus("C", n_videos=6, odd_index=5, seed=2),
+         r"video vid00005 has T x D \(6, 8\) and C 5, the corpus says T=6, D=8, C=4"),
     ]:
-        eval_corpus = generate_corpus(spec)
         with pytest.raises(ConfigError, match=message):
             train(desk_corpus(n_videos=16), config, eval_corpus=eval_corpus)
         with pytest.raises(ConfigError, match=message):

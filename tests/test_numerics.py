@@ -96,6 +96,17 @@ def test_bce_shape_mismatch():
         nm.bce(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
 
+def test_bce_target_is_a_constant_and_never_a_graph_parent():
+    t = np.array([[1.0, 0.0], [0.0, 1.0]])
+    prob = Tensor([[0.8, 0.3], [0.4, 0.6]], requires_grad=True)
+    out = nm.bce(t, prob)
+    assert out._parents == (prob,)
+    assert nm.backward(out)[prob].shape == (2, 2)
+    assert nm.bce(Tensor(t), prob).item() == out.item()
+    with pytest.raises(ContractError, match="bce's target is a constant"):
+        nm.bce(Tensor(t, requires_grad=True), prob)
+
+
 def _attn_params(rng, d):
     return (rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=(d, d)))
 

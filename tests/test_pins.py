@@ -46,3 +46,16 @@ def test_only_fileio_imports_base64():
         "objects that coleaf.fileio alone encodes and decodes, so that every reader gets "
         "them checked and as float64 arrays."
     )
+
+
+def test_only_synthdata_states_the_corpus_shape_rule():
+    owners = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "the corpus says" in path.read_text(encoding="utf-8")
+    )
+    assert owners == ["synthdata.py"], (
+        f"{', '.join(owners)} state the corpus-shape rule. Every video of a corpus shares "
+        "T, C and D, and coleaf.synthdata.corpus_shape alone checks it, for save_corpus, "
+        "train, predict and ablate alike."
+    )
