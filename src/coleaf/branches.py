@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .metrics import BinaryParse, as_binary, record_eq
+from .metrics import BinaryParse, as_binary, binary_pair, matrix_pair, record_eq, unchecked
 from .numerics import Tensor
 
 
@@ -47,17 +47,38 @@ class VideoSample:
         self.audio_tokens = np.asarray(self.audio_tokens, dtype=np.float64)
         self.visual_tokens = np.asarray(self.visual_tokens, dtype=np.float64)
         self.weak_label = as_binary(self.weak_label, "weak label")
-        if self.audio_tokens.shape != self.visual_tokens.shape or self.audio_tokens.ndim != 2:
-            raise DimensionError(
-                f"token matrices must share T x D, got {self.audio_tokens.shape} "
-                f"and {self.visual_tokens.shape}"
-            )
-        if not (np.isfinite(self.audio_tokens).all() and np.isfinite(self.visual_tokens).all()):
-            raise ValueError("tokens must be finite")
+        _check_tokens(self.audio_tokens, self.visual_tokens)
         if self.gt is not None:
             expect = (self.n_segments, self.n_classes)
             if self.gt.audio.shape != expect:
                 raise DimensionError(f"ground truth shape {self.gt.audio.shape}, expected {expect}")
+
+    @classmethod
+    def from_block(cls, ids, audio_tokens, visual_tokens, weak_labels, gt_audio=None, gt_visual=None):
+        """One video per id from fields stacked along a leading video axis: B x T x D
+        tokens, B x C weak labels and, when `gt_audio` is given, B x T x C ground truth.
+
+        `__post_init__`'s rules run once over the whole stacks, and each video's
+        arrays are views into them.
+        """
+        lead = (len(ids),)
+        audio = np.asarray(audio_tokens, dtype=np.float64)
+        visual = np.asarray(visual_tokens, dtype=np.float64)
+        weak = as_binary(weak_labels, "weak label")
+        _check_tokens(audio, visual, lead=lead)
+        if weak.ndim != 2 or weak.shape[0] != len(ids):
+            raise DimensionError(f"weak labels must be {len(ids)} x C, got {weak.shape}")
+        gts = [None] * len(ids)
+        if gt_audio is not None:
+            gt_audio, gt_visual = binary_pair(gt_audio, gt_visual, lead=lead)
+            expect = (len(ids), audio.shape[1], weak.shape[1])
+            if gt_audio.shape != expect:
+                raise DimensionError(f"ground truth shape {gt_audio.shape}, expected {expect}")
+            gts = [unchecked(BinaryParse, audio=a, visual=v) for a, v in zip(gt_audio, gt_visual)]
+        return [
+            unchecked(cls, id=i, audio_tokens=a, visual_tokens=v, weak_label=w, gt=g)
+            for i, a, v, w, g in zip(ids, audio, visual, weak, gts)
+        ]
 
     @property
     def n_segments(self):
@@ -72,6 +93,15 @@ class VideoSample:
         return self.weak_label.shape[0]
 
     __eq__ = record_eq
+
+
+def _check_tokens(audio, visual, *, lead=()):
+    """Float64 token matrices, T x D each, must share one shape and be finite; with
+    `lead`, `lead` x T x D stacks of them."""
+    if not matrix_pair(audio, visual, lead):
+        raise DimensionError(f"token matrices must share T x D, got {audio.shape} and {visual.shape}")
+    if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
+        raise ValueError("tokens must be finite")
 
 
 def param_layout(dim, n_classes):

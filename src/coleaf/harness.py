@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 import time
 import typing
@@ -35,7 +37,14 @@ from .losses import (
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import MetricReport, _check_threshold, _probability_pair, full_report, parse_threshold
+from .metrics import (
+    SCORE_BLOCK_VIDEOS,
+    MetricReport,
+    _check_threshold,
+    _probability_pair,
+    full_report,
+    parse_threshold,
+)
 from .numerics import Tensor
 from .synthdata import corpus_shape
 
@@ -82,32 +91,39 @@ class TrainConfig:
     eval_threshold: float | tuple = 0.5
 
     def validate(self):
-        if self.epochs < 1:
+        for name, kind in _FIELD_TYPES.items():
+            if name != "eval_threshold":
+                _check_field_type(name, getattr(self, name), kind)
+        # each bound is written so that NaN fails it
+        if not self.epochs >= 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must be in (0,1], got {self.lr_decay_factor}")
-        if self.lr_decay_every_epochs < 1:
+        if not self.lr_decay_every_epochs >= 1:
             raise ConfigError("lr_decay_every_epochs must be >= 1")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0,1), got {getattr(self, name)}")
         if not self.adam_eps > 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.pseudo_threshold < 1.0:
             raise ConfigError(f"pseudo_threshold must be in (0,1), got {self.pseudo_threshold}")
-        if self.nce_temperature <= 0:
+        if not self.nce_temperature > 0:
             raise ConfigError(f"nce_temperature must be positive, got {self.nce_temperature}")
         for name in ("lambda_evt", "lambda_kd", "lambda_cls"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.warmup_epochs < 0:
+        if not self.warmup_epochs >= 0:
             raise ConfigError("warmup_epochs must be >= 0")
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         parse_threshold(self.eval_threshold)
 
     @classmethod
@@ -137,6 +153,19 @@ class TrainConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
+def _check_field_type(name, value, kind):
+    """An int field takes an integer, a float field any real number, a bool field a bool;
+    a bool is not a number here."""
+    if kind is bool:
+        ok, expect = isinstance(value, (bool, np.bool_)), "true or false"
+    elif kind is int:
+        ok, expect = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+    else:
+        ok, expect = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    if not ok:
+        raise ConfigError(f"{name} must be {expect}, got {value!r}")
 
 
 def _coerce_config_value(key, raw):
@@ -432,17 +461,50 @@ def load_predictions(path):
 
     Each line must hold a unique string id and two T x C matrices of one
     shape with every value in [0,1]; anything else is a `FileFormatError`
-    naming the line.
+    naming the line, the earliest faulty line of the file. Lines are checked
+    `SCORE_BLOCK_VIDEOS` at a time, the probability rule once over the block's
+    stacked matrices, and each pair is a view into its block's stacks.
     """
-    preds, id_lines = {}, {}
+    preds, id_lines, block = {}, {}, []
     for line_no, raw in json_lines(path):
-        rec = parse_record(raw, ("id", "probs_audio", "probs_visual"), path, line_no)
-        check_video_id(rec["id"], id_lines, path, line_no)
         try:
-            preds[rec["id"]] = _probability_pair(rec["probs_audio"], rec["probs_visual"])
+            rec = parse_record(raw, ("id", "probs_audio", "probs_visual"), path, line_no)
+            check_video_id(rec["id"], id_lines, path, line_no)
+        except FileFormatError:
+            _prediction_block(block, path)  # a fault on an earlier line comes first
+            raise
+        block.append((line_no, rec))
+        if len(block) == SCORE_BLOCK_VIDEOS:
+            preds.update(_prediction_block(block, path))
+            block = []
+    preds.update(_prediction_block(block, path))
+    return preds
+
+
+def _prediction_block(block, path):
+    """`(id, (probs_audio, probs_visual))` for each `(line_no, record)` of `block`.
+
+    The stacked matrices pass `_probability_pair` once. If that fails, or the
+    records do not stack (matrices of another shape), each record is checked
+    on its own, so an error names the first faulty line.
+    """
+    ids = [rec["id"] for _, rec in block]
+    try:
+        pa, pv = _probability_pair(
+            np.array([rec["probs_audio"] for _, rec in block], dtype=np.float64),
+            np.array([rec["probs_visual"] for _, rec in block], dtype=np.float64),
+            lead=(len(block),),
+        )
+        return zip(ids, zip(pa, pv))
+    except (TypeError, ValueError):  # ragged stacks too; DimensionError is a ValueError
+        pass
+    pairs = []
+    for vid, (line_no, rec) in zip(ids, block):
+        try:
+            pairs.append((vid, _probability_pair(rec["probs_audio"], rec["probs_visual"])))
         except (TypeError, ValueError) as err:
             raise FileFormatError(f"{path}:{line_no}: {err}") from err
-    return preds
+    return pairs
 
 
 def gt_parses(corpus):

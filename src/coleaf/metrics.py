@@ -16,7 +16,8 @@ from .errors import AlignmentError, ConfigError, DimensionError
 STREAMS = ("A", "V", "AV", "Ao", "Vo")
 # rows: the five streams, then the A+V and Ao+Vo pools that Event@AV and Event@AVo score
 _POOLS = np.vstack((np.eye(len(STREAMS), dtype=np.int64), [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]))
-# videos per array pass in `full_report`; bounds the memory one pass takes
+# videos per array pass in `full_report` and per stacked record check in the corpus and
+# prediction file readers; bounds the memory one pass takes
 SCORE_BLOCK_VIDEOS = 128
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
 
@@ -31,6 +32,20 @@ def as_binary(values, what):
     if not ok:
         raise ValueError(f"{what} must hold only 0 and 1")
     return values.astype(np.int64)
+
+
+def matrix_pair(a, b, lead=()):
+    """Whether arrays `a` and `b` share one shape: `lead`, the leading axes of a stack of
+    records, then two matrix axes."""
+    return a.shape == b.shape and a.ndim == len(lead) + 2 and a.shape[:-2] == lead
+
+
+def unchecked(cls, **fields):
+    """A `cls` record holding `fields` as given, without running its `__post_init__`: for
+    arrays that have already passed its checks as part of a stacked block."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def record_eq(self, other):
@@ -55,14 +70,19 @@ class BinaryParse:
     visual: np.ndarray
 
     def __post_init__(self):
-        self.audio = as_binary(self.audio, "audio parse")
-        self.visual = as_binary(self.visual, "visual parse")
-        if self.audio.shape != self.visual.shape or self.audio.ndim != 2:
-            raise DimensionError(
-                f"parse matrices must share T x C, got {self.audio.shape} and {self.visual.shape}"
-            )
+        self.audio, self.visual = binary_pair(self.audio, self.visual)
 
     __eq__ = record_eq
+
+
+def binary_pair(audio, visual, *, lead=()):
+    """The one check on a parse: two T x C matrices of 0 and 1 of one shape, as int64; with
+    `lead`, two `lead` x T x C stacks of them."""
+    audio = as_binary(audio, "audio parse")
+    visual = as_binary(visual, "visual parse")
+    if not matrix_pair(audio, visual, lead):
+        raise DimensionError(f"parse matrices must share T x C, got {audio.shape} and {visual.shape}")
+    return audio, visual
 
 
 @dataclass
@@ -149,12 +169,12 @@ def parse_threshold(raw):
     return value
 
 
-def _probability_pair(probs_audio, probs_visual):
+def _probability_pair(probs_audio, probs_visual, *, lead=()):
     """The one check on a video's probabilities: two T x C float matrices of one shape,
-    every value finite and inside [0,1]."""
+    every value finite and inside [0,1]; with `lead`, two `lead` x T x C stacks of them."""
     pa = np.asarray(probs_audio, dtype=np.float64)
     pv = np.asarray(probs_visual, dtype=np.float64)
-    if pa.shape != pv.shape or pa.ndim != 2:
+    if not matrix_pair(pa, pv, lead):
         raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
     for name, probs in (("audio", pa), ("visual", pv)):
         # min and max carry a NaN through, and NaN fails both comparisons, so it is rejected too
@@ -336,6 +356,37 @@ def _rates(counts, cells):
     return rates
 
 
+def _checked_block(ids, preds, gts, first, shape):
+    """The predictions and ground truth of the videos `ids` as B x 2 x T x C stacks.
+
+    The stacked probabilities pass `_probability_pair` once. If that fails, or
+    the videos do not stack to the first video's T x C, each video is checked
+    on its own in order, so an error names the first bad video.
+    """
+    pred = [(p.audio, p.visual) if isinstance(p, BinaryParse) else p for p in map(preds.get, ids)]
+    gt = [(g.audio, g.visual) for g in map(gts.get, ids)]
+    try:
+        pred_stack, gt_stack = np.array(pred, dtype=np.float64), np.array(gt)
+        if pred_stack.shape[1:] == gt_stack.shape[1:] == (2, *shape):
+            _probability_pair(pred_stack[:, 0], pred_stack[:, 1], lead=(len(ids),))
+            return pred_stack, gt_stack
+    except (TypeError, ValueError):  # ragged, not numbers, or out of range
+        pass
+    for i, vid in enumerate(ids):
+        if not isinstance(preds[vid], BinaryParse):
+            pred[i] = _probability_pair(*pred[i])
+        if gt[i][0].shape != shape:
+            raise DimensionError(
+                f"video {vid} has ground truth T x C = {gt[i][0].shape}, but the first "
+                f"video {first} has {shape}; every video of a corpus needs the same T and C"
+            )
+        if pred[i][0].shape != shape:
+            raise DimensionError(
+                f"video {vid}: prediction shape {pred[i][0].shape} vs ground truth {shape}"
+            )
+    return np.array(pred), np.array(gt)
+
+
 def full_report(preds, gts, thresholds=None, config=None):
     """All nine metrics at segment and event level, plus the segment confusion
     rates per event type, over an aligned corpus of one T x C.
@@ -343,9 +394,11 @@ def full_report(preds, gts, thresholds=None, config=None):
     `preds` maps video id to either a BinaryParse or a (probs_audio,
     probs_visual) pair that is thresholded here; `gts` maps video id to a
     BinaryParse. Prediction and ground-truth ids must match, the corpus must
-    not be empty, and every parse must have the first video's T x C. Events
-    match at IoU 0.5. Videos are scored `SCORE_BLOCK_VIDEOS` at a time, and
-    the report is independent of enumeration order.
+    not be empty, the threshold must suit its C, and every parse must have the
+    first video's T x C. Events match at IoU 0.5. Videos are checked and
+    scored `SCORE_BLOCK_VIDEOS` at a time: each block's probabilities pass the
+    pair rule once as one stack, and an error names the first bad video. The
+    report is independent of enumeration order.
     """
     config = config or MetricConfig()
     config.validate()
@@ -356,23 +409,6 @@ def full_report(preds, gts, thresholds=None, config=None):
         raise ConfigError("no videos to score")
     ids = sorted(preds)
     shape = gts[ids[0]].audio.shape
-    parses = []
-    for vid in ids:
-        pred, gt = preds[vid], gts[vid]
-        if isinstance(pred, BinaryParse):
-            pred = pred.audio, pred.visual
-        else:
-            pred = _probability_pair(*pred)
-        if gt.audio.shape != shape:
-            raise DimensionError(
-                f"video {vid} has ground truth T x C = {gt.audio.shape}, but the first "
-                f"video {ids[0]} has {shape}; every video of a corpus needs the same T and C"
-            )
-        if pred[0].shape != shape:
-            raise DimensionError(
-                f"video {vid}: prediction shape {pred[0].shape} vs ground truth {shape}"
-            )
-        parses.append((pred, (gt.audio, gt.visual)))
     # 0 and 1 threshold to themselves, so a BinaryParse goes through as is
     thr = _check_threshold(0.5 if thresholds is None else thresholds, shape[1])
     # level x (tp, fp, fn) x stream x video; each stream's V counts form one
@@ -380,7 +416,7 @@ def full_report(preds, gts, thresholds=None, config=None):
     counts = np.empty((2, 3, len(STREAMS), len(ids)), dtype=np.int64)
     for lo in range(0, len(ids), SCORE_BLOCK_VIDEOS):
         block = slice(lo, lo + SCORE_BLOCK_VIDEOS)
-        pred, gt = np.array(parses[block]).swapaxes(0, 1)
+        pred, gt = _checked_block(ids[block], preds, gts, ids[0], shape)
         pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
         gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
         counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))

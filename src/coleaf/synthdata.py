@@ -8,6 +8,8 @@ order-independent and reproducible.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -15,7 +17,10 @@ import numpy as np
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
 from .fileio import json_lines, parse_record, write_json_lines
-from .metrics import BinaryParse, record_eq
+from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, record_eq
+
+
+_FLOAT_FIELDS = ("event_rate", "p_audio_only", "p_visual_only", "p_audible_visible", "leak", "noise_sigma")
 
 
 @dataclass(eq=False)
@@ -38,16 +43,20 @@ class CorpusSpec:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         mix = self.p_audio_only + self.p_visual_only + self.p_audible_visible
-        if abs(mix - 1.0) > 1e-9:
+        if not abs(mix - 1.0) <= 1e-9:
             raise ConfigError(f"event-type mix must sum to 1, got {mix}")
-        if min(self.p_audio_only, self.p_visual_only, self.p_audible_visible) < 0:
+        if not min(self.p_audio_only, self.p_visual_only, self.p_audible_visible) >= 0:
             raise ConfigError("event-type probabilities must be non-negative")
         if not 0.0 <= self.leak <= 1.0:
             raise ConfigError(f"leak must lie in [0,1], got {self.leak}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError("noise_sigma must be non-negative")
-        if self.event_rate < 0 or self.event_rate > self.classes:
+        if not 0 <= self.event_rate <= self.classes:
             raise ConfigError(
                 f"event_rate must lie in [0, {self.classes}] for {self.classes} classes, "
                 f"got {self.event_rate}"
@@ -60,8 +69,8 @@ class CorpusSpec:
                 raise ConfigError("cooccur must be symmetric")
             if np.any(np.diag(m) != 0):
                 raise ConfigError("cooccur must have a zero diagonal")
-            if np.any(m < 0):
-                raise ConfigError("cooccur boosts must be non-negative")
+            if not (np.isfinite(m).all() and np.all(m >= 0)):
+                raise ConfigError("cooccur boosts must be finite and non-negative")
 
     def to_mapping(self):
         return asdict(self)
@@ -233,7 +242,13 @@ def save_corpus(corpus, path):
 
 
 def load_corpus(path):
-    """Read a corpus file written by `save_corpus`; round-trips bit-exactly."""
+    """Read a corpus file written by `save_corpus`; round-trips bit-exactly.
+
+    Video records are checked `SCORE_BLOCK_VIDEOS` at a time, each rule once
+    over the block's stacked fields, and each video's arrays are views into
+    its block's stacks. A faulty record is a `FileFormatError` at its line,
+    and the earliest faulty line of the file is the one named.
+    """
     lines = json_lines(path)
     header_line, raw = next(lines, (1, None))
     if raw is None:
@@ -242,29 +257,19 @@ def load_corpus(path):
     t, c, d = header["T"], header["C"], header["D"]
     if any(type(n) is not int or n < 1 for n in (t, c, d)):
         raise FileFormatError(f"{path}:{header_line}: T, C and D must be positive integers")
-    samples, id_lines, line_no = [], {}, header_line
+    samples, id_lines, block, line_no = [], {}, [], header_line
     for line_no, raw in lines:
-        rec = parse_record(raw, ("id", "audio", "visual", "weak_label"), path, line_no)
-        check_video_id(rec["id"], id_lines, path, line_no)
         try:
-            gt = None
-            if rec.get("gt_audio") is not None:
-                gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
-            sample = VideoSample(
-                id=rec["id"],
-                audio_tokens=rec["audio"],
-                visual_tokens=rec["visual"],
-                weak_label=rec["weak_label"],
-                gt=gt,
-            )
-        except (TypeError, ValueError, DimensionError) as err:
-            raise FileFormatError(f"{path}:{line_no}: {err}") from err
-        if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
-            raise FileFormatError(
-                f"{path}:{line_no}: video {sample.id} has T x D {sample.audio_tokens.shape} "
-                f"and C {sample.n_classes}, header says T={t}, D={d}, C={c}"
-            )
-        samples.append(sample)
+            rec = parse_record(raw, ("id", "audio", "visual", "weak_label"), path, line_no)
+            check_video_id(rec["id"], id_lines, path, line_no)
+        except FileFormatError:
+            _block_samples(block, path, (t, c, d))  # a fault on an earlier line comes first
+            raise
+        block.append((line_no, rec))
+        if len(block) == SCORE_BLOCK_VIDEOS:
+            samples += _block_samples(block, path, (t, c, d))
+            block = []
+    samples += _block_samples(block, path, (t, c, d))
     if len(samples) != header["n_videos"]:
         raise FileFormatError(
             f"{path}:{line_no}: header promises {header['n_videos']} videos, found {len(samples)}"
@@ -282,6 +287,58 @@ def load_corpus(path):
         class_names=None if names == _default_class_names(c) else names,
         shape=(t, c, d) if spec is None and not samples else None,
     )
+
+
+def _block_samples(block, path, shape):
+    """The videos of `block`, a list of `(line_no, record)`, of the header's (T, C, D).
+
+    They are built by `VideoSample.from_block`. If that fails, or the records
+    do not stack (another shape, ground truth on some only), each record is
+    built on its own, so an error names the first faulty line.
+    """
+    recs = [rec for _, rec in block]
+    has_gt = [rec.get("gt_audio") is not None for rec in recs]
+    if recs and (all(has_gt) or not any(has_gt)):
+        gt_keys = ("gt_audio", "gt_visual") if has_gt[0] else ()
+        try:
+            samples = VideoSample.from_block(
+                [rec["id"] for rec in recs],
+                np.array([rec["audio"] for rec in recs], dtype=np.float64),
+                np.array([rec["visual"] for rec in recs], dtype=np.float64),
+                np.array([rec["weak_label"] for rec in recs]),
+                *(np.array([rec.get(key) for rec in recs]) for key in gt_keys),
+            )
+        except (TypeError, ValueError):  # ragged stacks too; DimensionError is a ValueError
+            pass
+        else:
+            t, c, d = shape
+            if samples[0].audio_tokens.shape == (t, d) and samples[0].n_classes == c:
+                return samples
+    return [_record_sample(line_no, rec, path, shape) for line_no, rec in block]
+
+
+def _record_sample(line_no, rec, path, shape):
+    """The video of one record at `line_no`, of the header's (T, C, D)."""
+    try:
+        gt = None
+        if rec.get("gt_audio") is not None:
+            gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
+        sample = VideoSample(
+            id=rec["id"],
+            audio_tokens=rec["audio"],
+            visual_tokens=rec["visual"],
+            weak_label=rec["weak_label"],
+            gt=gt,
+        )
+    except (TypeError, ValueError, DimensionError) as err:
+        raise FileFormatError(f"{path}:{line_no}: {err}") from err
+    t, c, d = shape
+    if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
+        raise FileFormatError(
+            f"{path}:{line_no}: video {sample.id} has T x D {sample.audio_tokens.shape} "
+            f"and C {sample.n_classes}, header says T={t}, D={d}, C={c}"
+        )
+    return sample
 
 
 def _default_class_names(c):

@@ -11,6 +11,7 @@ from coleaf.branches import (
     reference_forward,
 )
 from coleaf.errors import DimensionError
+from coleaf.metrics import BinaryParse
 
 from oracles import anchor_forward_oracle, reference_forward_oracle
 
@@ -245,3 +246,32 @@ def test_batched_forward_rejects_videos_of_two_lengths():
     params = init_branch_params(8, 3, seed=18)
     with pytest.raises(DimensionError, match="share T x D"):
         anchor_forward([make_sample(rng, t=4), make_sample(rng, t=5)], params)
+
+
+def test_from_block_builds_the_samples_the_constructor_builds():
+    rng = np.random.default_rng(21)
+    b, t, c, d = 5, 4, 3, 8
+    audio, visual = rng.normal(size=(2, b, t, d))
+    weak = rng.integers(0, 2, (b, c))
+    gt_audio, gt_visual = rng.integers(0, 2, (2, b, t, c))
+    ids = [f"v{i}" for i in range(b)]
+    block = VideoSample.from_block(ids, audio, visual, weak, gt_audio, gt_visual)
+    assert block == [
+        VideoSample(ids[i], audio[i], visual[i], weak[i], BinaryParse(gt_audio[i], gt_visual[i]))
+        for i in range(b)
+    ]
+    assert VideoSample.from_block(ids, audio, visual, weak)[2] == VideoSample(ids[2], audio[2], visual[2], weak[2])
+    nan_audio = audio.copy()
+    nan_audio[3, 1, 2] = np.nan
+    for args, error, message in [
+        ((nan_audio, visual, weak), ValueError, "tokens must be finite"),
+        ((audio, visual[:, :, :4], weak), DimensionError, "token matrices must share T x D"),
+        ((audio[:4], visual[:4], weak), DimensionError, "token matrices must share T x D"),
+        ((audio, visual, weak[:4]), DimensionError, r"weak labels must be 5 x C, got \(4, 3\)"),
+        ((audio, visual, weak + 1), ValueError, "weak label must hold only 0 and 1"),
+        ((audio, visual, weak, gt_audio[:, :3], gt_visual[:, :3]), DimensionError,
+         r"ground truth shape \(5, 3, 3\), expected \(5, 4, 3\)"),
+        ((audio, visual, weak, gt_audio, 2 * gt_visual), ValueError, "visual parse must hold only 0 and 1"),
+    ]:
+        with pytest.raises(error, match=message):
+            VideoSample.from_block(ids, *args)

@@ -179,6 +179,38 @@ def test_bad_adam_settings_and_negative_seeds_exit_2_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("learning_rate = nan", "learning_rate must be >= 0, got nan"),
+    ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    ("nce_temperature = inf", "nce_temperature must be finite, got inf"),
+    ("lambda_evt = inf", "lambda_evt must be finite, got inf"),
+    ("adam_eps = inf", "adam_eps must be finite, got inf"),
+    ("lambda_kd = nan", "lambda_kd must be >= 0"),
+])
+def test_non_finite_settings_exit_2_before_training(tmp_path, capsys, setting, message):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
+    cfg = write_config(tmp_path, f"epochs = 1\nbatch_size = 4\n{setting}\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {message}\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-sigma", "nan", "noise_sigma must be a finite number, got nan"),
+    ("--event-rate", "nan", "event_rate must be a finite number, got nan"),
+    ("--p-audio-only", "nan", "p_audio_only must be a finite number, got nan"),
+    ("--noise-sigma", "-1", "noise_sigma must be non-negative"),
+])
+def test_non_finite_corpus_settings_exit_2_before_writing(tmp_path, capsys, flag, value, message):
+    path = tmp_path / "x.jsonl"
+    assert run_cli("gen-data", "--out", str(path), flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {message}\n" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_single_segment_corpus_trains_without_event_contrastive(tmp_path):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4, segments=1)
     out_dir = tmp_path / "run"

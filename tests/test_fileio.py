@@ -10,6 +10,7 @@ from coleaf.branches import init_branch_params
 from coleaf.errors import FileFormatError
 from coleaf.fileio import json_lines, parse_record, write_json_lines
 from coleaf.harness import load_params, load_predictions, save_params, write_predictions
+from coleaf.metrics import SCORE_BLOCK_VIDEOS
 from coleaf.synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 FAULT_MESSAGES = {
@@ -158,17 +159,6 @@ PAYLOAD_FAULTS = {
 }
 
 
-def _spoil_payload(path, line, key, fault):
-    """Apply `fault` to the payload under `key` on `line` of `path`."""
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[line - 1])
-    spoil, message = PAYLOAD_FAULTS[fault]
-    record[key] = spoil(record[key])
-    lines[line - 1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    return message
-
-
 def _saved_corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
     corpus = generate_corpus(CorpusSpec(n_videos=2, segments=3, classes=3, dim=4))
@@ -186,17 +176,129 @@ def _written_predictions(tmp_path, probs_audio=None):
     return preds, path
 
 
+# records in a data file that spans two check blocks
+LONG = SCORE_BLOCK_VIDEOS + 10
+
+
+def _long_file(tmp_path, reader):
+    """A corpus or prediction file of LONG small records: its reader, path and the lines of
+    its first record, one in the middle of the first block, the first of the second block
+    and its last record."""
+    if reader == "corpus":
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(CorpusSpec(n_videos=LONG, segments=3, classes=3, dim=4)), path)
+        first, load = 2, load_corpus  # line 1 is the header
+    else:
+        path = tmp_path / "preds.jsonl"
+        rng = np.random.default_rng(0)
+        write_predictions({f"v{i:03d}": (rng.random((3, 2)), rng.random((3, 2))) for i in range(LONG)}, path)
+        first, load = 1, load_predictions
+    return load, path, (first, first + LONG // 2, first + SCORE_BLOCK_VIDEOS, first + LONG - 1)
+
+
+def _respoil(path, lines, line, record):
+    """Write `lines` to `path` with `record` as JSON text in place of line `line`."""
+    path.write_text("\n".join(lines[: line - 1] + [json.dumps(record)] + lines[line:]) + "\n")
+
+
 @pytest.mark.parametrize("fault", list(PAYLOAD_FAULTS))
 @pytest.mark.parametrize("reader", ["corpus", "predictions"])
 def test_each_reader_names_the_line_of_a_bad_payload(tmp_path, reader, fault):
-    if reader == "corpus":
-        load, (_, path), key = load_corpus, _saved_corpus(tmp_path), "visual"
+    """At the same line wherever the record sits among the check blocks."""
+    load, path, record_lines = _long_file(tmp_path, reader)
+    key = "visual" if reader == "corpus" else "probs_visual"
+    lines = path.read_text().splitlines()
+    for line in record_lines:
+        record = json.loads(lines[line - 1])
+        spoil, message = PAYLOAD_FAULTS[fault]
+        record[key] = spoil(record[key])
+        _respoil(path, lines, line, record)
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+def _ragged_message():
+    with pytest.raises(ValueError) as err:
+        np.asarray([[0.5, 0.5], [0.5]], dtype=np.float64)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("probs_audio", [[1.5, 0.5]] * 3, "audio probabilities hold a non-finite value or one outside [0,1]"),
+        ("probs_visual", [[0.5, float("nan")]] * 3, "visual probabilities hold a non-finite value or one outside [0,1]"),
+        ("probs_audio", [[0.5, 0.5], [0.5]], _ragged_message()),
+        ("probs_audio", [[0.5, 0.5, 0.5]] * 3, "probability matrices must share T x C, got (3, 3) and (3, 2)"),
+    ],
+    ids=["above-one", "nan", "ragged", "shapes-differ"],
+)
+def test_a_bad_probability_names_its_line_anywhere_in_a_long_file(tmp_path, key, value, message):
+    _, path, record_lines = _long_file(tmp_path, "predictions")
+    lines = path.read_text().splitlines()
+    for line in record_lines:
+        _respoil(path, lines, line, dict(json.loads(lines[line - 1]), **{key: value}))
+        with pytest.raises(FileFormatError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def _spoiled_record(text, fault, first_id):
+    """A record line of JSON text with `fault`: a bad value, its closing brace cut off,
+    or the file's first id."""
+    if fault == "bad-json":
+        return text[:-1]
+    record = json.loads(text)
+    if fault == "repeated-id":
+        record["id"] = first_id
+    elif "audio" in record:
+        record["audio"] = [[float("nan")] * 4] * 3
     else:
-        load, (_, path), key = load_predictions, _written_predictions(tmp_path), "probs_visual"
-    message = _spoil_payload(path, 2, key, fault)
-    with pytest.raises(FileFormatError) as err:
-        load(path)
-    assert str(err.value).startswith(f"{path}:2: {message}")
+        record["probs_audio"] = [[1.5, 0.5]] * 3
+    return json.dumps(record)
+
+
+def _fault_message(fault, reader, first_id, first_line):
+    return {
+        "value": "tokens must be finite" if reader == "corpus"
+        else "audio probabilities hold a non-finite value or one outside [0,1]",
+        "bad-json": "Expecting ',' delimiter",
+        "repeated-id": f"id {first_id!r} repeats line {first_line}",
+    }[fault]
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [("value", "value"), ("value", "bad-json"), ("value", "repeated-id"), ("bad-json", "value"),
+     ("repeated-id", "value")],
+)
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_a_file_with_two_faults_names_the_earlier_line(tmp_path, reader, earlier, later):
+    load, path, (first, middle, _, last) = _long_file(tmp_path, reader)
+    lines = path.read_text().splitlines()
+    first_id = json.loads(lines[first - 1])["id"]
+    # both in one block, then the earlier in the first block and the later in the second
+    for a, b in ((middle, middle + 3), (middle, last)):
+        spoiled = list(lines)
+        spoiled[a - 1] = _spoiled_record(lines[a - 1], earlier, first_id)
+        spoiled[b - 1] = _spoiled_record(lines[b - 1], later, first_id)
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{a}: {_fault_message(earlier, reader, first_id, first)}"
+
+
+def test_prediction_records_of_two_shapes_load_one_by_one(tmp_path):
+    """Each record's matrices need only share their own shape; `full_report` rejects the mix."""
+    _, path, (_, middle, _, _) = _long_file(tmp_path, "predictions")
+    lines = path.read_text().splitlines()
+    record = dict(json.loads(lines[middle - 1]), probs_audio=[[0.25] * 5], probs_visual=[[0.5] * 5])
+    _respoil(path, lines, middle, record)
+    preds = load_predictions(path)
+    assert len(preds) == LONG
+    assert [a.shape for a in preds[record["id"]]] == [(1, 5), (1, 5)]
+    assert preds[record["id"]][0].tolist() == record["probs_audio"]
 
 
 def test_a_nan_token_payload_is_rejected_as_before(tmp_path):

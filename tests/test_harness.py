@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,46 @@ def test_config_accepts_the_edges_of_the_adam_ranges():
     TrainConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, seed=0).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", math.nan, "learning_rate must be >= 0, got nan"),
+    ("learning_rate", math.inf, "learning_rate must be finite, got inf"),
+    ("nce_temperature", math.inf, "nce_temperature must be finite, got inf"),
+    ("lambda_evt", math.inf, "lambda_evt must be finite, got inf"),
+    ("adam_eps", math.inf, "adam_eps must be finite, got inf"),
+    ("lambda_kd", math.nan, "lambda_kd must be >= 0"),
+])
+def test_config_rejects_non_finite_settings(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value}).validate()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainConfig.from_mapping({field: str(value)})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+    ("epochs", 1.5, "epochs must be an integer, got 1.5"),
+    ("epochs", True, "epochs must be an integer, got True"),
+    ("unimodal_only", "no", "unimodal_only must be true or false, got 'no'"),
+    ("disable_class_tokens", 1, "disable_class_tokens must be true or false, got 1"),
+    ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
+    ("lambda_kd", False, "lambda_kd must be a number, got False"),
+])
+def test_config_fields_must_have_their_types(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value}).validate()
+    if field in ("seed", "batch_size", "epochs"):  # the bare TypeError this used to end in
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train(desk_corpus(n_videos=4), quick_config(**{field: value}))
+
+
+def test_config_takes_numpy_numbers_and_ints_for_floats():
+    TrainConfig(
+        seed=np.int64(3), epochs=np.int32(2), learning_rate=1, lambda_kd=np.float32(0.5),
+        unimodal_only=np.bool_(True),
+    ).validate()
+
+
 def test_env_seed_override(monkeypatch):
     cfg = quick_config(seed=3)
     monkeypatch.setenv("COLEAF_SEED", "99")
@@ -582,6 +623,39 @@ def test_evaluate_rejects_probabilities_outside_the_unit_interval(bad):
     preds[corpus.samples[1].id][1][0, 0] = bad
     with pytest.raises(ValueError, match=r"visual probabilities .* outside \[0,1\]"):
         evaluate(preds, corpus)
+
+
+def test_a_read_and_scored_corpus_runs_each_record_rule_once_per_block(tmp_path, monkeypatch):
+    """Loading two blocks' worth of videos builds no `VideoSample` or `BinaryParse` one at a
+    time, and the probability rule runs once per block in the reader and in the report."""
+    from coleaf import branches, metrics, synthdata
+
+    n_videos = metrics.SCORE_BLOCK_VIDEOS + 10
+    corpus = desk_corpus(n_videos=n_videos)
+    preds = predict(init_branch_params(8, 4, 5), corpus)
+    corpus_path, preds_path = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+    synthdata.save_corpus(corpus, corpus_path)
+    write_predictions(preds, preds_path)
+    calls = {"records": 0, "pairs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (branches.VideoSample, metrics.BinaryParse):
+        monkeypatch.setattr(cls, "__post_init__", counted("records", cls.__post_init__))
+    for module in (harness, metrics):
+        monkeypatch.setattr(module, "_probability_pair", counted("pairs", metrics._probability_pair))
+    loaded = synthdata.load_corpus(corpus_path)
+    read_back = load_predictions(preds_path)
+    assert calls == {"records": 0, "pairs": 2}
+    report = evaluate(read_back, loaded)
+    assert calls == {"records": 0, "pairs": 4}
+    monkeypatch.undo()
+    assert loaded == corpus
+    assert report.as_dict() == evaluate(preds, corpus).as_dict()
 
 
 def test_load_predictions_skips_blank_lines(tmp_path):

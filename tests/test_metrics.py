@@ -488,6 +488,35 @@ def test_full_report_shape_errors_name_the_shapes():
     assert str(err.value) == "video v: prediction shape (4, 3) vs ground truth (2, 3)"
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda pa, pv: (pa, pv * 0 + 1.5), "visual probabilities hold a non-finite value or one outside [0,1]"),
+        (lambda pa, pv: (np.where(pa > 0.5, np.nan, pa), pv),
+         "audio probabilities hold a non-finite value or one outside [0,1]"),
+        (lambda pa, pv: (pa[:, :2], pv), "probability matrices must share T x C, got (6, 2) and (6, 3)"),
+        (lambda pa, pv: (pa[:4], pv[:4]), "video {vid}: prediction shape (4, 3) vs ground truth (6, 3)"),
+        (lambda pa, pv: (pa, pv, pv), "_probability_pair() takes 2 positional arguments but 3 were given"),
+    ],
+    ids=["above-one", "nan", "shapes-differ", "other-t", "three-matrices"],
+)
+def test_full_report_names_the_first_bad_pair_among_several_blocks(spoil, message):
+    """The error of the first bad video in id order, wherever it sits among the blocks;
+    a second bad video after it, spoilt another way, is not the one reported."""
+    rng = np.random.default_rng(16)
+    n_videos = SCORE_BLOCK_VIDEOS + 20
+    ids = [f"v{i:03d}" for i in range(n_videos)]
+    gts = {vid: BinaryParse(*(rng.uniform(size=(2, 6, 3)) < 0.4)) for vid in ids}
+    for bad in (0, n_videos // 2, SCORE_BLOCK_VIDEOS, n_videos - 1):
+        preds = {vid: (rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3))) for vid in ids}
+        preds[ids[bad]] = spoil(*preds[ids[bad]])
+        if bad < n_videos - 1:  # a later bad video of the same block or the next
+            preds[ids[-1]] = (preds[ids[-1]][0] - 2.0, preds[ids[-1]][1])
+        with pytest.raises((TypeError, ValueError)) as err:
+            full_report(preds, gts)
+        assert str(err.value) == message.format(vid=ids[bad])
+
+
 def test_full_report_rejects_a_corpus_of_two_shapes():
     gts = {
         "a": BinaryParse(np.zeros((2, 3)), np.zeros((2, 3))),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from coleaf.metrics import BinaryParse
+from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse
 from coleaf.errors import ConfigError, FileFormatError
 from coleaf.synthdata import (
     CorpusSpec,
@@ -261,35 +261,68 @@ def test_per_video_streams_independent_of_corpus_size():
         assert a == b
 
 
+# videos in a corpus file whose records span two check blocks
+LONG = SCORE_BLOCK_VIDEOS + 10
+
+
+def _record_lines(n_videos):
+    """The lines of a corpus file's first record, one in the middle of the first block,
+    the first of the second block and the last."""
+    return 2, 2 + n_videos // 2, 2 + SCORE_BLOCK_VIDEOS, 1 + n_videos
+
+
 @pytest.mark.parametrize(
-    "changes",
+    "changes, message",
     [
-        {"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": [[0, 1], [1, 0]]},
-        {"gt_audio": [0, 1], "gt_visual": [1, 0]},
-        {"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": None},
-        {"gt_audio": [[7, 0], [0, 0], [0, 0]]},
-        {"gt_visual": [[0.5, 0], [0, 0], [0, 0]]},
-        {"weak_label": [3, 0]},
-        {"audio": [[float("nan")] * 8] * 3},
-        {"visual": [[float("inf")] * 8] * 3},
+        ({"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": [[0, 1], [1, 0]]},
+         "parse matrices must share T x C, got (3, 2) and (2, 2)"),
+        ({"gt_audio": [0, 1], "gt_visual": [1, 0]}, "parse matrices must share T x C, got (2,) and (2,)"),
+        ({"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": None}, "visual parse must hold only 0 and 1"),
+        ({"gt_audio": [[7, 0], [0, 0], [0, 0]]}, "audio parse must hold only 0 and 1"),
+        ({"gt_visual": [[0.5, 0], [0, 0], [0, 0]]}, "visual parse must hold only 0 and 1"),
+        ({"weak_label": [3, 0]}, "weak label must hold only 0 and 1"),
+        ({"audio": [[float("nan")] * 8] * 3}, "tokens must be finite"),
+        ({"visual": [[float("inf")] * 8] * 3}, "tokens must be finite"),
     ],
     ids=[
         "shapes-differ", "one-dimensional", "visual-missing", "gt-seven", "gt-half",
         "weak-label-three", "nan-token", "infinite-token",
     ],
 )
-def test_bad_ground_truth_names_line(tmp_path, changes):
-    corpus = generate_corpus(small_spec(n_videos=2, segments=3, classes=2))
-    path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[2])
-    rec.update(changes)
-    lines[2] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError) as err:
-        load_corpus(path)
-    assert f"{path}:3:" in str(err.value)
+def test_bad_ground_truth_names_line(tmp_path, changes, message):
+    """The same message at the same line wherever the record sits among the check blocks."""
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=LONG, segments=3, classes=2)))
+    for line in _record_lines(LONG):
+        rec = json.loads(lines[line - 1])
+        rec.update(changes)
+        path.write_text("\n".join(lines[: line - 1] + [json.dumps(rec)] + lines[line:]) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_a_corpus_longer_than_a_block_loads_equal_and_its_videos_stay_apart(tmp_path):
+    corpus = generate_corpus(small_spec(n_videos=LONG))
+    path, _ = _saved_lines(tmp_path, corpus)
+    loaded = load_corpus(path)
+    assert loaded == corpus
+    second = tmp_path / "again.jsonl"
+    save_corpus(loaded, second)
+    assert second.read_bytes() == path.read_bytes()
+    # each video's arrays are its own: writing into one leaves every other as it was
+    for sample in loaded.samples[SCORE_BLOCK_VIDEOS - 1 : SCORE_BLOCK_VIDEOS + 1]:
+        for array in (sample.audio_tokens, sample.visual_tokens, sample.weak_label, sample.gt.audio):
+            array[...] = 7
+    changed = {SCORE_BLOCK_VIDEOS - 1, SCORE_BLOCK_VIDEOS}
+    for i, (a, b) in enumerate(zip(loaded.samples, corpus.samples)):
+        assert (a == b) is (i not in changed), i
+
+
+def test_videos_with_and_without_ground_truth_load_one_by_one(tmp_path):
+    corpus = generate_corpus(small_spec(n_videos=LONG))
+    corpus.samples[5] = dataclasses.replace(corpus.samples[5], gt=None)
+    path, _ = _saved_lines(tmp_path, corpus)
+    assert load_corpus(path) == corpus
 
 
 def _saved_lines(tmp_path, corpus):
@@ -440,6 +473,24 @@ def test_spec_integer_fields_are_checked(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be an integer of at least"):
         small_spec(**{field: value}).validate()
     small_spec(**{field: np.int64(3)}).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_sigma", float("nan")), ("event_rate", float("nan")), ("p_audio_only", float("nan")),
+     ("leak", float("nan")), ("noise_sigma", float("inf")), ("p_visual_only", "0.3"),
+     ("leak", True)],
+)
+def test_spec_float_fields_must_be_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got "):
+        small_spec(**{field: value}).validate()
+
+
+def test_spec_cooccur_boosts_must_be_finite():
+    boosts = np.ones((4, 4)) - np.eye(4)
+    small_spec(cooccur=boosts).validate()
+    with pytest.raises(ConfigError, match="cooccur boosts must be finite and non-negative"):
+        small_spec(cooccur=np.where(boosts > 0, np.inf, 0.0)).validate()
 
 
 def test_records_compare_by_value_and_type():
