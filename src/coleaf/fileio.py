@@ -4,14 +4,24 @@ In JSON Lines data files every float array is one payload object,
 `{"dtype": "<f8", "shape": [...], "b64": "..."}`: the base64 of its
 little-endian float64 bytes, so a round trip is bit-exact without turning
 each float into text. Readers take a nested list as well.
+
+`write_json_lines` formats each record's line by that layout, not through the
+generic JSON walk, and writes the bytes the JSON encoder would. The corpus and
+prediction readers parse with `record_parser`, which checks a payload's dtype
+and shape at its line and leaves its base64 to `stack_floats`: that decodes a
+block's payloads of one field into one buffer. Where a block does not stack,
+`decode_deferred` decodes each record's payloads as `parse_record` would, so
+every error stays the same.
 """
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,27 +65,46 @@ def write_json(path, record, indent=None):
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "b64"))
 
 
+def _float64_b64(array):
+    """The shape of `array` and the base64 text of its little-endian float64 bytes in C order."""
+    data = np.asarray(array, dtype="<f8", order="C")
+    return data.shape, binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
 def _payload(array):
     """A float array as a payload object; any other array as a nested list."""
     if not isinstance(array, np.ndarray) or array.dtype.kind != "f":
         return np.ndarray.tolist(array)
-    data = np.asarray(array, dtype="<f8", order="C")
-    return {"dtype": "<f8", "shape": data.shape, "b64": base64.b64encode(data).decode("ascii")}
+    shape, b64 = _float64_b64(array)
+    return {"dtype": "<f8", "shape": shape, "b64": b64}
 
 
 class _PayloadError(ValueError):
     """A payload object that does not describe a float64 array."""
 
 
-def _from_payload(obj):
-    """`obj` decoded to a writable float64 array if it is a payload object, else `obj`."""
+class _Deferred(dict):
+    """A payload object whose dtype and shape are checked and whose b64 is not decoded yet."""
+
+
+def _checked_payload(obj):
+    """`obj` as a `_Deferred` if it is a payload object of the right dtype and shape, else `obj`."""
     if obj.keys() != _PAYLOAD_KEYS:
         return obj
-    shape, b64 = obj["shape"], obj["b64"]
+    shape = obj["shape"]
     if obj["dtype"] != "<f8":
         raise _PayloadError(f"payload dtype must be '<f8', got {obj['dtype']!r}")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise _PayloadError(f"payload shape must be a list of non-negative integers, got {shape!r}")
+    return _Deferred(obj)
+
+
+def _from_payload(obj):
+    """`obj` decoded to a writable float64 array if it is a payload object, else `obj`."""
+    obj = _checked_payload(obj)
+    if type(obj) is not _Deferred:
+        return obj
+    shape, b64 = obj["shape"], obj["b64"]
     try:
         raw = base64.b64decode(b64, validate=True)
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
@@ -92,12 +121,32 @@ _ENCODER = json.JSONEncoder(default=_payload, check_circular=False)
 _DECODER = json.JSONDecoder(object_hook=_from_payload)
 
 
+def _value_text(value):
+    """`value` as JSON text, the text `_ENCODER` gives it, with float and integer arrays
+    formatted by their layout rather than walked."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            shape, b64 = _float64_b64(value)
+            return f'{{"dtype": "<f8", "shape": {list(shape)}, "b64": "{b64}"}}'
+        if value.dtype.kind in "iu":
+            return str(np.ndarray.tolist(value))
+    return _ENCODER.encode(value)
+
+
+def _line(record):
+    """`record` as one line of JSON text; a dict record's keys must be strings."""
+    if not isinstance(record, dict):
+        return _ENCODER.encode(record)
+    items = (f"{encode_basestring_ascii(k)}: {_value_text(v)}" for k, v in record.items())
+    return "{" + ", ".join(items) + "}"
+
+
 def write_json_lines(path, records):
     """Atomically write each record as one line of JSON, float arrays as payload
     objects and other arrays as nested lists."""
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(_ENCODER.encode(record) + "\n")
+            fh.write(_line(record) + "\n")
 
 
 def json_lines(path):
@@ -117,9 +166,14 @@ def parse_record(raw, required, path, line_no=1):
     missing key or a bad payload raise `FileFormatError` at the line concerned
     (for a payload, the line `raw` starts at).
     """
+    return _decode(_DECODER, raw, required, path, line_no)
+
+
+def _decode(decoder, raw, required, path, line_no):
+    """`parse_record` with `decoder` in place of the one that decodes every payload."""
     try:
         # decoded as `json.loads` decodes bytes, so a UTF-8 BOM is still accepted
-        record = _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+        record = decoder.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path}:{line_no + err.lineno - 1}: {err.msg}") from err
     except _PayloadError as err:
@@ -133,3 +187,64 @@ def parse_record(raw, required, path, line_no=1):
         if key not in record:
             raise FileFormatError(f"{path}:{line_no}: missing key {key}")
     return record
+
+
+def record_parser(path, required, deferred):
+    """A `parse(raw, line_no)` that reads a line of `path` as `parse_record` does, except
+    that a payload object under a key in `deferred` (keys of `required`) stays undecoded,
+    for `stack_floats` or `decode_deferred`.
+
+    Its dtype and shape are checked at its line, its base64 and byte count
+    only when it is decoded, so `parse` passes some lines that `parse_record`
+    rejects. A line with a payload anywhere else is read by `parse_record`.
+    """
+    seen = 0
+
+    def defer(obj):
+        nonlocal seen
+        obj = _checked_payload(obj)
+        seen += type(obj) is _Deferred
+        return obj
+
+    decoder = json.JSONDecoder(object_hook=defer)
+
+    def parse(raw, line_no):
+        nonlocal seen
+        seen = 0
+        record = _decode(decoder, raw, required, path, line_no)
+        if seen != sum(type(record[key]) is _Deferred for key in deferred):
+            return parse_record(raw, required, path, line_no)
+        return record
+
+    return parse
+
+
+def stack_floats(values):
+    """`values` stacked into one writable float64 array, `len(values)` x their shape.
+
+    Payloads that `record_parser` deferred are decoded together into one
+    buffer; other values (nested lists, arrays) are stacked by `np.array`.
+    Values that do not stack, or a payload whose base64 or byte count is bad,
+    raise `ValueError` or `TypeError`; `decode_deferred` then names the fault.
+    """
+    if not values or any(type(value) is not _Deferred for value in values):
+        return np.array(values, dtype=np.float64)
+    shape = values[0]["shape"]
+    need = 8 * math.prod(shape)
+    parts = [binascii.a2b_base64(value["b64"], strict_mode=True) for value in values]
+    if any(value["shape"] != shape for value in values) or any(len(part) != need for part in parts):
+        raise ValueError("the payloads differ in shape or byte count")
+    stack = np.frombuffer(bytearray().join(parts), dtype="<f8")  # over a bytearray, so writable
+    return stack.reshape(len(values), *shape).astype(np.float64, copy=False)
+
+
+def decode_deferred(record, path, line_no):
+    """`record`, from line `line_no` of `path`, with each payload `record_parser` deferred
+    decoded as `parse_record` decodes it; a bad one is a `FileFormatError` at `line_no`."""
+    try:
+        return {
+            key: _from_payload(value) if type(value) is _Deferred else value
+            for key, value in record.items()
+        }
+    except _PayloadError as err:
+        raise FileFormatError(f"{path}:{line_no}: {err}") from err

@@ -21,7 +21,15 @@ from .branches import (
     reference_forward,
 )
 from .errors import ConfigError, DivergenceError, FileFormatError, check_video_id
-from .fileio import json_lines, parse_record, write_json, write_json_lines
+from .fileio import (
+    decode_deferred,
+    json_lines,
+    parse_record,
+    record_parser,
+    stack_floats,
+    write_json,
+    write_json_lines,
+)
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -456,6 +464,9 @@ def write_predictions(preds, path):
     )
 
 
+_PREDICTION_KEYS = ("id", "probs_audio", "probs_visual")
+
+
 def load_predictions(path):
     """Read a file written by `write_predictions`.
 
@@ -463,15 +474,18 @@ def load_predictions(path):
     shape with every value in [0,1]; anything else is a `FileFormatError`
     naming the line, the earliest faulty line of the file. Lines are checked
     `SCORE_BLOCK_VIDEOS` at a time, the probability rule once over the block's
-    stacked matrices, and each pair is a view into its block's stacks.
+    stacked matrices, and each pair is a view into its block's stacks; a
+    block's payloads are decoded together.
     """
+    parse = record_parser(path, _PREDICTION_KEYS, _PREDICTION_KEYS[1:])
     preds, id_lines, block = {}, {}, []
     for line_no, raw in json_lines(path):
         try:
-            rec = parse_record(raw, ("id", "probs_audio", "probs_visual"), path, line_no)
+            rec = parse(raw, line_no)
             check_video_id(rec["id"], id_lines, path, line_no)
         except FileFormatError:
-            _prediction_block(block, path)  # a fault on an earlier line comes first
+            _prediction_block(block, path)  # an earlier line's fault comes first,
+            parse_record(raw, _PREDICTION_KEYS, path, line_no)  # then this line's, payloads decoded
             raise
         block.append((line_no, rec))
         if len(block) == SCORE_BLOCK_VIDEOS:
@@ -491,8 +505,8 @@ def _prediction_block(block, path):
     ids = [rec["id"] for _, rec in block]
     try:
         pa, pv = _probability_pair(
-            np.array([rec["probs_audio"] for _, rec in block], dtype=np.float64),
-            np.array([rec["probs_visual"] for _, rec in block], dtype=np.float64),
+            stack_floats([rec["probs_audio"] for _, rec in block]),
+            stack_floats([rec["probs_visual"] for _, rec in block]),
             lead=(len(block),),
         )
         return zip(ids, zip(pa, pv))
@@ -500,6 +514,7 @@ def _prediction_block(block, path):
         pass
     pairs = []
     for vid, (line_no, rec) in zip(ids, block):
+        rec = decode_deferred(rec, path, line_no)
         try:
             pairs.append((vid, _probability_pair(rec["probs_audio"], rec["probs_visual"])))
         except (TypeError, ValueError) as err:

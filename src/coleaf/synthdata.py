@@ -16,7 +16,14 @@ import numpy as np
 
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
-from .fileio import json_lines, parse_record, write_json_lines
+from .fileio import (
+    decode_deferred,
+    json_lines,
+    parse_record,
+    record_parser,
+    stack_floats,
+    write_json_lines,
+)
 from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, record_eq
 
 
@@ -241,13 +248,17 @@ def save_corpus(corpus, path):
     write_json_lines(path, [header, *records])
 
 
+_VIDEO_KEYS = ("id", "audio", "visual", "weak_label")
+
+
 def load_corpus(path):
     """Read a corpus file written by `save_corpus`; round-trips bit-exactly.
 
     Video records are checked `SCORE_BLOCK_VIDEOS` at a time, each rule once
     over the block's stacked fields, and each video's arrays are views into
-    its block's stacks. A faulty record is a `FileFormatError` at its line,
-    and the earliest faulty line of the file is the one named.
+    its block's stacks; a block's token payloads are decoded together. A
+    faulty record is a `FileFormatError` at its line, and the earliest faulty
+    line of the file is the one named.
     """
     lines = json_lines(path)
     header_line, raw = next(lines, (1, None))
@@ -257,13 +268,17 @@ def load_corpus(path):
     t, c, d = header["T"], header["C"], header["D"]
     if any(type(n) is not int or n < 1 for n in (t, c, d)):
         raise FileFormatError(f"{path}:{header_line}: T, C and D must be positive integers")
+    if type(header["n_videos"]) is not int or header["n_videos"] < 0:
+        raise FileFormatError(f"{path}:{header_line}: n_videos must be a non-negative integer")
+    parse = record_parser(path, _VIDEO_KEYS, ("audio", "visual"))
     samples, id_lines, block, line_no = [], {}, [], header_line
     for line_no, raw in lines:
         try:
-            rec = parse_record(raw, ("id", "audio", "visual", "weak_label"), path, line_no)
+            rec = parse(raw, line_no)
             check_video_id(rec["id"], id_lines, path, line_no)
         except FileFormatError:
-            _block_samples(block, path, (t, c, d))  # a fault on an earlier line comes first
+            _block_samples(block, path, (t, c, d))  # an earlier line's fault comes first,
+            parse_record(raw, _VIDEO_KEYS, path, line_no)  # then this line's, payloads decoded
             raise
         block.append((line_no, rec))
         if len(block) == SCORE_BLOCK_VIDEOS:
@@ -303,8 +318,8 @@ def _block_samples(block, path, shape):
         try:
             samples = VideoSample.from_block(
                 [rec["id"] for rec in recs],
-                np.array([rec["audio"] for rec in recs], dtype=np.float64),
-                np.array([rec["visual"] for rec in recs], dtype=np.float64),
+                stack_floats([rec["audio"] for rec in recs]),
+                stack_floats([rec["visual"] for rec in recs]),
                 np.array([rec["weak_label"] for rec in recs]),
                 *(np.array([rec.get(key) for rec in recs]) for key in gt_keys),
             )
@@ -314,7 +329,10 @@ def _block_samples(block, path, shape):
             t, c, d = shape
             if samples[0].audio_tokens.shape == (t, d) and samples[0].n_classes == c:
                 return samples
-    return [_record_sample(line_no, rec, path, shape) for line_no, rec in block]
+    return [
+        _record_sample(line_no, decode_deferred(rec, path, line_no), path, shape)
+        for line_no, rec in block
+    ]
 
 
 def _record_sample(line_no, rec, path, shape):

@@ -302,6 +302,21 @@ def test_non_object_params_and_a_mismatched_corpus_spec_exit_2(tmp_path, capsys)
     assert not preds.exists() and not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("n_videos", [True, 1.0, -1], ids=["bool", "float", "negative"])
+def test_predict_of_a_corpus_with_a_bad_video_count_exits_2(tmp_path, capsys, n_videos):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=1)
+    params = _trained(tmp_path, corpus)
+    lines = corpus.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), n_videos=n_videos))
+    corpus.write_text("\n".join(lines) + "\n")
+    preds = tmp_path / "p.jsonl"
+    status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {corpus}:1: n_videos must be a non-negative integer\n" in err
+    assert "Traceback" not in err and not preds.exists()
+
+
 def test_malformed_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")

@@ -1,5 +1,7 @@
+import base64
 import codecs
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from coleaf.branches import init_branch_params
 from coleaf.errors import FileFormatError
-from coleaf.fileio import json_lines, parse_record, write_json_lines
+from coleaf.fileio import _ENCODER, json_lines, parse_record, write_json_lines
 from coleaf.harness import load_params, load_predictions, save_params, write_predictions
 from coleaf.metrics import SCORE_BLOCK_VIDEOS
 from coleaf.synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
@@ -151,6 +153,67 @@ def test_int_arrays_stay_nested_lists(tmp_path):
     assert path.read_text() == '{"x": [[1, 0], [0, 1]]}\n'
 
 
+def _int_extremes(dtype):
+    info = np.iinfo(dtype)
+    return np.array([[info.min, 0, info.max], [1, 2, 3]], dtype=dtype)
+
+
+_GRID = np.arange(12.0).reshape(3, 4) / 7
+WRITER_VALUES = {
+    **{
+        name: (_GRID * [1, -1, 1e30, np.inf]).astype(name)
+        for name in ("float16", "float32", "float64")
+    },
+    **{
+        name: _int_extremes(name)
+        for name in ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")
+    },
+    "bool": np.array([[True, False], [False, True]]),
+    "0-d-float": np.array(2.5),
+    "0-d-int": np.array(-7, dtype=np.int32),
+    "0-d-bool": np.array(True),
+    "empty-float": np.zeros((0, 3)),
+    "empty-int": np.zeros((2, 0), dtype=np.int64),
+    "fortran-float": np.asfortranarray(_GRID),
+    "fortran-int": np.asfortranarray(np.arange(6).reshape(2, 3)),
+    "strided-float": _GRID[::2, ::-3],
+    "strided-int": np.arange(20, dtype=np.int16)[::3],
+    "none": None,
+    "nested-spec": {"segments": 3, "leak": 0.25, "cooccur": np.eye(3) * 2.5, "ids": ["a", 1]},
+}
+WRITER_IDS = ["vid00000", 'say "hi"', "back\\slash\\", "caf\u00e9 \u6f22 \U0001f600", "tab\tnewline\n"]
+
+
+@pytest.mark.parametrize("vid", WRITER_IDS, ids=["plain", "quotes", "backslashes", "non-ascii", "controls"])
+@pytest.mark.parametrize("value", list(WRITER_VALUES.values()), ids=list(WRITER_VALUES))
+def test_each_line_is_the_text_the_json_encoder_gives_it(tmp_path, vid, value):
+    path = tmp_path / "lines.jsonl"
+    records = [{"id": vid, "x": value, "y": None}, {"x": value, "id": vid}]
+    write_json_lines(path, records)
+    assert path.read_bytes() == "".join(_ENCODER.encode(r) + "\n" for r in records).encode("ascii")
+
+
+def test_bool_arrays_are_written_as_json_booleans(tmp_path):
+    path = tmp_path / "bools.jsonl"
+    write_json_lines(path, [{"x": np.array([True, False])}])
+    assert path.read_text() == '{"x": [true, false]}\n'
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    array=arrays(
+        st.sampled_from([np.float16, np.float32, np.float64, np.int8, np.uint16, np.int64, np.uint64, np.bool_]),
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    vid=st.text(max_size=8),
+)
+def test_any_record_line_is_the_text_the_json_encoder_gives_it(tmp_path, array, vid):
+    path = tmp_path / "lines.jsonl"
+    records = [{vid: array, "t": array.T, "s": array.reshape(-1)[::-2]}]
+    write_json_lines(path, records)
+    assert path.read_bytes() == (_ENCODER.encode(records[0]) + "\n").encode("ascii")
+
+
 PAYLOAD_FAULTS = {
     "byte-count": (lambda p: dict(p, b64=p["b64"][:-12]), "payload holds "),
     "base64": (lambda p: dict(p, b64="not base64!"), "payload b64 is not base64"),
@@ -246,11 +309,14 @@ def test_a_bad_probability_names_its_line_anywhere_in_a_long_file(tmp_path, key,
 
 def _spoiled_record(text, fault, first_id):
     """A record line of JSON text with `fault`: a bad value, its closing brace cut off,
-    or the file's first id."""
+    the file's first id, or one of `PAYLOAD_FAULTS` in its visual payload."""
     if fault == "bad-json":
         return text[:-1]
     record = json.loads(text)
-    if fault == "repeated-id":
+    if fault in PAYLOAD_FAULTS:
+        key = "visual" if "visual" in record else "probs_visual"
+        record[key] = PAYLOAD_FAULTS[fault][0](record[key])
+    elif fault == "repeated-id":
         record["id"] = first_id
     elif "audio" in record:
         record["audio"] = [[float("nan")] * 4] * 3
@@ -260,6 +326,8 @@ def _spoiled_record(text, fault, first_id):
 
 
 def _fault_message(fault, reader, first_id, first_line):
+    if fault in PAYLOAD_FAULTS:
+        return _payload_message(fault, reader)
     return {
         "value": "tokens must be finite" if reader == "corpus"
         else "audio probabilities hold a non-finite value or one outside [0,1]",
@@ -287,6 +355,218 @@ def test_a_file_with_two_faults_names_the_earlier_line(tmp_path, reader, earlier
         with pytest.raises(FileFormatError) as err:
             load(path)
         assert str(err.value) == f"{path}:{a}: {_fault_message(earlier, reader, first_id, first)}"
+
+
+# the float array `_spoiled_record` spoils for each reader, and its shape in `_long_file`
+_PAYLOAD_KEY = {"corpus": ("visual", [3, 4]), "predictions": ("probs_visual", [3, 2])}
+
+
+def _payload_message(fault, reader):
+    _, shape = _PAYLOAD_KEY[reader]
+    if fault == "base64":
+        return "payload b64 is not base64: Only base64 data is allowed"
+    need = 8 * math.prod(shape)
+    held = len(base64.b64decode(base64.b64encode(bytes(need)).decode()[:-12]))
+    return f"payload holds {held} bytes, shape {shape} of float64 needs {need}"
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [("base64", "value"), ("byte-count", "value"), ("value", "base64"), ("value", "byte-count"),
+     ("base64", "bad-json"), ("byte-count", "bad-json"), ("base64", "repeated-id"),
+     ("byte-count", "repeated-id"), ("byte-count", "base64")],
+)
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_a_payload_fault_and_another_name_the_earlier_line(tmp_path, reader, earlier, later):
+    """A payload's base64 is decoded with its block, after its line is read; the earlier
+    faulty line is still the one named, with the message it has when read alone."""
+    load, path, (first, middle, boundary, last) = _long_file(tmp_path, reader)
+    lines = path.read_text().splitlines()
+    first_id = json.loads(lines[first - 1])["id"]
+    # in one block, in the two blocks, and on either side of the block boundary
+    for a, b in ((middle, middle + 3), (middle, last), (boundary - 1, boundary)):
+        spoiled = list(lines)
+        spoiled[a - 1] = _spoiled_record(lines[a - 1], earlier, first_id)
+        spoiled[b - 1] = _spoiled_record(lines[b - 1], later, first_id)
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{a}: {_fault_message(earlier, reader, first_id, first)}"
+
+
+@pytest.mark.parametrize("other", ["bad-json", "repeated-id", "missing-id"])
+@pytest.mark.parametrize("fault", ["base64", "byte-count"])
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_a_line_with_a_payload_fault_and_another_fault_names_the_payload(tmp_path, reader, fault, other):
+    """As a line decoded at once reports it: the payload fails before the rest of its line."""
+    load, path, record_lines = _long_file(tmp_path, reader)
+    lines = path.read_text().splitlines()
+    first_id = json.loads(lines[record_lines[0] - 1])["id"]
+    for line in record_lines[1:]:
+        text = _spoiled_record(lines[line - 1], fault, "")
+        if other == "missing-id":
+            text = json.dumps({k: v for k, v in json.loads(text).items() if k != "id"})
+        else:
+            text = _spoiled_record(text, other, first_id)
+        path.write_text("\n".join(lines[: line - 1] + [text] + lines[line:]) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{line}: {_payload_message(fault, reader)}"
+
+
+@pytest.mark.parametrize("where", ["other-key", "shadowed", "nested"])
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_a_bad_payload_anywhere_in_a_line_is_named(tmp_path, reader, where):
+    """Under a key the reader does not use, under a key that appears twice, or inside a list."""
+    load, path, record_lines = _long_file(tmp_path, reader)
+    key, _ = _PAYLOAD_KEY[reader]
+    lines = path.read_text().splitlines()
+    for line in record_lines:
+        good = lines[line - 1]
+        bad = json.loads(_spoiled_record(good, "base64", ""))[key]
+        if where == "shadowed":  # a repeated key keeps its last value
+            text = good[:-1] + f', "{key}": ' + json.dumps(json.loads(good)[key]) + "}"
+            text = text.replace(json.dumps(json.loads(good)[key]), json.dumps(bad), 1)
+        else:
+            text = good[:-1] + ', "extra": ' + json.dumps(bad if where == "other-key" else [1, bad]) + "}"
+        path.write_text("\n".join(lines[: line - 1] + [text] + lines[line:]) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{line}: {_payload_message('base64', reader)}"
+
+
+@pytest.mark.parametrize("stray", ["*", " ", "\n", "=", "-"])
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_a_payload_with_a_stray_character_is_named(tmp_path, reader, stray):
+    """Strict base64 only: a lenient decoder would skip the character and read the right bytes."""
+    load, path, record_lines = _long_file(tmp_path, reader)
+    key, _ = _PAYLOAD_KEY[reader]
+    lines = path.read_text().splitlines()
+    for line in record_lines:
+        record = json.loads(lines[line - 1])
+        b64 = record[key]["b64"][:8] + stray + record[key]["b64"][8:]
+        record[key] = dict(record[key], b64=b64)
+        _respoil(path, lines, line, record)
+        with pytest.raises(ValueError) as strict:
+            base64.b64decode(b64, validate=True)
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{line}: payload b64 is not base64: {strict.value}"
+
+
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_payload_byte_counts_that_cancel_out_in_a_block_name_the_first(tmp_path, reader):
+    """One payload 8 bytes short and the next 8 bytes long hold a block's bytes between them."""
+    load, path, (_, middle, boundary, last) = _long_file(tmp_path, reader)
+    key, shape = _PAYLOAD_KEY[reader]
+    need = 8 * math.prod(shape)
+    lines = path.read_text().splitlines()
+    for short, long in ((middle, middle + 1), (boundary, last)):
+        spoiled = list(lines)
+        for line, size in ((short, need - 8), (long, need + 8)):
+            record = json.loads(lines[line - 1])
+            record[key] = dict(record[key], b64=base64.b64encode(bytes(size)).decode())
+            spoiled[line - 1] = json.dumps(record)
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        message = f"payload holds {need - 8} bytes, shape {shape} of float64 needs {need}"
+        assert str(err.value) == f"{path}:{short}: {message}"
+
+
+def _nested_list_line(text):
+    """A record line of JSON text with its payload objects written as nested lists."""
+    record = parse_record(text.encode(), (), "-")
+    return json.dumps(record, default=np.ndarray.tolist)
+
+
+def _same_load(reader, got, want):
+    if reader == "corpus":
+        return got == want
+    return got.keys() == want.keys() and all(
+        a.tobytes() == b.tobytes() for vid in want for a, b in zip(got[vid], want[vid])
+    )
+
+
+@pytest.mark.parametrize("reader", ["corpus", "predictions"])
+def test_blocks_that_mix_payload_and_nested_list_records(tmp_path, reader):
+    """They load as their all-payload twin, and of two faults the earlier line is named."""
+    load, path, (first, _, boundary, last) = _long_file(tmp_path, reader)
+    lines = path.read_text().splitlines()
+    want = load(path)
+    mixed = list(lines)
+    for line in range(first + 1, last + 1, 2):  # every other record, from the second
+        mixed[line - 1] = _nested_list_line(lines[line - 1])
+    path.write_text("\n".join(mixed) + "\n")
+    assert _same_load(reader, load(path), want)
+    payload, listed = first + 2 * (LONG // 4), first + 2 * (LONG // 4) + 3
+    assert '"b64"' in mixed[payload - 1] and '"b64"' not in mixed[listed - 1]
+    # (line, fault) pairs, the earlier first: in one block, then across the two blocks
+    for faults in (
+        ((payload, "byte-count"), (listed, "value")),
+        ((listed, "value"), (listed + 1, "base64")),
+        ((payload, "base64"), (boundary + 1, "value")),
+        ((listed, "value"), (boundary, "byte-count")),
+    ):
+        spoiled = list(mixed)
+        for line, fault in faults:
+            spoiled[line - 1] = _spoiled_record(mixed[line - 1], fault, "")
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        (line, fault), _ = faults
+        assert str(err.value) == f"{path}:{line}: {_fault_message(fault, reader, '', first)}"
+
+
+def test_prediction_payloads_of_two_shapes_load_one_by_one(tmp_path):
+    """And a bad payload after the odd one is still named."""
+    _, path, (_, middle, _, last) = _long_file(tmp_path, "predictions")
+    lines = path.read_text().splitlines()
+    odd = {"id": json.loads(lines[middle - 1])["id"], "probs_audio": np.full((1, 5), 0.25),
+           "probs_visual": np.full((1, 5), 0.5)}
+    lines[middle - 1] = _ENCODER.encode(odd)
+    assert lines[middle - 1].count('"b64"') == 2
+    path.write_text("\n".join(lines) + "\n")
+    preds = load_predictions(path)
+    assert len(preds) == LONG
+    assert [a.tolist() for a in preds[odd["id"]]] == [[[0.25] * 5], [[0.5] * 5]]
+    for later in (middle + 2, last):
+        spoiled = list(lines)
+        spoiled[later - 1] = _spoiled_record(lines[later - 1], "byte-count", "")
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:{later}: {_payload_message('byte-count', 'predictions')}"
+
+
+def test_a_corpus_payload_of_another_shape_is_named_before_a_later_bad_payload(tmp_path):
+    load, path, (_, middle, boundary, last) = _long_file(tmp_path, "corpus")
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[middle - 1])
+    record["audio"] = json.loads(_ENCODER.encode(np.zeros((2, 4))))
+    lines[middle - 1] = json.dumps(record)
+    for later in (middle + 1, boundary, last):
+        spoiled = list(lines)
+        spoiled[later - 1] = _spoiled_record(lines[later - 1], "base64", "")
+        path.write_text("\n".join(spoiled) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{middle}: token matrices must share T x D, got (2, 4) and (3, 4)"
+
+
+def test_loaded_prediction_pairs_are_writable_and_their_own(tmp_path):
+    """Writing into the two pairs at the block boundary leaves every other pair as it was."""
+    _, path, _ = _long_file(tmp_path, "predictions")
+    preds, again = load_predictions(path), load_predictions(path)
+    assert all(a.flags.writeable for pair in preds.values() for a in pair)
+    ids = list(preds)
+    changed = {SCORE_BLOCK_VIDEOS - 1, SCORE_BLOCK_VIDEOS}
+    for i in changed:
+        for array in preds[ids[i]]:
+            array[...] = 0.5
+    for i, vid in enumerate(ids):
+        same = all(np.array_equal(a, b) for a, b in zip(preds[vid], again[vid]))
+        assert same is (i not in changed), i
 
 
 def test_prediction_records_of_two_shapes_load_one_by_one(tmp_path):

@@ -31,6 +31,20 @@ def test_only_fileio_parses_json():
     )
 
 
+def test_only_fileio_encodes_json():
+    encode = re.compile(r"\bjson\.dumps?\b|\bJSONEncoder\b|\bencode_basestring")
+    encoders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fileio.py" and encode.search(path.read_text(encoding="utf-8"))
+    )
+    assert encoders == [], (
+        f"{', '.join(encoders)} encode JSON themselves. Data lines are written by "
+        "coleaf.fileio.write_json_lines alone, which formats each line by its known layout "
+        "with the bytes the JSON encoder would give, and other JSON by write_json."
+    )
+
+
 def test_only_fileio_imports_base64():
     imports_base64 = re.compile(
         r"^\s*(from\s+(base64|binascii)\s+import|import\s[^#\n]*\b(base64|binascii)\b)", re.M

@@ -389,6 +389,17 @@ def test_header_video_count_must_match_the_records(tmp_path):
     assert f"{path}:4: header promises 5 videos, found 3" in str(err.value)
 
 
+@pytest.mark.parametrize("n_videos", [True, 1.0, -1, "1", None], ids=["bool", "float", "negative", "text", "null"])
+def test_header_video_count_must_be_a_non_negative_integer(tmp_path, n_videos):
+    """At the header's line, as T, C and D are, even where the count would match."""
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=1)))
+    lines[0] = json.dumps(dict(json.loads(lines[0]), n_videos=n_videos))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}:1: n_videos must be a non-negative integer"
+
+
 def test_cooccur_spec_round_trips_and_regenerates_the_corpus(tmp_path):
     cooccur = np.full((4, 4), 2.0) - 2.0 * np.eye(4)
     corpus = generate_corpus(small_spec(n_videos=4, cooccur=cooccur))
