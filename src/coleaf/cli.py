@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
+import stat
 import sys
 
 from .errors import (
@@ -49,11 +51,26 @@ def _load_config(args):
     return apply_env_seed(config)
 
 
+def _check_out_dir(path):
+    """Raise the `OSError` that writing `path` would meet for want of its directory, naming
+    `path`, so that a command fails before its work rather than after it."""
+    head = os.path.dirname(path) or os.curdir
+    try:
+        mode = os.stat(head).st_mode
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, path) from None
+    if not stat.S_ISDIR(mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 # every scalar CorpusSpec field is a gen-data flag with the field's default
 _SPEC_FLAGS = [f for f in dataclasses.fields(CorpusSpec) if f.name != "cooccur"]
 
 
 def _cmd_gen_data(args):
+    for out in (args.out, args.eval_out):
+        if out:
+            _check_out_dir(out)  # before the first file, so a bad one leaves neither written
     n_eval = args.eval_videos  # at least 1 with --eval-out, else 0
     values = {f.name: getattr(args, f.name) for f in _SPEC_FLAGS}
     values["n_videos"] += n_eval
@@ -76,8 +93,14 @@ def _cmd_train(args):
     config = _load_config(args)
     corpus = load_corpus(args.corpus)
     eval_corpus = load_corpus(args.eval_corpus) if args.eval_corpus else None
-    params, log = train(corpus, config, eval_corpus=eval_corpus)
-    os.makedirs(args.out, exist_ok=True)
+    made = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)  # before training, so a bad --out costs no work
+    try:
+        params, log = train(corpus, config, eval_corpus=eval_corpus)
+    except BaseException:
+        if made:  # a run that fails leaves no output directory behind
+            os.rmdir(args.out)
+        raise
     params_path = os.path.join(args.out, "params.json")
     log_path = os.path.join(args.out, "trainlog.json")
     save_params(params, params_path)
@@ -111,6 +134,8 @@ def _cmd_eval(args):
 
 
 def _cmd_ablate(args):
+    if args.out:
+        _check_out_dir(args.out)  # before the first variant trains
     config = _load_config(args)
     corpus = load_corpus(args.corpus)
     eval_corpus = load_corpus(args.eval_corpus) if args.eval_corpus else None
@@ -189,7 +214,13 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as err:
+    except (
+        FileNotFoundError,
+        FileExistsError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
+    ) as err:
         # raised by a read or a write alike, so name the path and the reason only
         detail = f"{err.filename}: {err.strerror}" if err.filename else err
         sys.stderr.write(f"coleaf: error: {detail}\n")

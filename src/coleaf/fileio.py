@@ -1,15 +1,17 @@
 """Crash-safe output, and the one place JSON data files are encoded and parsed.
 
-In JSON Lines data files every float array is one payload object,
+In JSON Lines data files every float or integer array is one payload object,
 `{"dtype": "<f8", "shape": [...], "b64": "..."}`: the base64 of its
-little-endian float64 bytes, so a round trip is bit-exact without turning
-each float into text. Readers take a nested list as well.
+little-endian bytes in C order, float64 for a float array and the array's own
+integer dtype (`|u1`, `<i8`, ...) for an integer one, so a round trip is
+bit-exact without turning each number into text. Bool arrays stay JSON
+booleans. Readers take a nested list as well.
 
 `write_json_lines` formats each record's line by that layout, not through the
 generic JSON walk, and writes the bytes the JSON encoder would. The corpus and
 prediction readers parse with `record_parser`, which checks a payload's dtype
-and shape at its line and leaves its base64 to `stack_floats`: that decodes a
-block's payloads of one field into one buffer. Where a block does not stack,
+and shape at its line and leaves its base64 to `stack_payloads`: that decodes
+a block's payloads of one field into one buffer. Where a block does not stack,
 `decode_deferred` decodes each record's payloads as `parse_record` would, so
 every error stays the same.
 """
@@ -63,24 +65,32 @@ def write_json(path, record, indent=None):
 
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "b64"))
+# the dtype a payload may name: float64, which every float array is written as, or the
+# little-endian form of an integer array's own dtype
+_PAYLOAD_DTYPES = {
+    name: np.dtype(name) for name in ("<f8", "|i1", "|u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8")
+}
+_INT_DTYPES_TEXT = ", ".join(repr(name) for name in _PAYLOAD_DTYPES if name != "<f8")
 
 
-def _float64_b64(array):
-    """The shape of `array` and the base64 text of its little-endian float64 bytes in C order."""
-    data = np.asarray(array, dtype="<f8", order="C")
-    return data.shape, binascii.b2a_base64(data, newline=False).decode("ascii")
+def _payload_fields(array):
+    """The dtype string, shape and base64 text of a float or integer array's payload: its
+    little-endian float64 bytes, or those of its own integer dtype, in C order."""
+    dtype = np.dtype("<f8") if array.dtype.kind == "f" else array.dtype.newbyteorder("<")
+    data = np.asarray(array, dtype=dtype, order="C")
+    return dtype.str, data.shape, binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def _payload(array):
-    """A float array as a payload object; any other array as a nested list."""
-    if not isinstance(array, np.ndarray) or array.dtype.kind != "f":
+    """A float or integer array as a payload object; any other array as a nested list."""
+    if not isinstance(array, np.ndarray) or array.dtype.kind not in "fiu":
         return np.ndarray.tolist(array)
-    shape, b64 = _float64_b64(array)
-    return {"dtype": "<f8", "shape": shape, "b64": b64}
+    dtype, shape, b64 = _payload_fields(array)
+    return {"dtype": dtype, "shape": shape, "b64": b64}
 
 
 class _PayloadError(ValueError):
-    """A payload object that does not describe a float64 array."""
+    """A payload object that does not describe a float64 or integer array."""
 
 
 class _Deferred(dict):
@@ -91,28 +101,30 @@ def _checked_payload(obj):
     """`obj` as a `_Deferred` if it is a payload object of the right dtype and shape, else `obj`."""
     if obj.keys() != _PAYLOAD_KEYS:
         return obj
-    shape = obj["shape"]
-    if obj["dtype"] != "<f8":
-        raise _PayloadError(f"payload dtype must be '<f8', got {obj['dtype']!r}")
+    dtype, shape = obj["dtype"], obj["shape"]
+    if not isinstance(dtype, str) or dtype not in _PAYLOAD_DTYPES:
+        raise _PayloadError(
+            f"payload dtype must be '<f8', got {dtype!r}; an integer payload may also be {_INT_DTYPES_TEXT}"
+        )
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise _PayloadError(f"payload shape must be a list of non-negative integers, got {shape!r}")
     return _Deferred(obj)
 
 
 def _from_payload(obj):
-    """`obj` decoded to a writable float64 array if it is a payload object, else `obj`."""
+    """`obj` decoded to a writable array of its dtype if it is a payload object, else `obj`."""
     obj = _checked_payload(obj)
     if type(obj) is not _Deferred:
         return obj
-    shape, b64 = obj["shape"], obj["b64"]
+    shape, b64, dtype = obj["shape"], obj["b64"], _PAYLOAD_DTYPES[obj["dtype"]]
     try:
         raw = base64.b64decode(b64, validate=True)
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
         raise _PayloadError(f"payload b64 is not base64: {err}") from None
-    need = 8 * math.prod(shape)
+    need = dtype.itemsize * math.prod(shape)
     if len(raw) != need:
-        raise _PayloadError(f"payload holds {len(raw)} bytes, shape {shape} of float64 needs {need}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        raise _PayloadError(f"payload holds {len(raw)} bytes, shape {shape} of {dtype.name} needs {need}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
 
 # Built once rather than per line: both are stateless between calls. The writers build
@@ -123,13 +135,10 @@ _DECODER = json.JSONDecoder(object_hook=_from_payload)
 
 def _value_text(value):
     """`value` as JSON text, the text `_ENCODER` gives it, with float and integer arrays
-    formatted by their layout rather than walked."""
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f":
-            shape, b64 = _float64_b64(value)
-            return f'{{"dtype": "<f8", "shape": {list(shape)}, "b64": "{b64}"}}'
-        if value.dtype.kind in "iu":
-            return str(np.ndarray.tolist(value))
+    formatted as their payload text rather than walked."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        dtype, shape, b64 = _payload_fields(value)
+        return f'{{"dtype": "{dtype}", "shape": {list(shape)}, "b64": "{b64}"}}'
     return _ENCODER.encode(value)
 
 
@@ -142,8 +151,8 @@ def _line(record):
 
 
 def write_json_lines(path, records):
-    """Atomically write each record as one line of JSON, float arrays as payload
-    objects and other arrays as nested lists."""
+    """Atomically write each record as one line of JSON, float and integer arrays as
+    payload objects and other arrays as nested lists."""
     with atomic_write(path) as fh:
         for record in records:
             fh.write(_line(record) + "\n")
@@ -160,7 +169,7 @@ def json_lines(path):
 
 def parse_record(raw, required, path, line_no=1):
     """Decode the bytes `raw`, which start at `line_no` of `path`, as one JSON object holding
-    every key in `required`; each payload object in it becomes a float64 array.
+    every key in `required`; each payload object in it becomes an array of its dtype.
 
     Bytes that are not UTF-8 or not JSON, a value that is not an object, a
     missing key or a bad payload raise `FileFormatError` at the line concerned
@@ -191,8 +200,8 @@ def _decode(decoder, raw, required, path, line_no):
 
 def record_parser(path, required, deferred):
     """A `parse(raw, line_no)` that reads a line of `path` as `parse_record` does, except
-    that a payload object under a key in `deferred` (keys of `required`) stays undecoded,
-    for `stack_floats` or `decode_deferred`.
+    that a payload object under a key in `deferred` stays undecoded, for `stack_payloads`
+    or `decode_deferred`; a key in `deferred` may also be absent or hold another value.
 
     Its dtype and shape are checked at its line, its base64 and byte count
     only when it is decoded, so `parse` passes some lines that `parse_record`
@@ -212,30 +221,38 @@ def record_parser(path, required, deferred):
         nonlocal seen
         seen = 0
         record = _decode(decoder, raw, required, path, line_no)
-        if seen != sum(type(record[key]) is _Deferred for key in deferred):
+        if seen != sum(type(record.get(key)) is _Deferred for key in deferred):
             return parse_record(raw, required, path, line_no)
         return record
 
     return parse
 
 
-def stack_floats(values):
-    """`values` stacked into one writable float64 array, `len(values)` x their shape.
+def stack_payloads(values):
+    """`values` stacked into one writable array, `len(values)` x their shape.
 
     Payloads that `record_parser` deferred are decoded together into one
-    buffer; other values (nested lists, arrays) are stacked by `np.array`.
-    Values that do not stack, or a payload whose base64 or byte count is bad,
-    raise `ValueError` or `TypeError`; `decode_deferred` then names the fault.
+    buffer of their dtype; other values (nested lists, arrays, None) are
+    stacked by `np.array`. Values that do not stack, payloads
+    of more than one dtype or shape, a mix of payloads and other values, or
+    a payload whose base64 or byte count is bad raise `ValueError` or
+    `TypeError`; `decode_deferred` then names the fault.
     """
-    if not values or any(type(value) is not _Deferred for value in values):
-        return np.array(values, dtype=np.float64)
-    shape = values[0]["shape"]
-    need = 8 * math.prod(shape)
+    deferred = sum(type(value) is _Deferred for value in values)
+    if not values or deferred < len(values):
+        if deferred:
+            raise ValueError("the block mixes payloads and other values")
+        return np.array(values)
+    name, shape = values[0]["dtype"], values[0]["shape"]
+    payload_dtype = _PAYLOAD_DTYPES[name]
+    need = payload_dtype.itemsize * math.prod(shape)
     parts = [binascii.a2b_base64(value["b64"], strict_mode=True) for value in values]
-    if any(value["shape"] != shape for value in values) or any(len(part) != need for part in parts):
-        raise ValueError("the payloads differ in shape or byte count")
-    stack = np.frombuffer(bytearray().join(parts), dtype="<f8")  # over a bytearray, so writable
-    return stack.reshape(len(values), *shape).astype(np.float64, copy=False)
+    if any(value["dtype"] != name or value["shape"] != shape for value in values) or any(
+        len(part) != need for part in parts
+    ):
+        raise ValueError("the payloads differ in dtype, shape or byte count")
+    stack = np.frombuffer(bytearray().join(parts), dtype=payload_dtype)  # over a bytearray, so writable
+    return stack.reshape(len(values), *shape).astype(payload_dtype.newbyteorder("="), copy=False)
 
 
 def decode_deferred(record, path, line_no):

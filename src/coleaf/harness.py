@@ -26,7 +26,7 @@ from .fileio import (
     json_lines,
     parse_record,
     record_parser,
-    stack_floats,
+    stack_payloads,
     write_json,
     write_json_lines,
 )
@@ -57,7 +57,8 @@ from .numerics import Tensor
 from .synthdata import corpus_shape
 
 SEED_ENV_VAR = "COLEAF_SEED"
-# a predict forward's graph holds about 0.75 MB per video at T=10, D=256, C=25
+# one anchor forward of a 64-video block peaks at about 0.77 MB per video at T=10, D=256,
+# C=25 and 57 KB at T=10, D=16, C=5 (tracemalloc); smaller blocks cost more per video
 PREDICT_BLOCK_VIDEOS = 64
 
 ABLATION_AXES = (
@@ -505,8 +506,8 @@ def _prediction_block(block, path):
     ids = [rec["id"] for _, rec in block]
     try:
         pa, pv = _probability_pair(
-            stack_floats([rec["probs_audio"] for _, rec in block]),
-            stack_floats([rec["probs_visual"] for _, rec in block]),
+            stack_payloads([rec["probs_audio"] for _, rec in block]),
+            stack_payloads([rec["probs_visual"] for _, rec in block]),
             lead=(len(block),),
         )
         return zip(ids, zip(pa, pv))

@@ -21,7 +21,7 @@ from .fileio import (
     json_lines,
     parse_record,
     record_parser,
-    stack_floats,
+    stack_payloads,
     write_json_lines,
 )
 from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, record_eq
@@ -212,7 +212,8 @@ def generate_corpus(spec):
 
 
 def save_corpus(corpus, path):
-    """Write a corpus as JSON Lines: one header object, then one object per video.
+    """Write a corpus as JSON Lines: one header object, then one object per video, its
+    0/1 fields as one-byte `|u1` payloads.
 
     Every video must have the corpus's T x D and C, and `class_names`, if
     given, must be C strings, else this is a `ConfigError` and no file is written.
@@ -239,9 +240,10 @@ def save_corpus(corpus, path):
             "id": s.id,
             "audio": s.audio_tokens,
             "visual": s.visual_tokens,
-            "weak_label": s.weak_label,
-            "gt_audio": None if s.gt is None else s.gt.audio,
-            "gt_visual": None if s.gt is None else s.gt.visual,
+            # 0 and 1 only, as `as_binary` has checked, so one byte a cell
+            "weak_label": s.weak_label.astype(np.uint8),
+            "gt_audio": None if s.gt is None else s.gt.audio.astype(np.uint8),
+            "gt_visual": None if s.gt is None else s.gt.visual.astype(np.uint8),
         }
         for s in corpus.samples
     ]
@@ -249,6 +251,8 @@ def save_corpus(corpus, path):
 
 
 _VIDEO_KEYS = ("id", "audio", "visual", "weak_label")
+# the record fields whose payloads a block decodes together
+_PAYLOAD_FIELDS = ("audio", "visual", "weak_label", "gt_audio", "gt_visual")
 
 
 def load_corpus(path):
@@ -256,7 +260,7 @@ def load_corpus(path):
 
     Video records are checked `SCORE_BLOCK_VIDEOS` at a time, each rule once
     over the block's stacked fields, and each video's arrays are views into
-    its block's stacks; a block's token payloads are decoded together. A
+    its block's stacks; a block's payloads of each field are decoded together. A
     faulty record is a `FileFormatError` at its line, and the earliest faulty
     line of the file is the one named.
     """
@@ -270,7 +274,7 @@ def load_corpus(path):
         raise FileFormatError(f"{path}:{header_line}: T, C and D must be positive integers")
     if type(header["n_videos"]) is not int or header["n_videos"] < 0:
         raise FileFormatError(f"{path}:{header_line}: n_videos must be a non-negative integer")
-    parse = record_parser(path, _VIDEO_KEYS, ("audio", "visual"))
+    parse = record_parser(path, _VIDEO_KEYS, _PAYLOAD_FIELDS)
     samples, id_lines, block, line_no = [], {}, [], header_line
     for line_no, raw in lines:
         try:
@@ -318,10 +322,10 @@ def _block_samples(block, path, shape):
         try:
             samples = VideoSample.from_block(
                 [rec["id"] for rec in recs],
-                stack_floats([rec["audio"] for rec in recs]),
-                stack_floats([rec["visual"] for rec in recs]),
-                np.array([rec["weak_label"] for rec in recs]),
-                *(np.array([rec.get(key) for rec in recs]) for key in gt_keys),
+                stack_payloads([rec["audio"] for rec in recs]),
+                stack_payloads([rec["visual"] for rec in recs]),
+                stack_payloads([rec["weak_label"] for rec in recs]),
+                *(stack_payloads([rec.get(key) for rec in recs]) for key in gt_keys),
             )
         except (TypeError, ValueError):  # ragged stacks too; DimensionError is a ValueError
             pass

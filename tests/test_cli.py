@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -466,3 +468,96 @@ def test_train_and_predict_of_a_corpus_of_two_lengths_exit_2(tmp_path, capsys, m
     assert status == 2
     assert f"video {corpus.samples[1].id} has T x D" in capsys.readouterr().err
     assert not preds.exists()
+
+
+def _adam_steps(monkeypatch):
+    """A list that gains one entry per Adam step taken from now on."""
+    from coleaf.harness import AdamState
+
+    steps, step = [], AdamState.step
+
+    def counted(self, *args):
+        steps.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(AdamState, "step", counted)
+    return steps
+
+
+def _assert_output_error(capsys, path, reason):
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {path}: {reason}\n" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+def test_train_to_an_unusable_out_exits_2_before_training(tmp_path, capsys, monkeypatch, where):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out, reason = (afile, "File exists") if where == "existing-file" else (afile / "run", "Not a directory")
+    steps = _adam_steps(monkeypatch)
+    cfg = write_config(tmp_path, "epochs = 1\nbatch_size = 4\n")
+    assert run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
+    _assert_output_error(capsys, out, reason)
+    assert steps == [] and afile.read_text() == "kept\n"
+
+
+def test_a_failed_training_run_leaves_no_out_directory(tmp_path, monkeypatch):
+    """`--out` is made before training, and taken away again if training fails."""
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4)
+    made, kept = tmp_path / "made", tmp_path / "kept"
+    kept.mkdir()
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("coleaf.cli.train", interrupted)
+    for out in (made, kept):
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("train", "--corpus", str(corpus), "--out", str(out))
+    assert not made.exists() and kept.is_dir()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--eval-out"])
+def test_gen_data_under_a_file_exits_2_and_writes_nothing(tmp_path, capsys, flag):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    good, bad = tmp_path / "good.jsonl", afile / "x.jsonl"
+    outs = {"--out": good, "--eval-out": good}
+    outs[flag] = bad
+    status = run_cli(
+        "gen-data", "--out", str(outs["--out"]), "--eval-out", str(outs["--eval-out"]),
+        "--eval-videos", "2", "--n-videos", "4",
+    )
+    assert status == 2
+    _assert_output_error(capsys, bad, "Not a directory")
+    assert not good.exists() and afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "missing-dir"])
+def test_ablate_to_an_unusable_out_exits_2_before_the_first_variant(tmp_path, capsys, monkeypatch, where):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = (afile if where == "under-a-file" else tmp_path / "missing") / "ablate.csv"
+    steps = _adam_steps(monkeypatch)
+    status = run_cli(
+        "ablate", "--corpus", str(corpus), "--axes", "unimodal_only", "--out", str(out),
+        "--config", str(write_config(tmp_path, "epochs = 1\nbatch_size = 4\n")),
+    )
+    assert status == 2
+    reason = "Not a directory" if where == "under-a-file" else "No such file or directory"
+    _assert_output_error(capsys, out, reason)
+    assert steps == []
+
+
+def test_a_permission_error_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.jsonl"
+
+    def refused(corpus, out):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
+
+    monkeypatch.setattr("coleaf.cli.save_corpus", refused)
+    assert run_cli("gen-data", "--out", str(path), "--n-videos", "2") == 2
+    _assert_output_error(capsys, path, "Permission denied")

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coleaf.branches import init_branch_params
+from coleaf.branches import VideoSample, init_branch_params
 from coleaf.errors import FileFormatError
 from coleaf.fileio import _ENCODER, json_lines, parse_record, write_json_lines
 from coleaf.harness import load_params, load_predictions, save_params, write_predictions
-from coleaf.metrics import SCORE_BLOCK_VIDEOS
-from coleaf.synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
+from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse
+from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus, load_corpus, save_corpus
 
 FAULT_MESSAGES = {
     "bad-json": "Expecting",
@@ -23,10 +23,11 @@ FAULT_MESSAGES = {
 
 
 def _spoil(record, fault, key):
-    """`record` as one line of JSON text, cut short, wrapped in a list, or without `key`."""
+    """`record` as one line of JSON text, cut short just before `key`, wrapped in a list,
+    or without `key`."""
     text = json.dumps(record)
-    if fault == "bad-json":
-        return text[: len(text) // 2]
+    if fault == "bad-json":  # outside any string, so JSON expects a further key
+        return text[: text.index(json.dumps(key))]
     if fault == "not-an-object":
         return json.dumps([record])
     return json.dumps({k: v for k, v in record.items() if k != key})
@@ -147,10 +148,29 @@ def test_float64_arrays_round_trip_bit_exactly(tmp_path, array):
         assert decoded.tobytes() == written.tobytes()
 
 
-def test_int_arrays_stay_nested_lists(tmp_path):
+def test_int_arrays_are_payloads_of_their_own_little_endian_dtype(tmp_path):
     path = tmp_path / "ints.jsonl"
-    write_json_lines(path, [{"x": np.eye(2, dtype=np.int64)}])
-    assert path.read_text() == '{"x": [[1, 0], [0, 1]]}\n'
+    ints = {"x": np.eye(2, dtype=np.int64), "w": np.array([1, 0, 1], dtype=np.uint8),
+            "b": np.array([1, 2], dtype=">i2")}
+    write_json_lines(path, [ints])
+    assert path.read_text() == (
+        '{"x": {"dtype": "<i8", "shape": [2, 2], "b64": "AQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQAAAAAAAAA="}, '
+        '"w": {"dtype": "|u1", "shape": [3], "b64": "AQAB"}, '
+        '"b": {"dtype": "<i2", "shape": [2], "b64": "AQACAA=="}}\n'
+    )
+
+
+def test_a_corpus_line_holds_its_0_1_fields_as_one_byte_payloads(tmp_path):
+    sample = VideoSample("v", [[0.5]], [[-2.0]], [1, 0], BinaryParse([[1, 0]], [[0, 0]]))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(GeneratedCorpus([sample], None, None, None), path)
+    assert path.read_text().splitlines()[1] == (
+        '{"id": "v", "audio": {"dtype": "<f8", "shape": [1, 1], "b64": "AAAAAAAA4D8="}, '
+        '"visual": {"dtype": "<f8", "shape": [1, 1], "b64": "AAAAAAAAAMA="}, '
+        '"weak_label": {"dtype": "|u1", "shape": [2], "b64": "AQA="}, '
+        '"gt_audio": {"dtype": "|u1", "shape": [1, 2], "b64": "AQA="}, '
+        '"gt_visual": {"dtype": "|u1", "shape": [1, 2], "b64": "AAA="}}'
+    )
 
 
 def _int_extremes(dtype):
@@ -181,6 +201,10 @@ WRITER_VALUES = {
     "none": None,
     "nested-spec": {"segments": 3, "leak": 0.25, "cooccur": np.eye(3) * 2.5, "ids": ["a", 1]},
 }
+INT_VALUES = {
+    name: value for name, value in WRITER_VALUES.items()
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+}
 WRITER_IDS = ["vid00000", 'say "hi"', "back\\slash\\", "caf\u00e9 \u6f22 \U0001f600", "tab\tnewline\n"]
 
 
@@ -191,6 +215,21 @@ def test_each_line_is_the_text_the_json_encoder_gives_it(tmp_path, vid, value):
     records = [{"id": vid, "x": value, "y": None}, {"x": value, "id": vid}]
     write_json_lines(path, records)
     assert path.read_bytes() == "".join(_ENCODER.encode(r) + "\n" for r in records).encode("ascii")
+
+
+@pytest.mark.parametrize("byte_order", ["=", ">"], ids=["native", "big-endian"])
+@pytest.mark.parametrize("value", list(INT_VALUES.values()), ids=list(INT_VALUES))
+def test_int_arrays_round_trip_bit_exactly_with_their_dtype(tmp_path, value, byte_order):
+    array = value.astype(value.dtype.newbyteorder(byte_order))
+    path = tmp_path / "ints.jsonl"
+    write_json_lines(path, [{"x": array, "t": array.T}])  # .T: a view in Fortran order
+    [(line_no, raw)] = list(json_lines(path))
+    assert raw.count(f'"dtype": "{value.dtype.newbyteorder("<").str}"'.encode()) == 2
+    record = parse_record(raw, ("x", "t"), path, line_no)
+    for decoded, written in ((record["x"], value), (record["t"], value.T)):
+        assert decoded.dtype == value.dtype and decoded.dtype.isnative and decoded.flags.writeable
+        assert decoded.shape == written.shape
+        assert decoded.tobytes() == written.tobytes()
 
 
 def test_bool_arrays_are_written_as_json_booleans(tmp_path):
@@ -279,6 +318,71 @@ def test_each_reader_names_the_line_of_a_bad_payload(tmp_path, reader, fault):
         with pytest.raises(FileFormatError) as err:
             load(path)
         assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+_INT_DTYPES = "'|i1', '|u1', '<i2', '<u2', '<i4', '<u4', '<i8', '<u8'"
+
+
+INT_PAYLOAD_FAULTS = {
+    **{
+        f"dtype-{name}": (
+            "weak_label", lambda p, name=name: dict(p, dtype=name),
+            f"payload dtype must be '<f8', got '{name}'; an integer payload may also be {_INT_DTYPES}",
+        )
+        for name in (">i8", "<f4", "|b1")
+    },
+    "byte-count": (
+        "gt_visual", lambda p: dict(p, b64=base64.b64encode(bytes(8)).decode()),
+        "payload holds 8 bytes, shape [3, 3] of uint8 needs 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(INT_PAYLOAD_FAULTS))
+def test_a_bad_int_payload_names_its_line(tmp_path, fault):
+    """At the same line wherever the record sits among the check blocks; a 0/1 payload
+    holding another value is a case of `test_bad_ground_truth_names_line`."""
+    load, path, record_lines = _long_file(tmp_path, "corpus")
+    key, spoil, message = INT_PAYLOAD_FAULTS[fault]
+    lines = path.read_text().splitlines()
+    for line in record_lines:
+        record = json.loads(lines[line - 1])
+        assert record[key]["dtype"] == "|u1"
+        record[key] = spoil(record[key])
+        _respoil(path, lines, line, record)
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_int_fields_of_other_dtypes_or_as_nested_lists_load_equal(tmp_path):
+    """Records whose 0/1 fields are payloads of another integer dtype, or nested lists, in
+    blocks of `|u1` payloads: the blocks load one by one, to the same corpus."""
+    load, path, (first, middle, boundary, last) = _long_file(tmp_path, "corpus")
+    want = load(path)
+    lines = path.read_text().splitlines()
+    for line, dtype in ((first, "<i8"), (middle, "|i1"), (boundary, "<u2"), (last, None)):
+        record = parse_record(lines[line - 1].encode(), (), path, line)
+        for key in ("weak_label", "gt_audio", "gt_visual"):
+            record[key] = record[key].tolist() if dtype is None else record[key].astype(dtype)
+        lines[line - 1] = _ENCODER.encode(record)
+    assert '"dtype": "<i8"' in lines[first - 1] and '"weak_label": [' in lines[last - 1]
+    path.write_text("\n".join(lines) + "\n")
+    assert load(path) == want
+
+
+def test_a_token_payload_of_an_int_dtype_loads_as_its_values(tmp_path):
+    """An `<i8` payload holds as many bytes as the `<f8` ones of its block, but not their floats."""
+    load, path, (_, middle, _, _) = _long_file(tmp_path, "corpus")
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[middle - 1])
+    # small positive int64 bytes read as float64 are finite subnormals, so only the dtype tells
+    record["audio"] = json.loads(_ENCODER.encode(np.arange(1, 13).reshape(3, 4)))
+    assert record["audio"]["dtype"] == "<i8"
+    _respoil(path, lines, middle, record)
+    sample = load(path).samples[middle - 2]
+    assert sample.audio_tokens.dtype == np.float64
+    assert sample.audio_tokens.tolist() == np.arange(1.0, 13.0).reshape(3, 4).tolist()
 
 
 def _ragged_message():
@@ -611,6 +715,8 @@ def _as_nested_lists(path):
 def test_nested_list_files_load_equal_to_their_payload_twins(tmp_path):
     corpus, corpus_path = _saved_corpus(tmp_path)
     preds, preds_path = _written_predictions(tmp_path)
+    # every array of a corpus record is a payload: the tokens and the 0/1 fields
+    assert all(raw.count(b'"b64"') == 5 for _, raw in list(json_lines(corpus_path))[1:])
     twins = (load_corpus(corpus_path), load_predictions(preds_path))
     _as_nested_lists(corpus_path)
     _as_nested_lists(preds_path)
@@ -620,3 +726,25 @@ def test_nested_list_files_load_equal_to_their_payload_twins(tmp_path):
     for vid, (pa, pv) in preds.items():
         for a, b, c in zip(loaded_preds[vid], twins[1][vid], (pa, pv)):
             assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_a_corpus_with_its_0_1_fields_as_nested_lists_loads_equal(tmp_path):
+    """The layout written before integer payloads: float payloads, integer nested lists.
+    It loads to the same corpus, which saves again to today's bytes."""
+    _, path, _ = _long_file(tmp_path, "corpus")
+    today = path.read_bytes()
+    want = load_corpus(path)
+    records = [parse_record(raw, (), path, line_no) for line_no, raw in json_lines(path)]
+    path.write_text("".join(
+        _ENCODER.encode({k: v.tolist() if getattr(v, "dtype", None) == np.uint8 else v for k, v in r.items()})
+        + "\n"
+        for r in records
+    ))
+    for _, raw in list(json_lines(path))[1:]:
+        assert raw.count(b'"b64"') == 2 and b'"weak_label": [' in raw
+    loaded = load_corpus(path)
+    assert loaded == want
+    for s in loaded.samples:
+        assert s.weak_label.dtype == s.gt.audio.dtype == s.gt.visual.dtype == np.int64
+    save_corpus(loaded, path)
+    assert path.read_bytes() == today

@@ -6,6 +6,7 @@ import pytest
 
 from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse
 from coleaf.errors import ConfigError, FileFormatError
+from coleaf.fileio import _ENCODER
 from coleaf.synthdata import (
     CorpusSpec,
     GeneratedCorpus,
@@ -195,6 +196,19 @@ def test_round_trip_identity(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_0_1_fields_are_written_as_one_byte_and_load_as_int64(tmp_path):
+    corpus = generate_corpus(small_spec(n_videos=LONG))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    for line in path.read_text().splitlines()[1:]:
+        record = json.loads(line)
+        assert [record[key]["dtype"] for key in ("weak_label", "gt_audio", "gt_visual")] == ["|u1"] * 3
+    loaded = load_corpus(path)
+    assert loaded.samples == corpus.samples
+    for sample in loaded.samples:
+        assert sample.weak_label.dtype == sample.gt.audio.dtype == sample.gt.visual.dtype == np.int64
+
+
 def test_empty_corpus_round_trip(tmp_path):
     corpus = generate_corpus(small_spec(n_videos=0))
     path = tmp_path / "empty.jsonl"
@@ -261,6 +275,11 @@ def test_per_video_streams_independent_of_corpus_size():
         assert a == b
 
 
+def _u1_payload(rows):
+    """`rows` as the one-byte payload object `save_corpus` writes for a 0/1 field."""
+    return json.loads(_ENCODER.encode(np.array(rows, dtype=np.uint8)))
+
+
 # videos in a corpus file whose records span two check blocks
 LONG = SCORE_BLOCK_VIDEOS + 10
 
@@ -281,12 +300,17 @@ def _record_lines(n_videos):
         ({"gt_audio": [[7, 0], [0, 0], [0, 0]]}, "audio parse must hold only 0 and 1"),
         ({"gt_visual": [[0.5, 0], [0, 0], [0, 0]]}, "visual parse must hold only 0 and 1"),
         ({"weak_label": [3, 0]}, "weak label must hold only 0 and 1"),
+        ({"gt_audio": _u1_payload([[0, 0], [2, 0], [0, 0]])}, "audio parse must hold only 0 and 1"),
+        ({"weak_label": _u1_payload([0, 3])}, "weak label must hold only 0 and 1"),
+        ({"gt_visual": _u1_payload([[0, 1], [1, 0]])},
+         "parse matrices must share T x C, got (3, 2) and (2, 2)"),
         ({"audio": [[float("nan")] * 8] * 3}, "tokens must be finite"),
         ({"visual": [[float("inf")] * 8] * 3}, "tokens must be finite"),
     ],
     ids=[
         "shapes-differ", "one-dimensional", "visual-missing", "gt-seven", "gt-half",
-        "weak-label-three", "nan-token", "infinite-token",
+        "weak-label-three", "gt-two-payload", "weak-label-three-payload", "shapes-differ-payload",
+        "nan-token", "infinite-token",
     ],
 )
 def test_bad_ground_truth_names_line(tmp_path, changes, message):
