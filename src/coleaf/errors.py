@@ -31,18 +31,6 @@ class FileFormatError(ValueError):
     """A data file could not be parsed; the message names the offending line."""
 
 
-def check_video_id(vid, first_lines, path, line_no):
-    """Record that `vid` is read at `line_no` of `path`; reject a non-string or repeated id.
-
-    `first_lines` maps each id read so far to its line.
-    """
-    if not isinstance(vid, str):
-        raise FileFormatError(f"{path}:{line_no}: id must be a string, got {vid!r}")
-    if vid in first_lines:
-        raise FileFormatError(f"{path}:{line_no}: id {vid!r} repeats line {first_lines[vid]}")
-    first_lines[vid] = line_no
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 

@@ -8,12 +8,12 @@ bit-exact without turning each number into text. Bool arrays stay JSON
 booleans. Readers take a nested list as well.
 
 `write_json_lines` formats each record's line by that layout, not through the
-generic JSON walk, and writes the bytes the JSON encoder would. The corpus and
-prediction readers parse with `record_parser`, which checks a payload's dtype
-and shape at its line and leaves its base64 to `stack_payloads`: that decodes
-a block's payloads of one field into one buffer. Where a block does not stack,
-`decode_deferred` decodes each record's payloads as `parse_record` would, so
-every error stays the same.
+generic JSON walk, and writes the bytes the JSON encoder would. One reader,
+`read_records`, reads the corpus and prediction records: it owns the record
+loop, the id rule, the blocks and the record-by-record fallback, and its
+callers give only their keys and two builders. It leaves each payload's base64
+to `stack_payloads`, which decodes a block's payloads of one field into one
+buffer, so every error stays that of `parse_record` at its line.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import FileFormatError
+from .metrics import SCORE_BLOCK_VIDEOS
 
 
 @contextmanager
@@ -198,10 +199,10 @@ def _decode(decoder, raw, required, path, line_no):
     return record
 
 
-def record_parser(path, required, deferred):
+def _record_parser(path, required, deferred):
     """A `parse(raw, line_no)` that reads a line of `path` as `parse_record` does, except
     that a payload object under a key in `deferred` stays undecoded, for `stack_payloads`
-    or `decode_deferred`; a key in `deferred` may also be absent or hold another value.
+    or `_build`; a key in `deferred` may also be absent or hold another value.
 
     Its dtype and shape are checked at its line, its base64 and byte count
     only when it is decoded, so `parse` passes some lines that `parse_record`
@@ -231,12 +232,13 @@ def record_parser(path, required, deferred):
 def stack_payloads(values):
     """`values` stacked into one writable array, `len(values)` x their shape.
 
-    Payloads that `record_parser` deferred are decoded together into one
+    Payloads that `read_records` deferred are decoded together into one
     buffer of their dtype; other values (nested lists, arrays, None) are
     stacked by `np.array`. Values that do not stack, payloads
     of more than one dtype or shape, a mix of payloads and other values, or
     a payload whose base64 or byte count is bad raise `ValueError` or
-    `TypeError`; `decode_deferred` then names the fault.
+    `TypeError`; `read_records` then builds the block record by record, which
+    names the fault.
     """
     deferred = sum(type(value) is _Deferred for value in values)
     if not values or deferred < len(values):
@@ -255,13 +257,62 @@ def stack_payloads(values):
     return stack.reshape(len(values), *shape).astype(payload_dtype.newbyteorder("="), copy=False)
 
 
-def decode_deferred(record, path, line_no):
-    """`record`, from line `line_no` of `path`, with each payload `record_parser` deferred
-    decoded as `parse_record` decodes it; a bad one is a `FileFormatError` at `line_no`."""
+def _check_video_id(vid, first_lines, path, line_no):
+    """Record that `vid` is read at `line_no` of `path`; reject a non-string or repeated id.
+
+    `first_lines` maps each id read so far to its line.
+    """
+    if not isinstance(vid, str):
+        raise FileFormatError(f"{path}:{line_no}: id must be a string, got {vid!r}")
+    if vid in first_lines:
+        raise FileFormatError(f"{path}:{line_no}: id {vid!r} repeats line {first_lines[vid]}")
+    first_lines[vid] = line_no
+
+
+def read_records(path, lines, required, deferred, stacked, one):
+    """Read `lines`, the `(line_no, bytes)` of `path` that `json_lines` yields, as records
+    that each hold every key in `required` and a unique string "id"; return the list of
+    what `stacked` and `one` build from them, and the last line read (0 for none).
+
+    A payload under a key in `deferred` is left for `stack_payloads`. Records
+    are gathered `SCORE_BLOCK_VIDEOS` at a time and `stacked(records)` builds a
+    block's items. If that raises `TypeError`, `ValueError` or `OverflowError`,
+    each record is decoded and built by `one(record)`, and such an error from
+    `one` is a `FileFormatError` at the record's line. A line that does not
+    parse or repeats an id is reported after the block before it is built, so
+    the earliest faulty line is the one named.
+    """
+    parse = _record_parser(path, required, deferred)
+    built, id_lines, block, line_no = [], {}, [], 0
+    for line_no, raw in lines:
+        try:
+            rec = parse(raw, line_no)
+            _check_video_id(rec["id"], id_lines, path, line_no)
+        except FileFormatError:
+            _build(block, path, stacked, one)  # an earlier line's fault comes first,
+            parse_record(raw, required, path, line_no)  # then this line's, payloads decoded
+            raise
+        block.append((line_no, rec))
+        if len(block) == SCORE_BLOCK_VIDEOS:
+            built += _build(block, path, stacked, one)
+            block = []
+    built += _build(block, path, stacked, one)
+    return built, line_no
+
+
+def _build(block, path, stacked, one):
+    """The items of `block`, a list of `(line_no, record)`: `stacked` of its records, or
+    else `one` of each with its payloads decoded, so an error names the first faulty line."""
+    if not block:
+        return []
     try:
-        return {
-            key: _from_payload(value) if type(value) is _Deferred else value
-            for key, value in record.items()
-        }
-    except _PayloadError as err:
-        raise FileFormatError(f"{path}:{line_no}: {err}") from err
+        return stacked([rec for _, rec in block])
+    except (TypeError, ValueError, OverflowError):  # ragged stacks too; DimensionError is a ValueError
+        pass
+    items = []
+    for line_no, rec in block:
+        try:  # a bad payload's `_PayloadError` is a ValueError
+            items.append(one({k: _from_payload(v) if type(v) is _Deferred else v for k, v in rec.items()}))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise FileFormatError(f"{path}:{line_no}: {err}") from err
+    return items

@@ -20,16 +20,8 @@ from .branches import (
     param_layout,
     reference_forward,
 )
-from .errors import ConfigError, DivergenceError, FileFormatError, check_video_id
-from .fileio import (
-    decode_deferred,
-    json_lines,
-    parse_record,
-    record_parser,
-    stack_payloads,
-    write_json,
-    write_json_lines,
-)
+from .errors import ConfigError, DivergenceError, FileFormatError
+from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json, write_json_lines
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -46,10 +38,10 @@ from .losses import (
     video_loss_reference,
 )
 from .metrics import (
-    SCORE_BLOCK_VIDEOS,
     MetricReport,
     _check_threshold,
     _probability_pair,
+    as_float,
     full_report,
     parse_threshold,
 )
@@ -131,8 +123,8 @@ class TrainConfig:
         if not self.warmup_epochs >= 0:
             raise ConfigError("warmup_epochs must be >= 0")
         for name, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            if kind is float and not math.isfinite(value := as_float(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {value}")
         parse_threshold(self.eval_threshold)
 
     @classmethod
@@ -472,55 +464,28 @@ def load_predictions(path):
     """Read a file written by `write_predictions`.
 
     Each line must hold a unique string id and two T x C matrices of one
-    shape with every value in [0,1]; anything else is a `FileFormatError`
-    naming the line, the earliest faulty line of the file. Lines are checked
-    `SCORE_BLOCK_VIDEOS` at a time, the probability rule once over the block's
-    stacked matrices, and each pair is a view into its block's stacks; a
-    block's payloads are decoded together.
+    shape with every value in [0,1]; anything else, a number too large for a
+    float included, is a `FileFormatError` naming the line, the earliest
+    faulty line of the file. The lines are read by `fileio.read_records`: a
+    block's matrices are stacked and pass the probability rule once, and each
+    pair is a view into its block's stacks.
     """
-    parse = record_parser(path, _PREDICTION_KEYS, _PREDICTION_KEYS[1:])
-    preds, id_lines, block = {}, {}, []
-    for line_no, raw in json_lines(path):
-        try:
-            rec = parse(raw, line_no)
-            check_video_id(rec["id"], id_lines, path, line_no)
-        except FileFormatError:
-            _prediction_block(block, path)  # an earlier line's fault comes first,
-            parse_record(raw, _PREDICTION_KEYS, path, line_no)  # then this line's, payloads decoded
-            raise
-        block.append((line_no, rec))
-        if len(block) == SCORE_BLOCK_VIDEOS:
-            preds.update(_prediction_block(block, path))
-            block = []
-    preds.update(_prediction_block(block, path))
-    return preds
+    pairs, _ = read_records(
+        path, json_lines(path), _PREDICTION_KEYS, _PREDICTION_KEYS[1:], _prediction_block,
+        lambda rec: (rec["id"], _probability_pair(rec["probs_audio"], rec["probs_visual"])),
+    )
+    return dict(pairs)
 
 
-def _prediction_block(block, path):
-    """`(id, (probs_audio, probs_visual))` for each `(line_no, record)` of `block`.
-
-    The stacked matrices pass `_probability_pair` once. If that fails, or the
-    records do not stack (matrices of another shape), each record is checked
-    on its own, so an error names the first faulty line.
-    """
-    ids = [rec["id"] for _, rec in block]
-    try:
-        pa, pv = _probability_pair(
-            stack_payloads([rec["probs_audio"] for _, rec in block]),
-            stack_payloads([rec["probs_visual"] for _, rec in block]),
-            lead=(len(block),),
-        )
-        return zip(ids, zip(pa, pv))
-    except (TypeError, ValueError):  # ragged stacks too; DimensionError is a ValueError
-        pass
-    pairs = []
-    for vid, (line_no, rec) in zip(ids, block):
-        rec = decode_deferred(rec, path, line_no)
-        try:
-            pairs.append((vid, _probability_pair(rec["probs_audio"], rec["probs_visual"])))
-        except (TypeError, ValueError) as err:
-            raise FileFormatError(f"{path}:{line_no}: {err}") from err
-    return pairs
+def _prediction_block(recs):
+    """`(id, (probs_audio, probs_visual))` for each record of `recs`, whose stacked
+    matrices pass `_probability_pair` once."""
+    pa, pv = _probability_pair(
+        stack_payloads([rec["probs_audio"] for rec in recs]),
+        stack_payloads([rec["probs_visual"] for rec in recs]),
+        lead=(len(recs),),
+    )
+    return zip([rec["id"] for rec in recs], zip(pa, pv))
 
 
 def gt_parses(corpus):
@@ -560,7 +525,7 @@ def load_params(path):
     for name, shape in layout:
         try:
             value = np.asarray(values[name], dtype=np.float64)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise FileFormatError(f"{path}:1: parameter {name}: {err}") from err
         if not np.isfinite(value).all():
             raise FileFormatError(f"{path}:1: parameter {name}: values must be finite")

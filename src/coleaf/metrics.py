@@ -7,6 +7,7 @@ audible-only or visible-only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,14 @@ def as_binary(values, what):
     if not ok:
         raise ValueError(f"{what} must hold only 0 and 1")
     return values.astype(np.int64)
+
+
+def as_float(value):
+    """The real number `value` as a float; an integer too large for one is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def matrix_pair(a, b, lead=()):
@@ -162,7 +171,7 @@ def parse_threshold(raw):
     try:
         if isinstance(raw, str) and "," in raw:
             raw = raw.split(",")
-        value = tuple(float(x) for x in raw) if isinstance(raw, (list, tuple)) else float(raw)
+        value = tuple(as_float(x) for x in raw) if isinstance(raw, (list, tuple)) else as_float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"threshold must be a number or comma list, got {raw!r}") from None
     _check_threshold(value, np.size(value))

@@ -15,16 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .branches import VideoSample
-from .errors import ConfigError, DimensionError, FileFormatError, check_video_id
-from .fileio import (
-    decode_deferred,
-    json_lines,
-    parse_record,
-    record_parser,
-    stack_payloads,
-    write_json_lines,
-)
-from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, record_eq
+from .errors import ConfigError, DimensionError, FileFormatError
+from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json_lines
+from .metrics import BinaryParse, as_float, record_eq
 
 
 _FLOAT_FIELDS = ("event_rate", "p_audio_only", "p_visual_only", "p_audible_visible", "leak", "noise_sigma")
@@ -52,7 +45,8 @@ class CorpusSpec:
                 raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(as_float(value))):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         mix = self.p_audio_only + self.p_visual_only + self.p_audible_visible
         if not abs(mix - 1.0) <= 1e-9:
@@ -258,11 +252,12 @@ _PAYLOAD_FIELDS = ("audio", "visual", "weak_label", "gt_audio", "gt_visual")
 def load_corpus(path):
     """Read a corpus file written by `save_corpus`; round-trips bit-exactly.
 
-    Video records are checked `SCORE_BLOCK_VIDEOS` at a time, each rule once
-    over the block's stacked fields, and each video's arrays are views into
-    its block's stacks; a block's payloads of each field are decoded together. A
-    faulty record is a `FileFormatError` at its line, and the earliest faulty
-    line of the file is the one named.
+    The video records are read by `fileio.read_records`: a block of them at a
+    time is built by `VideoSample.from_block`, so each rule runs once over the
+    block's stacked fields and each video's arrays are views into them. A
+    faulty record, a number too large for a float included, is a
+    `FileFormatError` at its line, and the earliest faulty line of the file is
+    the one named.
     """
     lines = json_lines(path)
     header_line, raw = next(lines, (1, None))
@@ -274,24 +269,14 @@ def load_corpus(path):
         raise FileFormatError(f"{path}:{header_line}: T, C and D must be positive integers")
     if type(header["n_videos"]) is not int or header["n_videos"] < 0:
         raise FileFormatError(f"{path}:{header_line}: n_videos must be a non-negative integer")
-    parse = record_parser(path, _VIDEO_KEYS, _PAYLOAD_FIELDS)
-    samples, id_lines, block, line_no = [], {}, [], header_line
-    for line_no, raw in lines:
-        try:
-            rec = parse(raw, line_no)
-            check_video_id(rec["id"], id_lines, path, line_no)
-        except FileFormatError:
-            _block_samples(block, path, (t, c, d))  # an earlier line's fault comes first,
-            parse_record(raw, _VIDEO_KEYS, path, line_no)  # then this line's, payloads decoded
-            raise
-        block.append((line_no, rec))
-        if len(block) == SCORE_BLOCK_VIDEOS:
-            samples += _block_samples(block, path, (t, c, d))
-            block = []
-    samples += _block_samples(block, path, (t, c, d))
+    samples, line_no = read_records(
+        path, lines, _VIDEO_KEYS, _PAYLOAD_FIELDS,
+        lambda recs: _block_samples(recs, (t, c, d)), lambda rec: _record_sample(rec, (t, c, d)),
+    )
     if len(samples) != header["n_videos"]:
         raise FileFormatError(
-            f"{path}:{line_no}: header promises {header['n_videos']} videos, found {len(samples)}"
+            f"{path}:{line_no or header_line}: header promises {header['n_videos']} videos, "
+            f"found {len(samples)}"
         )
     where = f"{path}:{header_line}"
     spec = _header_spec(header, t, c, d, where)
@@ -308,56 +293,46 @@ def load_corpus(path):
     )
 
 
-def _block_samples(block, path, shape):
-    """The videos of `block`, a list of `(line_no, record)`, of the header's (T, C, D).
-
-    They are built by `VideoSample.from_block`. If that fails, or the records
-    do not stack (another shape, ground truth on some only), each record is
-    built on its own, so an error names the first faulty line.
-    """
-    recs = [rec for _, rec in block]
+def _block_samples(recs, shape):
+    """The videos of the records `recs`, of the header's (T, C, D), built at once by
+    `VideoSample.from_block`; records that do not stack (another shape, ground truth on
+    some only) raise `ValueError` or `TypeError`."""
     has_gt = [rec.get("gt_audio") is not None for rec in recs]
-    if recs and (all(has_gt) or not any(has_gt)):
-        gt_keys = ("gt_audio", "gt_visual") if has_gt[0] else ()
-        try:
-            samples = VideoSample.from_block(
-                [rec["id"] for rec in recs],
-                stack_payloads([rec["audio"] for rec in recs]),
-                stack_payloads([rec["visual"] for rec in recs]),
-                stack_payloads([rec["weak_label"] for rec in recs]),
-                *(stack_payloads([rec.get(key) for rec in recs]) for key in gt_keys),
-            )
-        except (TypeError, ValueError):  # ragged stacks too; DimensionError is a ValueError
-            pass
-        else:
-            t, c, d = shape
-            if samples[0].audio_tokens.shape == (t, d) and samples[0].n_classes == c:
-                return samples
-    return [
-        _record_sample(line_no, decode_deferred(rec, path, line_no), path, shape)
-        for line_no, rec in block
-    ]
+    if any(has_gt) and not all(has_gt):
+        raise ValueError("ground truth on some videos only")
+    gt_keys = ("gt_audio", "gt_visual") if has_gt[0] else ()
+    samples = VideoSample.from_block(
+        [rec["id"] for rec in recs],
+        stack_payloads([rec["audio"] for rec in recs]),
+        stack_payloads([rec["visual"] for rec in recs]),
+        stack_payloads([rec["weak_label"] for rec in recs]),
+        *(stack_payloads([rec.get(key) for rec in recs]) for key in gt_keys),
+    )
+    _fitted(samples[0], shape)  # the stacks share one shape
+    return samples
 
 
-def _record_sample(line_no, rec, path, shape):
-    """The video of one record at `line_no`, of the header's (T, C, D)."""
-    try:
-        gt = None
-        if rec.get("gt_audio") is not None:
-            gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
-        sample = VideoSample(
-            id=rec["id"],
-            audio_tokens=rec["audio"],
-            visual_tokens=rec["visual"],
-            weak_label=rec["weak_label"],
-            gt=gt,
-        )
-    except (TypeError, ValueError, DimensionError) as err:
-        raise FileFormatError(f"{path}:{line_no}: {err}") from err
+def _record_sample(rec, shape):
+    """The video of one record, of the header's (T, C, D)."""
+    gt = None
+    if rec.get("gt_audio") is not None:
+        gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
+    sample = VideoSample(
+        id=rec["id"],
+        audio_tokens=rec["audio"],
+        visual_tokens=rec["visual"],
+        weak_label=rec["weak_label"],
+        gt=gt,
+    )
+    return _fitted(sample, shape)
+
+
+def _fitted(sample, shape):
+    """`sample` if it has the header's (T, C, D); else raises `DimensionError`."""
     t, c, d = shape
     if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
-        raise FileFormatError(
-            f"{path}:{line_no}: video {sample.id} has T x D {sample.audio_tokens.shape} "
+        raise DimensionError(
+            f"video {sample.id} has T x D {sample.audio_tokens.shape} "
             f"and C {sample.n_classes}, header says T={t}, D={d}, C={c}"
         )
     return sample
@@ -399,7 +374,7 @@ def _header_spec(header, t, c, d, where):
     try:
         spec = CorpusSpec.from_mapping(mapping)
         spec.validate()
-    except (TypeError, ValueError) as err:  # an unknown field is a TypeError
+    except (TypeError, ValueError, OverflowError) as err:  # an unknown field is a TypeError
         raise FileFormatError(f"{where}: spec: {err}") from err
     if (spec.segments, spec.classes, spec.dim) != (t, c, d):
         raise FileFormatError(

@@ -561,3 +561,33 @@ def test_a_permission_error_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("coleaf.cli.save_corpus", refused)
     assert run_cli("gen-data", "--out", str(path), "--n-videos", "2") == 2
     _assert_output_error(capsys, path, "Permission denied")
+
+
+@pytest.mark.parametrize("where", ["corpus-audio", "corpus-spec", "predictions", "params"])
+def test_an_int_too_large_for_a_float_exits_2_at_its_line(tmp_path, capsys, where):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    preds = tmp_path / "p.jsonl"
+    assert run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds)) == 0
+    capsys.readouterr()
+    target = {"predictions": preds, "params": params}.get(where, corpus)
+    lines = target.read_text().splitlines()
+    line = 2 if where in ("corpus-audio", "predictions") else 1
+    record = json.loads(lines[line - 1])
+    if where == "corpus-audio":
+        record["audio"] = [[10**400] * 8] * 6
+    elif where == "corpus-spec":
+        record["spec"]["event_rate"] = 10**400
+    elif where == "predictions":
+        record["probs_audio"] = [[10**400] * 4] * 6
+    else:
+        record["values"]["anchor.classifier.bias"] = [10**400] * 4
+    lines[line - 1] = json.dumps(record)
+    target.write_text("\n".join(lines) + "\n")
+    if where == "predictions":
+        status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))
+    else:
+        status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"coleaf: error: {target}:{line}: ") and "Traceback" not in err

@@ -398,8 +398,9 @@ def _ragged_message():
         ("probs_visual", [[0.5, float("nan")]] * 3, "visual probabilities hold a non-finite value or one outside [0,1]"),
         ("probs_audio", [[0.5, 0.5], [0.5]], _ragged_message()),
         ("probs_audio", [[0.5, 0.5, 0.5]] * 3, "probability matrices must share T x C, got (3, 3) and (3, 2)"),
+        ("probs_audio", [[10**400, 0.5]] * 3, "int too large to convert to float"),
     ],
-    ids=["above-one", "nan", "ragged", "shapes-differ"],
+    ids=["above-one", "nan", "ragged", "shapes-differ", "int-too-large"],
 )
 def test_a_bad_probability_names_its_line_anywhere_in_a_long_file(tmp_path, key, value, message):
     _, path, record_lines = _long_file(tmp_path, "predictions")

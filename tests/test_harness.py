@@ -481,6 +481,9 @@ def test_config_validation_bounds():
         TrainConfig.from_mapping({"eval_threshold": "1.5"})
     with pytest.raises(ConfigError):
         TrainConfig.from_mapping({"eval_threshold": "0.3,nan"})
+    for threshold in (10**400, (0.5, 10**400)):
+        with pytest.raises(ConfigError, match="thresholds must lie strictly inside"):
+            TrainConfig(eval_threshold=threshold).validate()
     with pytest.raises(ConfigError):
         TrainConfig.from_mapping({"epochs": "3.5"})
     with pytest.raises(ConfigError):
@@ -519,6 +522,7 @@ def test_config_accepts_the_edges_of_the_adam_ranges():
     ("lambda_evt", math.inf, "lambda_evt must be finite, got inf"),
     ("adam_eps", math.inf, "adam_eps must be finite, got inf"),
     ("lambda_kd", math.nan, "lambda_kd must be >= 0"),
+    pytest.param("learning_rate", 10**400, "learning_rate must be finite, got inf", id="learning_rate-int-too-large"),
 ])
 def test_config_rejects_non_finite_settings(field, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -697,8 +701,12 @@ def test_load_predictions_rejects_a_malformed_line(tmp_path, line, message):
         ("number", ":1: expected a JSON object"),
         ("values-number", ":1: values must be an object"),
         ("values-list", ":1: values must be an object"),
+        ("int-too-large", ":1: parameter anchor.classifier.bias: int too large to convert to float"),
     ],
-    ids=["bad-json", "missing-key", "name-mismatch", "infinite", "number", "values-number", "values-list"],
+    ids=[
+        "bad-json", "missing-key", "name-mismatch", "infinite", "number", "values-number", "values-list",
+        "int-too-large",
+    ],
 )
 def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
     payload = json.loads((DATA_DIR / "params_d2_c2_seed5.json").read_text())
@@ -715,6 +723,8 @@ def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
         payload["values"] = 3
     elif edit == "values-list":
         payload["values"] = [[1]]
+    elif edit == "int-too-large":
+        values["anchor.classifier.bias"] = [10**400, 0.0]
     path = tmp_path / "params.json"
     path.write_text("{" if edit == "bad-json" else json.dumps(payload))
     with pytest.raises(FileFormatError) as err:

@@ -73,3 +73,17 @@ def test_only_synthdata_states_the_corpus_shape_rule():
         "T, C and D, and coleaf.synthdata.corpus_shape alone checks it, for save_corpus, "
         "train, predict and ablate alike."
     )
+
+
+def test_only_fileio_reads_data_file_records():
+    reader_parts = re.compile(r"record_parser|decode_deferred|check_video_id")
+    readers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fileio.py" and reader_parts.search(path.read_text(encoding="utf-8"))
+    )
+    assert readers == [], (
+        f"{', '.join(readers)} read data-file records themselves. coleaf.fileio.read_records "
+        "alone owns the record loop, the id rule, the blocks and the record-by-record "
+        "fallback; a reader gives it only its keys and two builders."
+    )

@@ -306,11 +306,12 @@ def _record_lines(n_videos):
          "parse matrices must share T x C, got (3, 2) and (2, 2)"),
         ({"audio": [[float("nan")] * 8] * 3}, "tokens must be finite"),
         ({"visual": [[float("inf")] * 8] * 3}, "tokens must be finite"),
+        ({"audio": [[10**400] * 8] * 3}, "int too large to convert to float"),
     ],
     ids=[
         "shapes-differ", "one-dimensional", "visual-missing", "gt-seven", "gt-half",
         "weak-label-three", "gt-two-payload", "weak-label-three-payload", "shapes-differ-payload",
-        "nan-token", "infinite-token",
+        "nan-token", "infinite-token", "int-too-large-token",
     ],
 )
 def test_bad_ground_truth_names_line(tmp_path, changes, message):
@@ -375,6 +376,10 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "leak": 2.0}}, "spec: leak must lie in [0,1]"),
         ({"spec": {"segments": 6, "classes": 7, "dim": 8}}, "spec has segments=6, classes=7, dim=8, header says"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "seed": "x"}}, "spec: seed must be an integer"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "event_rate": 10**400}},
+         "spec: event_rate must be a finite number"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "cooccur": [[10**400] * 4] * 4}},
+         "spec: int too large to convert to float"),
         ({"prototypes_audio": [["a"] * 8] * 4}, "prototypes_audio must be a 4 x 8 matrix of finite numbers"),
         ({"prototypes_audio": [[1, 2]]}, "prototypes_audio must be a 4 x 8 matrix"),
         ({"prototypes_visual": [[1.0] * 8] * 3 + [[1.0] * 7]}, "prototypes_visual must be a 4 x 8 matrix"),
@@ -386,6 +391,7 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
     ],
     ids=[
         "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes", "spec-text-seed",
+        "spec-int-too-large", "spec-cooccur-int-too-large",
         "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan",
         "T-text", "class-names-numbers", "class-names-none", "class-names-five",
     ],
@@ -514,7 +520,8 @@ def test_spec_integer_fields_are_checked(field, value):
     "field, value",
     [("noise_sigma", float("nan")), ("event_rate", float("nan")), ("p_audio_only", float("nan")),
      ("leak", float("nan")), ("noise_sigma", float("inf")), ("p_visual_only", "0.3"),
-     ("leak", True)],
+     ("leak", True), pytest.param("leak", 10**400, id="leak-int-too-large"),
+     pytest.param("event_rate", -(10**400), id="event_rate-negative-int-too-large")],
 )
 def test_spec_float_fields_must_be_finite_numbers(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got "):
