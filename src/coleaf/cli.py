@@ -32,7 +32,7 @@ from .harness import (
     train,
     write_predictions,
 )
-from .metrics import parse_threshold
+from .metrics import field_rules, parse_threshold
 from .synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 
@@ -63,8 +63,15 @@ def _check_out_dir(path):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
-# every scalar CorpusSpec field is a gen-data flag with the field's default
-_SPEC_FLAGS = [f for f in dataclasses.fields(CorpusSpec) if f.name != "cooccur"]
+def _threshold_flag(text):
+    try:
+        return parse_threshold(text)
+    except ConfigError as err:  # argparse would print the flag's value without the reason
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+# every scalar CorpusSpec field is a gen-data flag of the field's type and default
+_SPEC_FLAGS = field_rules(CorpusSpec)
 
 
 def _cmd_gen_data(args):
@@ -72,7 +79,7 @@ def _cmd_gen_data(args):
         if out:
             _check_out_dir(out)  # before the first file, so a bad one leaves neither written
     n_eval = args.eval_videos  # at least 1 with --eval-out, else 0
-    values = {f.name: getattr(args, f.name) for f in _SPEC_FLAGS}
+    values = {name: getattr(args, name) for name in _SPEC_FLAGS}
     values["n_videos"] += n_eval
     spec = CorpusSpec(**values)
     corpus = generate_corpus(spec)
@@ -155,8 +162,8 @@ def build_parser():
 
     gen = sub.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
     gen.add_argument("--out", required=True)
-    for f in _SPEC_FLAGS:
-        gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    for name, (kind, _, _) in _SPEC_FLAGS.items():
+        gen.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(CorpusSpec, name))
     gen.add_argument("--eval-out", help="also write a held-out corpus from the same prototypes")
     gen.add_argument("--eval-videos", type=int, default=0)
     gen.set_defaults(func=_cmd_gen_data)
@@ -180,7 +187,7 @@ def build_parser():
     ev = sub.add_parser("eval", help="score predictions against ground truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
-    ev.add_argument("--threshold", type=parse_threshold, default=0.5)
+    ev.add_argument("--threshold", type=_threshold_flag, default=0.5)
     ev.add_argument("--out")
     ev.set_defaults(func=_cmd_eval)
 
@@ -208,10 +215,6 @@ def main(argv=None):
             parser.error(f"--eval-videos {args.eval_videos} needs --eval-out")
     except SystemExit as exc:
         return exc.code
-    except ConfigError as err:
-        # bad flag values are usage errors
-        sys.stderr.write(f"coleaf: error: {err}\n")
-        return 1
     try:
         return args.func(args)
     except (

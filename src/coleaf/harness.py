@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import os
 import time
-import typing
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -41,8 +39,10 @@ from .metrics import (
     MetricReport,
     _check_threshold,
     _probability_pair,
-    as_float,
+    check_fields,
+    field_rules,
     full_report,
+    kind_error,
     parse_threshold,
 )
 from .numerics import Tensor
@@ -66,20 +66,20 @@ ABLATION_AXES = (
 
 @dataclass
 class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 5e-3
-    lr_decay_factor: float = 1.0
-    lr_decay_every_epochs: int = 6
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    pseudo_threshold: float = 0.5  # theta for pseudo-label distillation
-    nce_temperature: float = 0.2  # tau
-    lambda_evt: float = 1.0
-    lambda_kd: float = 1.0
-    lambda_cls: float = 1.0
-    warmup_epochs: int = 0  # epochs with only the video-level losses
+    epochs: Annotated[int, ">= 1"] = 30
+    batch_size: Annotated[int, ">= 1"] = 16
+    learning_rate: Annotated[float, ">= 0"] = 5e-3
+    lr_decay_factor: Annotated[float, "in (0,1]"] = 1.0
+    lr_decay_every_epochs: Annotated[int, ">= 1"] = 6
+    adam_beta1: Annotated[float, "in [0,1)"] = 0.9
+    adam_beta2: Annotated[float, "in [0,1)"] = 0.999
+    adam_eps: Annotated[float, "positive"] = 1e-8
+    pseudo_threshold: Annotated[float, "in (0,1)"] = 0.5  # theta for pseudo-label distillation
+    nce_temperature: Annotated[float, "positive"] = 0.2  # tau
+    lambda_evt: Annotated[float, ">= 0"] = 1.0
+    lambda_kd: Annotated[float, ">= 0"] = 1.0
+    lambda_cls: Annotated[float, ">= 0"] = 1.0
+    warmup_epochs: Annotated[int, ">= 0"] = 0  # epochs with only the video-level losses
     include_positive_in_nce: bool = False
     unimodal_only: bool = False
     disable_ref_video: bool = False
@@ -88,43 +88,13 @@ class TrainConfig:
     disable_self_modality_kd: bool = False
     disable_cooccurrence_kd: bool = False
     disable_class_tokens: bool = False
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
     eval_threshold: float | tuple = 0.5
 
     def validate(self):
-        for name, kind in _FIELD_TYPES.items():
-            if name != "eval_threshold":
-                _check_field_type(name, getattr(self, name), kind)
-        # each bound is written so that NaN fails it
-        if not self.epochs >= 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.batch_size >= 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ConfigError(f"lr_decay_factor must be in (0,1], got {self.lr_decay_factor}")
-        if not self.lr_decay_every_epochs >= 1:
-            raise ConfigError("lr_decay_every_epochs must be >= 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0,1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if not self.seed >= 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.pseudo_threshold < 1.0:
-            raise ConfigError(f"pseudo_threshold must be in (0,1), got {self.pseudo_threshold}")
-        if not self.nce_temperature > 0:
-            raise ConfigError(f"nce_temperature must be positive, got {self.nce_temperature}")
-        for name in ("lambda_evt", "lambda_kd", "lambda_cls"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not self.warmup_epochs >= 0:
-            raise ConfigError("warmup_epochs must be >= 0")
-        for name, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(value := as_float(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        """Check each field against its annotation (`metrics.check_fields`), and
+        `eval_threshold` (`metrics.parse_threshold`); raise `ConfigError` at the first fault."""
+        check_fields(self)
         parse_threshold(self.eval_threshold)
 
     @classmethod
@@ -153,49 +123,32 @@ class TrainConfig:
         return cfg
 
 
-_FIELD_TYPES = typing.get_type_hints(TrainConfig)
-
-
-def _check_field_type(name, value, kind):
-    """An int field takes an integer, a float field any real number, a bool field a bool;
-    a bool is not a number here."""
-    if kind is bool:
-        ok, expect = isinstance(value, (bool, np.bool_)), "true or false"
-    elif kind is int:
-        ok, expect = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
-    else:
-        ok, expect = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
-    if not ok:
-        raise ConfigError(f"{name} must be {expect}, got {value!r}")
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
 
 
 def _coerce_config_value(key, raw):
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key}")
+    """A config file's text for `key` as its field's type; other values are `validate`'s."""
     if key == "eval_threshold":
         return parse_threshold(raw)
-    kind = _FIELD_TYPES[key]
-    if kind is bool:
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("true", "1", "yes", "on"):
-            return True
-        if text in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key} expects a boolean, got {raw!r}")
+    rules = field_rules(TrainConfig)
+    if key not in rules:
+        raise ConfigError(f"unknown config key {key}")
+    kind = rules[key][0]
+    if not isinstance(raw, str):
+        return raw
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} expects {kind.__name__}, got {raw!r}") from None
+        return _BOOL_WORDS[raw.strip().lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise kind_error(key, kind, raw) from None
 
 
 def load_train_config(path):
     """Parse a flat `key = value` config file; unknown keys are an error.
 
-    An unknown key or a value of the wrong type is reported with its line.
+    An unknown or repeated key or a value of the wrong type is reported with its line.
     """
-    mapping = {}
+    mapping, first_lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -205,6 +158,9 @@ def load_train_config(path):
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
+            if key in first_lines:
+                raise ConfigError(f"{path}:{line_no}: {key} repeats line {first_lines[key]}")
+            first_lines[key] = line_no
             try:
                 mapping[key] = _coerce_config_value(key, value.strip())
             except ConfigError as err:

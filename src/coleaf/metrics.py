@@ -7,7 +7,11 @@ audible-only or visible-only.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import operator
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,6 +45,56 @@ def as_float(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+# each field type's words in `check_fields`' messages and the classes that pass as it;
+# a bool is not a number here
+_KINDS = {bool: ("true or false", (bool, np.bool_)), int: ("an integer", numbers.Integral),
+          float: ("a number", numbers.Real)}
+_BRACKETS = {"[": operator.ge, "(": operator.gt, "]": operator.le, ")": operator.lt}
+
+
+def _rule_test(rule):
+    """The test that a field's rule states: `positive`, `>= k`, or `in` an interval such as
+    `[0,1)`. Each is a comparison that only a number in range passes, so NaN fails it."""
+    if rule == "positive":
+        return lambda x: x > 0
+    if rule.startswith(">= "):
+        return functools.partial(operator.le, float(rule[3:]))  # low <= x
+    low, high = map(float, rule[4:-1].split(","))
+    above, below = _BRACKETS[rule[3]], _BRACKETS[rule[-1]]
+    return lambda x: above(x, low) and below(x, high)
+
+
+@functools.cache
+def field_rules(cls):
+    """The bool, int and float fields of dataclass `cls` as name -> (type, rule, test), read
+    once per class from annotations such as `Annotated[int, ">= 1"]` into one dict that all
+    callers share and none may change. A plain bool has no rule; other types are left out."""
+    rules = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        kind, rule = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint, None)
+        if kind in _KINDS:
+            rules[name] = (kind, rule, rule and _rule_test(rule))
+    return rules
+
+
+def kind_error(name, kind, value):
+    return ConfigError(f"{name} must be {_KINDS[kind][0]}, got {value!r}")
+
+
+def check_fields(record):
+    """Check each field that `field_rules` lists for `record`: its type, then its rule
+    (an integer too large for a float is infinite there), then, for a float, that it is
+    finite. A `ConfigError` names the first field that fails."""
+    for name, (kind, rule, test) in field_rules(type(record)).items():
+        value = getattr(record, name)
+        if not isinstance(value, _KINDS[kind][1]) or (kind is not bool and isinstance(value, bool)):
+            raise kind_error(name, kind, value)
+        if rule and not test(as_float(value)):
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+        if kind is float and not math.isfinite(number := as_float(value)):
+            raise ConfigError(f"{name} must be finite, got {number}")
 
 
 def matrix_pair(a, b, lead=()):
@@ -154,7 +208,13 @@ class MetricConfig:
 
 
 def _check_threshold(threshold, n_classes):
-    arr = np.atleast_1d(np.asarray(threshold, dtype=np.float64))
+    """`threshold`, one value or one per class, as a 1-D float array; each value must be a
+    number strictly inside (0,1), and an integer too large for a float is infinite."""
+    try:
+        arr = np.atleast_1d(np.asarray(threshold, dtype=object))
+        arr = np.frompyfunc(as_float, 1, 1)(arr).astype(np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"threshold must be a number or comma list, got {threshold!r}") from None
     if arr.ndim != 1 or arr.shape[0] not in (1, n_classes):
         raise ConfigError(f"threshold must be a scalar or one value per class, got shape {arr.shape}")
     if not np.all((arr > 0.0) & (arr < 1.0)):
@@ -168,14 +228,11 @@ def parse_threshold(raw):
     Returns a float for a single value and a tuple otherwise; every value
     must lie strictly inside (0,1).
     """
-    try:
-        if isinstance(raw, str) and "," in raw:
-            raw = raw.split(",")
-        value = tuple(as_float(x) for x in raw) if isinstance(raw, (list, tuple)) else as_float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threshold must be a number or comma list, got {raw!r}") from None
-    _check_threshold(value, np.size(value))
-    return value
+    if isinstance(raw, str) and "," in raw:
+        raw = raw.split(",")
+    per_class = isinstance(raw, (list, tuple))
+    arr = _check_threshold(raw, len(raw) if per_class else 1)
+    return tuple(arr.tolist()) if per_class else float(arr[0])
 
 
 def _probability_pair(probs_audio, probs_visual, *, lead=()):

@@ -8,60 +8,42 @@ order-independent and reproducible.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError
 from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json_lines
-from .metrics import BinaryParse, as_float, record_eq
-
-
-_FLOAT_FIELDS = ("event_rate", "p_audio_only", "p_visual_only", "p_audible_visible", "leak", "noise_sigma")
+from .metrics import BinaryParse, check_fields, record_eq
 
 
 @dataclass(eq=False)
 class CorpusSpec:
-    n_videos: int = 500
-    segments: int = 10  # T
-    classes: int = 5  # C
-    dim: int = 16  # D
-    event_rate: float = 2.5  # expected events per video
-    p_audio_only: float = 0.3
-    p_visual_only: float = 0.3
-    p_audible_visible: float = 0.4
-    leak: float = 0.0  # cross-modal feature leakage for unaligned events
-    noise_sigma: float = 0.1  # per-coordinate gaussian noise
+    n_videos: Annotated[int, ">= 0"] = 500
+    segments: Annotated[int, ">= 1"] = 10  # T
+    classes: Annotated[int, ">= 1"] = 5  # C
+    dim: Annotated[int, ">= 1"] = 16  # D
+    event_rate: Annotated[float, ">= 0"] = 2.5  # expected events per video, at most C
+    p_audio_only: Annotated[float, "in [0,1]"] = 0.3  # the event-type mix, summing to 1
+    p_visual_only: Annotated[float, "in [0,1]"] = 0.3
+    p_audible_visible: Annotated[float, "in [0,1]"] = 0.4
+    leak: Annotated[float, "in [0,1]"] = 0.0  # cross-modal feature leakage for unaligned events
+    noise_sigma: Annotated[float, ">= 0"] = 0.1  # per-coordinate gaussian noise
     cooccur: np.ndarray | None = None  # C x C symmetric boosts, zero diagonal
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
 
     def validate(self):
-        for name, low in (("n_videos", 0), ("segments", 1), ("classes", 1), ("dim", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(as_float(value))):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        """Check each field against its annotation (`metrics.check_fields`), then the rules
+        across fields: the event-type mix sums to 1, `event_rate` <= `classes`, and `cooccur`
+        is None or a symmetric C x C matrix of finite boosts >= 0 with a zero diagonal."""
+        check_fields(self)
         mix = self.p_audio_only + self.p_visual_only + self.p_audible_visible
         if not abs(mix - 1.0) <= 1e-9:
             raise ConfigError(f"event-type mix must sum to 1, got {mix}")
-        if not min(self.p_audio_only, self.p_visual_only, self.p_audible_visible) >= 0:
-            raise ConfigError("event-type probabilities must be non-negative")
-        if not 0.0 <= self.leak <= 1.0:
-            raise ConfigError(f"leak must lie in [0,1], got {self.leak}")
-        if not self.noise_sigma >= 0:
-            raise ConfigError("noise_sigma must be non-negative")
-        if not 0 <= self.event_rate <= self.classes:
-            raise ConfigError(
-                f"event_rate must lie in [0, {self.classes}] for {self.classes} classes, "
-                f"got {self.event_rate}"
-            )
+        if not self.event_rate <= self.classes:
+            raise ConfigError(f"event_rate must be <= classes ({self.classes}), got {self.event_rate}")
         if self.cooccur is not None:
             m = np.asarray(self.cooccur, dtype=np.float64)
             if m.shape != (self.classes, self.classes):

@@ -133,7 +133,8 @@ def test_unknown_subcommand_exits_1(capsys):
 def test_bad_threshold_is_usage_error(tmp_path, capsys):
     status = run_cli("eval", "--pred", "p.jsonl", "--gt", "g.jsonl", "--threshold", "1.5")
     assert status == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument --threshold: thresholds must lie strictly inside (0,1), got [1.5]\n" in err
 
 
 def test_out_of_range_config_threshold_exits_2_before_training(tmp_path, capsys):
@@ -181,13 +182,25 @@ def test_bad_adam_settings_and_negative_seeds_exit_2_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_repeated_config_key_exits_2_before_training(tmp_path, capsys, command):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
+    cfg = write_config(tmp_path, "epochs = 2\nbatch_size = 4\nepochs = 5\n")
+    out = tmp_path / "run"
+    assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {cfg}:3: epochs repeats line 1\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("learning_rate = nan", "learning_rate must be >= 0, got nan"),
     ("learning_rate = inf", "learning_rate must be finite, got inf"),
     ("nce_temperature = inf", "nce_temperature must be finite, got inf"),
     ("lambda_evt = inf", "lambda_evt must be finite, got inf"),
     ("adam_eps = inf", "adam_eps must be finite, got inf"),
-    ("lambda_kd = nan", "lambda_kd must be >= 0"),
+    pytest.param("lambda_kd = nan", "lambda_kd must be >= 0, got nan",
+                 id="lambda_kd = nan-lambda_kd must be >= 0"),
 ])
 def test_non_finite_settings_exit_2_before_training(tmp_path, capsys, setting, message):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
@@ -200,10 +213,10 @@ def test_non_finite_settings_exit_2_before_training(tmp_path, capsys, setting, m
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--noise-sigma", "nan", "noise_sigma must be a finite number, got nan"),
-    ("--event-rate", "nan", "event_rate must be a finite number, got nan"),
-    ("--p-audio-only", "nan", "p_audio_only must be a finite number, got nan"),
-    ("--noise-sigma", "-1", "noise_sigma must be non-negative"),
+    ("--noise-sigma", "nan", "noise_sigma must be >= 0, got nan"),
+    ("--event-rate", "nan", "event_rate must be >= 0, got nan"),
+    ("--p-audio-only", "nan", "p_audio_only must be in [0,1], got nan"),
+    ("--noise-sigma", "-1", "noise_sigma must be >= 0, got -1.0"),
 ])
 def test_non_finite_corpus_settings_exit_2_before_writing(tmp_path, capsys, flag, value, message):
     path = tmp_path / "x.jsonl"
@@ -431,7 +444,7 @@ def test_predict_reference_branch(tmp_path):
 def test_gen_data_with_a_negative_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "x.jsonl"
     assert run_cli("gen-data", "--out", str(path), "--seed", "-1") == 2
-    assert "seed must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert "coleaf: error: seed must be >= 0, got -1\n" in capsys.readouterr().err
     assert not path.exists()
 
 

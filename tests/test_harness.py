@@ -35,6 +35,7 @@ from coleaf.harness import (
     train,
     write_predictions,
 )
+from coleaf.metrics import field_rules
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
 
 from oracles import fd_check_params, sample_coords
@@ -449,15 +450,20 @@ def test_config_unknown_key_rejected(tmp_path):
     assert "learning_rte" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "line", ["batch_size = x", "epochs = 3.5", "unimodal_only = maybe", "learning_rte = 0.1"]
-)
-def test_config_bad_entry_names_line(tmp_path, line):
+@pytest.mark.parametrize("line, message", [
+    ("batch_size = x", "batch_size must be an integer, got 'x'"),
+    ("epochs = 3.5", "epochs must be an integer, got '3.5'"),
+    ("unimodal_only = maybe", "unimodal_only must be true or false, got 'maybe'"),
+    ("learning_rte = 0.1", "unknown config key learning_rte"),
+    ("learning_rate = fast", "learning_rate must be a number, got 'fast'"),
+    ("seed = 2", "seed repeats line 1"),
+], ids=["batch_size = x", "epochs = 3.5", "unimodal_only = maybe", "learning_rte = 0.1",
+        "learning_rate = fast", "seed = 2"])
+def test_config_bad_entry_names_line(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"seed = 1\n{line}\n")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         load_train_config(path)
-    assert f"{path}:2:" in str(err.value)
 
 
 def test_readme_config_block_names_every_field(tmp_path):
@@ -470,6 +476,24 @@ def test_readme_config_block_names_every_field(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     assert load_train_config(path) == TrainConfig()
+
+
+@pytest.mark.parametrize("header, cls, row_name", [
+    ("| `TrainConfig` field |", TrainConfig, lambda name: name),
+    ("| `gen-data` flag |", CorpusSpec, lambda name: "--" + name.replace("_", "-")),
+])
+def test_readme_rule_tables_match_the_annotations(header, cls, row_name):
+    lines = README.read_text().splitlines()
+    rows = {}
+    start = next(i for i, line in enumerate(lines) if line.startswith(header)) + 2  # past |---|
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, kind, rule = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows[name] = (kind, rule)
+    rules = field_rules(cls)
+    assert rows == {row_name(n): (kind.__name__, rule) for n, (kind, rule, _) in rules.items() if rule}
+    assert all(kind is bool for kind, rule, _ in rules.values() if not rule)
 
 
 def test_config_validation_bounds():
@@ -521,7 +545,7 @@ def test_config_accepts_the_edges_of_the_adam_ranges():
     ("nce_temperature", math.inf, "nce_temperature must be finite, got inf"),
     ("lambda_evt", math.inf, "lambda_evt must be finite, got inf"),
     ("adam_eps", math.inf, "adam_eps must be finite, got inf"),
-    ("lambda_kd", math.nan, "lambda_kd must be >= 0"),
+    pytest.param("lambda_kd", math.nan, "lambda_kd must be >= 0, got nan", id="lambda_kd-nan-lambda_kd must be >= 0"),
     pytest.param("learning_rate", 10**400, "learning_rate must be finite, got inf", id="learning_rate-int-too-large"),
 ])
 def test_config_rejects_non_finite_settings(field, value, message):

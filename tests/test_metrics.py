@@ -56,9 +56,12 @@ def test_threshold_parse_matches_elementwise():
 
 def test_threshold_parse_rejects_bad_threshold():
     probs = np.full((2, 2), 0.5)
-    for thr in (0.0, 1.0, [0.5, 1.5], [0.2, 0.4, 0.6]):
+    for thr in (0.0, 1.0, [0.5, 1.5], [0.2, 0.4, 0.6], 10**400, (0.5, 10**400), "abc"):
         with pytest.raises(ConfigError):
             threshold_parse(probs, probs, thr)
+    gt = BinaryParse(np.eye(2, dtype=int), np.eye(2, dtype=int))
+    with pytest.raises(ConfigError, match=r"^thresholds must lie strictly inside \(0,1\), got \[inf\]$"):
+        full_report({"v": (probs, probs)}, {"v": gt}, thresholds=10**400)
 
 
 def test_derive_exclusive_cases():

@@ -87,3 +87,17 @@ def test_only_fileio_reads_data_file_records():
         "alone owns the record loop, the id rule, the blocks and the record-by-record "
         "fallback; a reader gives it only its keys and two builders."
     )
+
+
+def test_only_metrics_imports_numbers():
+    imports_numbers = re.compile(r"^\s*(from\s+numbers\s+import|import\s[^#\n]*\bnumbers\b)", re.M)
+    owners = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if imports_numbers.search(path.read_text(encoding="utf-8"))
+    )
+    assert owners == ["metrics.py"], (
+        f"{', '.join(owners)} import numbers. A setting's type is stated once, by "
+        "coleaf.metrics.check_fields, which checks every bool, int and float field of "
+        "TrainConfig and CorpusSpec against the annotation next to the field."
+    )

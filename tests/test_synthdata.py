@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -373,11 +374,11 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
     [
         ({"spec": "x"}, "spec must be an object"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "colour": 1}}, "unexpected keyword argument 'colour'"),
-        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "leak": 2.0}}, "spec: leak must lie in [0,1]"),
+        ({"spec": {"segments": 6, "classes": 4, "dim": 8, "leak": 2.0}}, "spec: leak must be in [0,1], got 2.0"),
         ({"spec": {"segments": 6, "classes": 7, "dim": 8}}, "spec has segments=6, classes=7, dim=8, header says"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "seed": "x"}}, "spec: seed must be an integer"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "event_rate": 10**400}},
-         "spec: event_rate must be a finite number"),
+         "spec: event_rate must be finite, got inf"),
         ({"spec": {"segments": 6, "classes": 4, "dim": 8, "cooccur": [[10**400] * 4] * 4}},
          "spec: int too large to convert to float"),
         ({"prototypes_audio": [["a"] * 8] * 4}, "prototypes_audio must be a 4 x 8 matrix of finite numbers"),
@@ -506,25 +507,41 @@ def test_save_rejects_samples_of_two_lengths(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("seed", "x"), ("seed", 1.5), ("seed", True), ("seed", -1), ("n_videos", -1),
-     ("n_videos", 2.0), ("segments", 0), ("classes", "4"), ("dim", False)],
+    "field, value, message",
+    [("seed", "x", "seed must be an integer, got 'x'"),
+     ("seed", 1.5, "seed must be an integer, got 1.5"),
+     ("seed", True, "seed must be an integer, got True"),
+     ("seed", -1, "seed must be >= 0, got -1"),
+     ("n_videos", -1, "n_videos must be >= 0, got -1"),
+     ("n_videos", 2.0, "n_videos must be an integer, got 2.0"),
+     ("segments", 0, "segments must be >= 1, got 0"),
+     ("classes", "4", "classes must be an integer, got '4'"),
+     ("dim", False, "dim must be an integer, got False")],
+    ids=["seed-x", "seed-1.5", "seed-True", "seed--1", "n_videos--1", "n_videos-2.0",
+         "segments-0", "classes-4", "dim-False"],
 )
-def test_spec_integer_fields_are_checked(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be an integer of at least"):
+def test_spec_integer_fields_are_checked(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         small_spec(**{field: value}).validate()
     small_spec(**{field: np.int64(3)}).validate()
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("noise_sigma", float("nan")), ("event_rate", float("nan")), ("p_audio_only", float("nan")),
-     ("leak", float("nan")), ("noise_sigma", float("inf")), ("p_visual_only", "0.3"),
-     ("leak", True), pytest.param("leak", 10**400, id="leak-int-too-large"),
-     pytest.param("event_rate", -(10**400), id="event_rate-negative-int-too-large")],
+    "field, value, message",
+    [("noise_sigma", float("nan"), "noise_sigma must be >= 0, got nan"),
+     ("event_rate", float("nan"), "event_rate must be >= 0, got nan"),
+     ("p_audio_only", float("nan"), "p_audio_only must be in [0,1], got nan"),
+     ("leak", float("nan"), "leak must be in [0,1], got nan"),
+     ("noise_sigma", float("inf"), "noise_sigma must be finite, got inf"),
+     ("p_visual_only", "0.3", "p_visual_only must be a number, got '0.3'"),
+     ("leak", True, "leak must be a number, got True"),
+     ("leak", 10**400, f"leak must be in [0,1], got {10**400}"),
+     ("event_rate", -(10**400), f"event_rate must be >= 0, got {-(10**400)}")],
+    ids=["noise_sigma-nan", "event_rate-nan", "p_audio_only-nan", "leak-nan", "noise_sigma-inf",
+         "p_visual_only-0.3", "leak-True", "leak-int-too-large", "event_rate-negative-int-too-large"],
 )
-def test_spec_float_fields_must_be_finite_numbers(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got "):
+def test_spec_float_fields_must_be_finite_numbers(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         small_spec(**{field: value}).validate()
 
 
