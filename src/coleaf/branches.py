@@ -205,13 +205,17 @@ class ReferenceOutput:
 
 @dataclass
 class AnchorOutput:
-    """Anchor outputs per video; a forward over B videos adds a leading B axis."""
+    """Anchor outputs per video; a forward over B videos adds a leading B axis.
+
+    A forward with `pool=False` stops at the segment head: its three pooled
+    fields, `w_temporal`, `w_modality` and `video_probs`, are None.
+    """
 
     tokens: Tensor  # 2 x T x D, audio then visual
     seg_probs: Tensor  # T x 2 x C, audio then visual along the modality axis
-    w_temporal: Tensor  # T x 2 x C, sums to 1 along T per (modality, class)
-    w_modality: Tensor  # T x 2 x C, sums to 1 across modalities per (t, class)
-    video_probs: Tensor  # C
+    w_temporal: Tensor | None  # T x 2 x C, sums to 1 along T per (modality, class)
+    w_modality: Tensor | None  # T x 2 x C, sums to 1 across modalities per (t, class)
+    video_probs: Tensor | None  # C
 
     tokens_audio = property(lambda self: self.tokens[..., 0, :, :])
     tokens_visual = property(lambda self: self.tokens[..., 1, :, :])
@@ -300,15 +304,17 @@ def reference_forward(videos, params, use_class_tokens=True):
     )
 
 
-def anchor_forward(videos, params, unimodal_only=False):
+def anchor_forward(videos, params, unimodal_only=False, pool=True):
     """Hybrid-attention branch with attentive pooling to video level.
 
     Each modality token receives a residual self-attention term and, unless
     `unimodal_only` is set, a cross-attention term over the other modality.
     A shared classifier scores segments; two pooling weight fields (one
     normalized along time, one across modalities) reduce the T x 2 x C
-    probability block to a per-class video probability. `videos` is one
-    `VideoSample` or a sequence of them, as in `reference_forward`.
+    probability block to a per-class video probability. With `pool=False`
+    the forward stops after the segment scores, as prediction needs no more.
+    `videos` is one `VideoSample` or a sequence of them, as in
+    `reference_forward`.
     """
     x, count = _token_block(videos, params)  # (B x) 2 x T x D
     instrumentation.anchor_forward_calls += count
@@ -325,6 +331,8 @@ def anchor_forward(videos, params, unimodal_only=False):
     n = tokens.ndim
     feats = nm.transpose(tokens, (*range(n - 3), n - 2, n - 3, n - 1))  # (B x) T x 2 x D
     probs = nm.sigmoid(_linear(feats, params, "anchor.classifier"))  # (B x) T x 2 x C
+    if not pool:
+        return AnchorOutput(tokens, probs, w_temporal=None, w_modality=None, video_probs=None)
     w_temporal = nm.softmax(_linear(feats, params, "anchor.pool_temporal_fc"), axis=-3)
     w_modality = nm.softmax(_linear(feats, params, "anchor.pool_modality_fc"), axis=-2)
     # The raw product of the two weight fields does not sum to 1 over (t, m),

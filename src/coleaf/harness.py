@@ -49,8 +49,11 @@ from .numerics import Tensor
 from .synthdata import corpus_shape
 
 SEED_ENV_VAR = "COLEAF_SEED"
-# one anchor forward of a 64-video block peaks at about 0.77 MB per video at T=10, D=256,
-# C=25 and 57 KB at T=10, D=16, C=5 (tracemalloc); smaller blocks cost more per video
+# one pool-free anchor forward of a 64-video block peaks at about 0.75 MB per video at
+# T=10, D=256, C=25 and 52 KB at T=10, D=16, C=5 (tracemalloc); smaller blocks cost more
+# per video. With one block's graph alive at a time, a 100-video desk shard predicts
+# without minor page faults once the heap has grown (getrusage); blocks of 100 or 128
+# took about 530 faults per shard and 25% longer
 PREDICT_BLOCK_VIDEOS = 64
 
 ABLATION_AXES = (
@@ -398,13 +401,18 @@ def predict(params, corpus, branch="anchor", unimodal_only=False):
     preds = {}
     for lo in range(0, len(samples), PREDICT_BLOCK_VIDEOS):
         block = samples[lo : lo + PREDICT_BLOCK_VIDEOS]
-        if branch == "anchor":
-            out = anchor_forward(block, params, unimodal_only=unimodal_only)
-            probs = np.swapaxes(out.seg_probs.data, -3, -2)  # B x T x 2 x C to B x 2 x T x C
-        else:
-            probs = reference_forward(block, params).seg_probs.data
+        probs = _block_seg_probs(block, params, branch, unimodal_only)
         preds.update((sample.id, tuple(video)) for sample, video in zip(block, probs))
     return preds
+
+
+def _block_seg_probs(block, params, branch, unimodal_only):
+    """B x 2 x T x C segment probabilities of one block. The forward's graph dies when
+    this returns, before the next block's forward starts."""
+    if branch == "anchor":
+        out = anchor_forward(block, params, unimodal_only=unimodal_only, pool=False)
+        return np.swapaxes(out.seg_probs.data, -3, -2)  # B x T x 2 x C to B x 2 x T x C
+    return reference_forward(block, params).seg_probs.data
 
 
 def write_predictions(preds, path):

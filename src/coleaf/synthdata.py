@@ -21,10 +21,11 @@ from .metrics import BinaryParse, check_fields, record_eq
 
 @dataclass(eq=False)
 class CorpusSpec:
-    n_videos: Annotated[int, ">= 0"] = 500
-    segments: Annotated[int, ">= 1"] = 10  # T
-    classes: Annotated[int, ">= 1"] = 5  # C
-    dim: Annotated[int, ">= 1"] = 16  # D
+    # the size caps keep a corpus's arrays allocatable, so a huge size is a ConfigError
+    n_videos: Annotated[int, "in [0,1000000]"] = 500
+    segments: Annotated[int, "in [1,1000]"] = 10  # T
+    classes: Annotated[int, "in [1,1000]"] = 5  # C
+    dim: Annotated[int, "in [1,8192]"] = 16  # D
     event_rate: Annotated[float, ">= 0"] = 2.5  # expected events per video, at most C
     p_audio_only: Annotated[float, "in [0,1]"] = 0.3  # the event-type mix, summing to 1
     p_visual_only: Annotated[float, "in [0,1]"] = 0.3

@@ -239,6 +239,13 @@ def test_batched_forwards_slice_to_per_video_forwards(switch):
             batched[0].video_probs_visual.data[b], single[0].video_probs_visual.data
         )
         assert np.array_equal(batched[1].tokens_audio.data[b], single[1].tokens_audio.data)
+    # a forward without pooling stops at the segment head and leaves the pooled fields out
+    for videos in (samples, samples[0]):
+        pooled = anchor_forward(videos, params, unimodal_only=switch)
+        bare = anchor_forward(videos, params, unimodal_only=switch, pool=False)
+        assert np.array_equal(bare.tokens.data, pooled.tokens.data)
+        assert np.array_equal(bare.seg_probs.data, pooled.seg_probs.data)
+        assert bare.w_temporal is None and bare.w_modality is None and bare.video_probs is None
 
 
 def test_batched_forward_rejects_videos_of_two_lengths():

@@ -217,6 +217,7 @@ def test_non_finite_settings_exit_2_before_training(tmp_path, capsys, setting, m
     ("--event-rate", "nan", "event_rate must be >= 0, got nan"),
     ("--p-audio-only", "nan", "p_audio_only must be in [0,1], got nan"),
     ("--noise-sigma", "-1", "noise_sigma must be >= 0, got -1.0"),
+    ("--dim", "100000000000000000000", "dim must be in [1,8192], got 100000000000000000000"),
 ])
 def test_non_finite_corpus_settings_exit_2_before_writing(tmp_path, capsys, flag, value, message):
     path = tmp_path / "x.jsonl"

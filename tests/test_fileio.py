@@ -179,11 +179,13 @@ def _int_extremes(dtype):
 
 
 _GRID = np.arange(12.0).reshape(3, 4) / 7
-WRITER_VALUES = {
-    **{
+with np.errstate(over="ignore"):  # 1e30 overflows float16 to inf on purpose
+    _FLOAT_GRIDS = {
         name: (_GRID * [1, -1, 1e30, np.inf]).astype(name)
         for name in ("float16", "float32", "float64")
-    },
+    }
+WRITER_VALUES = {
+    **_FLOAT_GRIDS,
     **{
         name: _int_extremes(name)
         for name in ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,23 @@ def test_predict_equals_per_video_forwards(branch, monkeypatch):
             want = reference_forward(sample, params).seg_probs.data
         for got, one in zip(preds[sample.id], want):
             assert got.shape == one.shape and np.max(np.abs(got - one)) < 1e-12
+
+
+def test_predict_holds_one_blocks_graph_at_a_time(monkeypatch):
+    corpus = desk_corpus(n_videos=5)
+    params = init_branch_params(8, 4, 5)
+    outputs = []
+
+    def forward(*args, **kwargs):
+        assert all(out() is None for out in outputs), "an earlier block's graph is still alive"
+        out = anchor_forward(*args, **kwargs)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness, "PREDICT_BLOCK_VIDEOS", 2)  # blocks of 2, 2 and 1
+    monkeypatch.setattr(harness, "anchor_forward", forward)
+    assert len(predict(params, corpus)) == 5
+    assert len(outputs) == 3
 
 
 def test_empty_corpus_rejected():

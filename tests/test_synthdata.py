@@ -512,13 +512,15 @@ def test_save_rejects_samples_of_two_lengths(tmp_path):
      ("seed", 1.5, "seed must be an integer, got 1.5"),
      ("seed", True, "seed must be an integer, got True"),
      ("seed", -1, "seed must be >= 0, got -1"),
-     ("n_videos", -1, "n_videos must be >= 0, got -1"),
+     ("n_videos", -1, "n_videos must be in [0,1000000], got -1"),
      ("n_videos", 2.0, "n_videos must be an integer, got 2.0"),
-     ("segments", 0, "segments must be >= 1, got 0"),
+     ("segments", 0, "segments must be in [1,1000], got 0"),
      ("classes", "4", "classes must be an integer, got '4'"),
-     ("dim", False, "dim must be an integer, got False")],
+     ("dim", False, "dim must be an integer, got False"),
+     ("dim", 8193, "dim must be in [1,8192], got 8193"),
+     ("classes", 10**20, "classes must be in [1,1000], got 100000000000000000000")],
     ids=["seed-x", "seed-1.5", "seed-True", "seed--1", "n_videos--1", "n_videos-2.0",
-         "segments-0", "classes-4", "dim-False"],
+         "segments-0", "classes-4", "dim-False", "dim-8193", "classes-1e20"],
 )
 def test_spec_integer_fields_are_checked(field, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
