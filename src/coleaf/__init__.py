@@ -34,7 +34,6 @@ from .metrics import (
     derive_exclusive,
     extract_event_proposals,
     full_report,
-    threshold_parse,
 )
 from .numerics import Tensor, attention, backward, bce, matmul, sigmoid, softmax
 from .synthdata import (

@@ -44,14 +44,10 @@ class VideoSample:
     gt: BinaryParse | None = None
 
     def __post_init__(self):
-        self.audio_tokens = np.asarray(self.audio_tokens, dtype=np.float64)
-        self.visual_tokens = np.asarray(self.visual_tokens, dtype=np.float64)
-        self.weak_label = as_binary(self.weak_label, "weak label")
-        _check_tokens(self.audio_tokens, self.visual_tokens)
-        if self.gt is not None:
-            expect = (self.n_segments, self.n_classes)
-            if self.gt.audio.shape != expect:
-                raise DimensionError(f"ground truth shape {self.gt.audio.shape}, expected {expect}")
+        gt_audio = None if self.gt is None else self.gt.audio
+        self.audio_tokens, self.visual_tokens, self.weak_label = _video_fields(
+            self.audio_tokens, self.visual_tokens, self.weak_label, gt_audio
+        )
 
     @classmethod
     def from_block(cls, ids, audio_tokens, visual_tokens, weak_labels, gt_audio=None, gt_visual=None):
@@ -62,19 +58,11 @@ class VideoSample:
         arrays are views into them.
         """
         lead = (len(ids),)
-        audio = np.asarray(audio_tokens, dtype=np.float64)
-        visual = np.asarray(visual_tokens, dtype=np.float64)
-        weak = as_binary(weak_labels, "weak label")
-        _check_tokens(audio, visual, lead=lead)
-        if weak.ndim != 2 or weak.shape[0] != len(ids):
-            raise DimensionError(f"weak labels must be {len(ids)} x C, got {weak.shape}")
         gts = [None] * len(ids)
         if gt_audio is not None:
             gt_audio, gt_visual = binary_pair(gt_audio, gt_visual, lead=lead)
-            expect = (len(ids), audio.shape[1], weak.shape[1])
-            if gt_audio.shape != expect:
-                raise DimensionError(f"ground truth shape {gt_audio.shape}, expected {expect}")
             gts = [unchecked(BinaryParse, audio=a, visual=v) for a, v in zip(gt_audio, gt_visual)]
+        audio, visual, weak = _video_fields(audio_tokens, visual_tokens, weak_labels, gt_audio, lead=lead)
         return [
             unchecked(cls, id=i, audio_tokens=a, visual_tokens=v, weak_label=w, gt=g)
             for i, a, v, w, g in zip(ids, audio, visual, weak, gts)
@@ -95,13 +83,24 @@ class VideoSample:
     __eq__ = record_eq
 
 
-def _check_tokens(audio, visual, *, lead=()):
-    """Float64 token matrices, T x D each, must share one shape and be finite; with
-    `lead`, `lead` x T x D stacks of them."""
+def _video_fields(audio_tokens, visual_tokens, weak_label, gt_audio=None, *, lead=()):
+    """The one check on a video: finite token matrices of one T x D, a weak label of C
+    values in {0,1} and, if given, the audio matrix of its checked parse, of T x C; with
+    `lead`, `lead` x ... stacks of them. Returns the tokens as float64 and the weak label
+    as int64."""
+    audio = np.asarray(audio_tokens, dtype=np.float64)
+    visual = np.asarray(visual_tokens, dtype=np.float64)
+    weak = as_binary(weak_label, "weak label")
     if not matrix_pair(audio, visual, lead):
         raise DimensionError(f"token matrices must share T x D, got {audio.shape} and {visual.shape}")
     if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
         raise ValueError("tokens must be finite")
+    if weak.ndim != len(lead) + 1 or weak.shape[:-1] != lead:
+        raise DimensionError(f"weak labels must be {' x '.join([*map(str, lead), 'C'])}, got {weak.shape}")
+    expect = (*audio.shape[:-1], weak.shape[-1])
+    if gt_audio is not None and gt_audio.shape != expect:
+        raise DimensionError(f"ground truth shape {gt_audio.shape}, expected {expect}")
+    return audio, visual, weak
 
 
 def param_layout(dim, n_classes):

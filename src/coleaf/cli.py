@@ -111,7 +111,7 @@ def _cmd_train(args):
     params_path = os.path.join(args.out, "params.json")
     log_path = os.path.join(args.out, "trainlog.json")
     save_params(params, params_path)
-    write_json(log_path, log.to_mapping(), indent=2)
+    write_json(log_path, log.to_mapping())
     last = log.epochs[-1].losses
     print(f"trained {config.epochs} epochs; final mean total loss {last.total:.6f}")
     print(f"params: {params_path}")

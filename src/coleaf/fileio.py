@@ -1,14 +1,16 @@
-"""Crash-safe output, and the one place JSON data files are encoded and parsed.
+"""Crash-safe output, and the one place JSON files are encoded and parsed.
 
-In JSON Lines data files every float or integer array is one payload object,
-`{"dtype": "<f8", "shape": [...], "b64": "..."}`: the base64 of its
+In every file coleaf writes, every float or integer array is one payload
+object, `{"dtype": "<f8", "shape": [...], "b64": "..."}`: the base64 of its
 little-endian bytes in C order, float64 for a float array and the array's own
 integer dtype (`|u1`, `<i8`, ...) for an integer one, so a round trip is
 bit-exact without turning each number into text. Bool arrays stay JSON
 booleans. Readers take a nested list as well.
 
-`write_json_lines` formats each record's line by that layout, not through the
-generic JSON walk, and writes the bytes the JSON encoder would. One reader,
+`write_json_lines` writes every data file (corpora, predictions, parameters)
+and formats each record's line by that layout, not through the generic JSON
+walk, and writes the bytes the JSON encoder would; `write_json` writes only
+the indented training log, which holds no arrays. One reader,
 `read_records`, reads the corpus and prediction records: it owns the record
 loop, the id rule, the blocks and the record-by-record fallback, and its
 callers give only their keys and two builders. It leaves each payload's base64
@@ -58,11 +60,11 @@ def atomic_write(path):
         raise
 
 
-def write_json(path, record, indent=None):
-    """Atomically write `record` as one JSON document, with no trailing newline; numpy
-    arrays are written as nested lists."""
+def write_json(path, record):
+    """Atomically write `record`, which holds no arrays, as one JSON document indented by
+    two spaces, with no trailing newline."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(record, indent=indent, default=np.ndarray.tolist))
+        fh.write(json.dumps(record, indent=2))
 
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "b64"))

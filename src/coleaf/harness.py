@@ -19,7 +19,7 @@ from .branches import (
     reference_forward,
 )
 from .errors import ConfigError, DivergenceError, FileFormatError
-from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json, write_json_lines
+from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json_lines
 from .losses import (
     LossBundle,
     anchor_modality_video_probs,
@@ -465,8 +465,9 @@ def evaluate(preds, corpus, threshold=0.5):
 
 
 def save_params(params, path):
+    """Write `params` as one JSON line, each parameter a float64 payload."""
     values = {name: t.data for name, t in params.named_parameters()}
-    write_json(path, {"dim": params.dim, "n_classes": params.n_classes, "values": values})
+    write_json_lines(path, [{"dim": params.dim, "n_classes": params.n_classes, "values": values}])
 
 
 def load_params(path):

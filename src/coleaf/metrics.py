@@ -249,13 +249,6 @@ def _probability_pair(probs_audio, probs_visual, *, lead=()):
     return pa, pv
 
 
-def threshold_parse(seg_probs_audio, seg_probs_visual, threshold=0.5):
-    """Binarize probabilities; a cell is positive only if strictly above its threshold."""
-    pa, pv = _probability_pair(seg_probs_audio, seg_probs_visual)
-    thr = _check_threshold(threshold, pa.shape[1])
-    return BinaryParse(audio=(pa > thr).astype(np.int64), visual=(pv > thr).astype(np.int64))
-
-
 def _streams(audio, visual):
     """The five streams of 0/1 parses whose last two axes are T x C, stacked on a new
     axis before them in `STREAMS` order."""

@@ -280,7 +280,7 @@ def _block_samples(recs, shape):
     """The videos of the records `recs`, of the header's (T, C, D), built at once by
     `VideoSample.from_block`; records that do not stack (another shape, ground truth on
     some only) raise `ValueError` or `TypeError`."""
-    has_gt = [rec.get("gt_audio") is not None for rec in recs]
+    has_gt = [_has_gt(rec) for rec in recs]
     if any(has_gt) and not all(has_gt):
         raise ValueError("ground truth on some videos only")
     gt_keys = ("gt_audio", "gt_visual") if has_gt[0] else ()
@@ -297,9 +297,7 @@ def _block_samples(recs, shape):
 
 def _record_sample(rec, shape):
     """The video of one record, of the header's (T, C, D)."""
-    gt = None
-    if rec.get("gt_audio") is not None:
-        gt = BinaryParse(audio=rec["gt_audio"], visual=rec.get("gt_visual"))
+    gt = BinaryParse(audio=rec.get("gt_audio"), visual=rec.get("gt_visual")) if _has_gt(rec) else None
     sample = VideoSample(
         id=rec["id"],
         audio_tokens=rec["audio"],
@@ -308,6 +306,12 @@ def _record_sample(rec, shape):
         gt=gt,
     )
     return _fitted(sample, shape)
+
+
+def _has_gt(rec):
+    """Whether a record gives ground truth: either parse, so that one without the other is
+    a fault at its line rather than a video without ground truth."""
+    return rec.get("gt_audio") is not None or rec.get("gt_visual") is not None
 
 
 def _fitted(sample, shape):

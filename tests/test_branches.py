@@ -282,3 +282,19 @@ def test_from_block_builds_the_samples_the_constructor_builds():
     ]:
         with pytest.raises(error, match=message):
             VideoSample.from_block(ids, *args)
+
+
+@pytest.mark.parametrize(
+    "weak, message",
+    [(1, r"weak labels must be C, got \(\)"), ([[0, 1], [1, 0]], r"weak labels must be C, got \(2, 2\)")],
+    ids=["scalar", "matrix"],
+)
+def test_a_video_needs_a_weak_label_of_c_values(weak, message):
+    """One video passes the rule a stacked block does: a scalar or C x C weak label is a
+    `DimensionError`, with ground truth or without."""
+    rng = np.random.default_rng(22)
+    audio, visual = rng.normal(size=(2, 3, 4))
+    gt = BinaryParse(np.zeros((3, 2)), np.ones((3, 2)))
+    for parse in (None, gt):
+        with pytest.raises(DimensionError, match=message):
+            VideoSample("v", audio, visual, weak, parse)

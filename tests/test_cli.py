@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coleaf.cli import main
-from coleaf.fileio import parse_record
+from coleaf.fileio import parse_record, write_json_lines
 
 
 def run_cli(*argv):
@@ -51,6 +51,39 @@ def test_full_pipeline(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 18
     for key in ("segment.A ", "segment.Ao ", "event.Event@AVo "):
         assert any(line.startswith(key.strip()) for line in text.splitlines())
+
+
+def _number_lists(value, where="$"):
+    """The paths of the lists in decoded JSON `value` that hold a number, payload objects
+    left out; a bool is not a number here."""
+    if isinstance(value, dict):
+        if value.keys() == {"dtype", "shape", "b64"}:
+            return []
+        return [path for k, v in value.items() for path in _number_lists(v, f"{where}.{k}")]
+    if isinstance(value, list):
+        found = [where] if any(type(v) in (int, float) for v in value) else []
+        return found + [path for i, v in enumerate(value) for path in _number_lists(v, f"{where}[{i}]")]
+    return []
+
+
+def test_no_written_file_holds_an_array_as_nested_lists(tmp_path):
+    """The README quick start, small: every array in the corpora, params.json and the
+    predictions is a payload object."""
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert run_cli(
+        "gen-data", "--out", str(train), "--eval-out", str(test),
+        "--n-videos", "6", "--eval-videos", "3", "--leak", "0.3", "--noise-sigma", "0.15", "--seed", "1",
+    ) == 0
+    run = tmp_path / "run"
+    config = write_config(tmp_path, "epochs = 1\nbatch_size = 2\n")
+    assert run_cli("train", "--corpus", str(train), "--config", str(config), "--out", str(run)) == 0
+    preds = tmp_path / "preds.jsonl"
+    assert run_cli("predict", "--params", str(run / "params.json"), "--corpus", str(test), "--out", str(preds)) == 0
+    for path in (train, test, run / "params.json", preds):
+        lines = path.read_text().splitlines()
+        assert lines
+        for line_no, line in enumerate(lines, start=1):
+            assert _number_lists(json.loads(line)) == [], f"{path.name}:{line_no}"
 
 
 def test_eval_with_per_class_thresholds(tmp_path):
@@ -109,14 +142,13 @@ def test_predict_with_non_finite_params_exits_2(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
     params = _trained(tmp_path, corpus)
     payload = json.loads(params.read_text())
-    payload["values"] = {
-        name: np.full(np.shape(value), np.nan).tolist() for name, value in payload["values"].items()
-    }
-    params.write_text(json.dumps(payload))
+    # each parameter a payload of NaNs of its saved shape
+    payload["values"] = {name: np.full(value["shape"], np.nan) for name, value in payload["values"].items()}
+    write_json_lines(params, [payload])
     preds = tmp_path / "p.jsonl"
     status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
     assert status == 2
-    assert f"{params}:1: parameter " in capsys.readouterr().err
+    assert f"{params}:1: parameter reference.attn_audio.wq: values must be finite\n" in capsys.readouterr().err
     assert not preds.exists()
 
 
@@ -289,6 +321,34 @@ def test_corpus_with_a_repeated_id_exits_2(tmp_path, capsys):
     status = run_cli("train", "--corpus", str(corpus), "--out", str(tmp_path / "run"))
     assert status == 2
     assert ":4: id 'vid00000' repeats line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes, command, message",
+    [
+        ({"weak_label": 1}, "train", "weak labels must be C, got ()"),
+        ({"weak_label": np.eye(4, dtype=int).tolist()}, "train", "weak labels must be C, got (4, 4)"),
+        ({"gt_audio": None}, "eval", "audio parse must hold only 0 and 1"),
+    ],
+    ids=["scalar-weak-label", "c-by-c-weak-label", "gt-visual-only"],
+)
+def test_a_bad_weak_label_or_half_ground_truth_exits_2_at_its_line(tmp_path, capsys, changes, command, message):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=3)
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec.update(changes)
+    lines[2] = json.dumps(rec)
+    corpus.write_text("\n".join(lines) + "\n")
+    if command == "train":
+        status = run_cli("train", "--corpus", str(corpus), "--out", str(tmp_path / "run"))
+    else:
+        preds = tmp_path / "p.jsonl"
+        row = {"probs_audio": [[0.5] * 4] * 6, "probs_visual": [[0.5] * 4] * 6}
+        preds.write_text("".join(json.dumps({"id": f"vid{i:05d}", **row}) + "\n" for i in range(3)))
+        status = run_cli("eval", "--pred", str(preds), "--gt", str(corpus))
+    assert status == 2
+    assert capsys.readouterr().err == f"coleaf: error: {corpus}:3: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_of_predictions_with_a_non_string_id_exits_2(tmp_path, capsys):

@@ -388,18 +388,22 @@ def test_params_round_trip(tmp_path):
     for (name_a, ta), (name_b, tb) in zip(params.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(ta.data, tb.data)
+    # every value a float64 payload, with no number left as text
+    values = json.loads(path.read_text())["values"]
+    assert {(v["dtype"], tuple(v["shape"])) for v in values.values()} == {
+        ("<f8", t.data.shape) for _, t in params.named_parameters()
+    }
     # Written by save_params(init_branch_params(2, 2, 5)) when the parameters
-    # still lived in nested per-layer records: it loads to the same values
-    # and saves back byte for byte.
-    old = DATA_DIR / "params_d2_c2_seed5.json"
-    loaded = load_params(old)
-    for (name_a, ta), (name_b, tb) in zip(
-        init_branch_params(2, 2, 5).named_parameters(), loaded.named_parameters()
-    ):
-        assert name_a == name_b
-        assert np.array_equal(ta.data, tb.data)
+    # still lived in nested per-layer records and were saved as nested lists:
+    # it loads to the same values, and saved again as payloads it loads to
+    # them once more.
+    expected = init_branch_params(2, 2, 5)
+    loaded = load_params(DATA_DIR / "params_d2_c2_seed5.json")
+    assert np.array_equal(loaded.flat, expected.flat)
+    assert [name for name, _ in loaded.named_parameters()] == [name for name, _ in expected.named_parameters()]
     save_params(loaded, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == old.read_bytes()
+    assert all(isinstance(v, dict) for v in json.loads((tmp_path / "again.json").read_text())["values"].values())
+    assert np.array_equal(load_params(tmp_path / "again.json").flat, expected.flat)
 
 
 def test_load_params_rejects_wrong_shape(tmp_path):
@@ -744,10 +748,13 @@ def test_load_predictions_rejects_a_malformed_line(tmp_path, line, message):
         ("values-number", ":1: values must be an object"),
         ("values-list", ":1: values must be an object"),
         ("int-too-large", ":1: parameter anchor.classifier.bias: int too large to convert to float"),
+        ("bad-base64", ":1: payload b64 is not base64: "),
+        ("big-endian", ":1: payload dtype must be '<f8', got '>f8'; "),
+        ("byte-count", ":1: payload holds 8 bytes, shape [2] of float64 needs 16"),
     ],
     ids=[
         "bad-json", "missing-key", "name-mismatch", "infinite", "number", "values-number", "values-list",
-        "int-too-large",
+        "int-too-large", "bad-base64", "big-endian", "byte-count",
     ],
 )
 def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
@@ -767,6 +774,11 @@ def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
         payload["values"] = [[1]]
     elif edit == "int-too-large":
         values["anchor.classifier.bias"] = [10**400, 0.0]
+    elif edit in ("bad-base64", "big-endian", "byte-count"):
+        # one value's payload, the rest nested lists as in the fixture
+        b64 = {"bad-base64": "AAAA*AAA", "byte-count": "AAAAAAAA8D8="}.get(edit, "AAAAAAAA8D8AAAAAAAAAAA==")
+        dtype = ">f8" if edit == "big-endian" else "<f8"
+        values["anchor.classifier.bias"] = {"dtype": dtype, "shape": [2], "b64": b64}
     path = tmp_path / "params.json"
     path.write_text("{" if edit == "bad-json" else json.dumps(payload))
     with pytest.raises(FileFormatError) as err:

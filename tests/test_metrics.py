@@ -17,7 +17,6 @@ from coleaf.metrics import (
     full_report,
     match_events,
     segment_counts,
-    threshold_parse,
     _event_counts,
     _probability_pair,
     _streams,
@@ -34,32 +33,43 @@ from oracles import (
 )
 
 
-def test_threshold_parse_scalar():
-    parse = threshold_parse(np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]]), 0.5)
-    assert parse.audio.tolist() == [[1, 0]]
-    assert parse.visual.tolist() == [[0, 1]]
+def _thresholded(pa, pv, threshold):
+    """The parse of probabilities `pa` and `pv`: a cell is positive only if strictly above
+    its threshold, one value or one per class."""
+    return BinaryParse(np.asarray(pa) > threshold, np.asarray(pv) > threshold)
 
 
-def test_threshold_parse_per_class():
-    parse = threshold_parse(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), [0.3, 0.7])
-    assert parse.audio.tolist() == [[1, 0]]
+_STRICT_CASES = {
+    "scalar": ([[0.6, 0.4]], [[0.4, 0.6]], 0.5, [[1, 0]], [[0, 1]]),
+    "per-class": ([[0.5, 0.5]], [[0.5, 0.5]], [0.3, 0.7], [[1, 0]], [[1, 0]]),
+    "boundary": ([[0.5, 0.25]], [[0.25, 0.5]], [0.5, 0.25], [[0, 0]], [[0, 1]]),
+}
 
 
-def test_threshold_parse_matches_elementwise():
+@pytest.mark.parametrize("case", _STRICT_CASES)
+def test_full_report_thresholds_strictly_above(case):
+    """Scored against the parse it should threshold to, a pair gives a perfect report: any
+    cell thresholded the other way would be a false positive or negative."""
+    pa, pv, thr, audio, visual = _STRICT_CASES[case]
+    report = full_report({"v": (np.array(pa), np.array(pv))}, {"v": BinaryParse(audio, visual)}, thresholds=thr)
+    assert set(report.segment.as_dict().values()) == {100.0}
+    assert all(rate["FP"] == rate["FN"] == 0.0 for rate in report.rates.values())
+
+
+def test_full_report_thresholds_each_cell_as_the_elementwise_test():
     rng = np.random.default_rng(0)
     pa, pv = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (4, 3))
     thr = rng.uniform(0.2, 0.8)
-    parse = threshold_parse(pa, pv, thr)
-    assert np.array_equal(parse.audio, (pa > thr).astype(int))
-    assert np.array_equal(parse.visual, (pv > thr).astype(int))
+    report = full_report({"v": (pa, pv)}, {"v": _thresholded(pa, pv, thr)}, thresholds=thr)
+    assert set(report.segment.as_dict().values()) == {100.0}
 
 
-def test_threshold_parse_rejects_bad_threshold():
+def test_full_report_rejects_bad_threshold():
     probs = np.full((2, 2), 0.5)
+    gt = BinaryParse(np.eye(2, dtype=int), np.eye(2, dtype=int))
     for thr in (0.0, 1.0, [0.5, 1.5], [0.2, 0.4, 0.6], 10**400, (0.5, 10**400), "abc"):
         with pytest.raises(ConfigError):
-            threshold_parse(probs, probs, thr)
-    gt = BinaryParse(np.eye(2, dtype=int), np.eye(2, dtype=int))
+            full_report({"v": (probs, probs)}, {"v": gt}, thresholds=thr)
     with pytest.raises(ConfigError, match=r"^thresholds must lie strictly inside \(0,1\), got \[inf\]$"):
         full_report({"v": (probs, probs)}, {"v": gt}, thresholds=10**400)
 
@@ -93,7 +103,7 @@ def _predicted_parses(draw):
     """A parse thresholded from random probabilities of a random T x C."""
     shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 4)))
     pa, pv = (draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) for _ in "av")
-    return threshold_parse(pa, pv, draw(st.floats(0.01, 0.99)))
+    return _thresholded(pa, pv, draw(st.floats(0.01, 0.99)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -278,7 +288,7 @@ def test_full_report_accepts_probability_pairs():
     gt = BinaryParse(rng.integers(0, 2, (4, 2)), rng.integers(0, 2, (4, 2)))
     probs = (rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (4, 2)))
     report = full_report({"v": probs}, {"v": gt}, thresholds=0.5)
-    direct = full_report({"v": threshold_parse(*probs, 0.5)}, {"v": gt})
+    direct = full_report({"v": _thresholded(*probs, 0.5)}, {"v": gt})
     assert report.as_dict() == direct.as_dict()
 
 
@@ -457,7 +467,7 @@ def test_full_report_of_mixed_parses_and_probabilities_equals_thresholding_first
     for i in range(SCORE_BLOCK_VIDEOS + 10):
         vid = f"v{i:03d}"
         probs = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3))
-        thresholded[vid] = threshold_parse(*probs, thresholds)
+        thresholded[vid] = _thresholded(*probs, thresholds)
         preds[vid] = thresholded[vid] if i % 3 == 0 else probs
         gts[vid] = BinaryParse(*(rng.uniform(size=(2, 6, 3)) < 0.4))
     mixed = full_report(preds, gts, thresholds=thresholds)
@@ -544,8 +554,6 @@ def test_probabilities_must_be_finite_and_inside_the_unit_interval(bad, modality
     message = rf"{modality} probabilities hold a non-finite value or one outside \[0,1\]"
     with pytest.raises(ValueError, match=message):
         full_report({"a": pair, "b": (np.zeros((2, 3)), np.ones((2, 3)))}, gts)
-    with pytest.raises(ValueError, match=message):
-        threshold_parse(*pair)
 
 
 def _raises_value_error(check, *args):

@@ -308,11 +308,16 @@ def _record_lines(n_videos):
         ({"audio": [[float("nan")] * 8] * 3}, "tokens must be finite"),
         ({"visual": [[float("inf")] * 8] * 3}, "tokens must be finite"),
         ({"audio": [[10**400] * 8] * 3}, "int too large to convert to float"),
+        ({"gt_audio": None}, "audio parse must hold only 0 and 1"),
+        ({"weak_label": 1}, "weak labels must be C, got ()"),
+        ({"weak_label": [[0, 1], [1, 0]]}, "weak labels must be C, got (2, 2)"),
+        ({"weak_label": _u1_payload([[0, 1], [1, 0]])}, "weak labels must be C, got (2, 2)"),
     ],
     ids=[
         "shapes-differ", "one-dimensional", "visual-missing", "gt-seven", "gt-half",
         "weak-label-three", "gt-two-payload", "weak-label-three-payload", "shapes-differ-payload",
-        "nan-token", "infinite-token", "int-too-large-token",
+        "nan-token", "infinite-token", "int-too-large-token", "audio-missing", "weak-label-scalar",
+        "weak-label-matrix", "weak-label-matrix-payload",
     ],
 )
 def test_bad_ground_truth_names_line(tmp_path, changes, message):
