@@ -21,8 +21,9 @@ from .errors import AlignmentError, ConfigError, DimensionError
 STREAMS = ("A", "V", "AV", "Ao", "Vo")
 # rows: the five streams, then the A+V and Ao+Vo pools that Event@AV and Event@AVo score
 _POOLS = np.vstack((np.eye(len(STREAMS), dtype=np.int64), [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]))
-# videos per array pass in `full_report` and per stacked record check in the corpus and
-# prediction file readers; bounds the memory one pass takes
+# videos per array pass in `full_report`, per stacked record check in the corpus and
+# prediction file readers and per assembled block in `synthdata.generate_corpus`;
+# bounds the memory one pass takes
 SCORE_BLOCK_VIDEOS = 128
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
 
@@ -105,9 +106,14 @@ def matrix_pair(a, b, lead=()):
 
 def unchecked(cls, **fields):
     """A `cls` record holding `fields` as given, without running its `__post_init__`: for
-    arrays that have already passed its checks as part of a stacked block."""
+    arrays that have already passed its checks as part of a stacked block.
+
+    Fields are set one at a time, as `__init__` sets them, so the record keeps the
+    compact attribute table its class's instances share.
+    """
     record = object.__new__(cls)
-    record.__dict__.update(fields)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
     return record
 
 

@@ -8,6 +8,7 @@ order-independent and reproducible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Annotated
 
@@ -16,7 +17,7 @@ import numpy as np
 from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError
 from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json_lines
-from .metrics import BinaryParse, check_fields, record_eq
+from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, check_fields, record_eq, unchecked
 
 
 @dataclass(eq=False)
@@ -110,26 +111,40 @@ def corpus_shape(corpus):
 
 
 def weak_labels_from_temporal(gt):
-    """Video-level label: class present in any segment of either modality."""
-    return ((gt.audio.any(axis=0)) | (gt.visual.any(axis=0))).astype(np.int64)
+    """Video-level label: class present in any segment of either modality. The rule
+    reduces the segment axis, so a parse of `lead` x T x C stacks gives `lead` x C labels."""
+    return (gt.audio.any(axis=-2) | gt.visual.any(axis=-2)).astype(np.int64)
 
 
 def _unit_rows(matrix):
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
 
 
-def _sample_classes(rng, n_classes, n_events, cooccur):
+def _cdf(weights):
+    """The cumulative distribution that `Generator.choice(len(weights), p=weights / weights.sum())`
+    searches, built the way `choice` builds it."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng, cdf):
+    """The index `Generator.choice` would draw from `cdf`: the same one `rng.random()` from
+    the stream, searched the same way, without `choice`'s per-call checks of `p`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _sample_classes(rng, n_classes, n_events, cooccur, uniform):
+    """`n_events` distinct classes, drawn one at a time; `uniform(n)` is the cdf of an even
+    draw among `n` classes left."""
     chosen = []
     remaining = list(range(n_classes))
     for _ in range(n_events):
         if cooccur is None or not chosen:
-            weights = np.ones(len(remaining))
+            cdf = uniform(len(remaining))
         else:
-            weights = np.array([1.0 + sum(cooccur[j, k] for k in chosen) for j in remaining])
-        weights = weights / weights.sum()
-        pick = int(rng.choice(remaining, p=weights))
-        chosen.append(pick)
-        remaining.remove(pick)
+            cdf = _cdf(np.array([1.0 + sum(cooccur[j, k] for k in chosen) for j in remaining]))
+        chosen.append(remaining.pop(_draw(rng, cdf)))
     return chosen
 
 
@@ -143,43 +158,42 @@ def generate_corpus(spec):
     classes are drawn sequentially with co-occurrence boosts from the classes
     already placed; each event gets a type from the configured mix and a
     uniform temporal extent. Video i uses its own RNG stream derived from
-    (seed, i), so results do not depend on generation order.
+    (seed, i), so results do not depend on generation order. The videos are
+    assembled `SCORE_BLOCK_VIDEOS` at a time: each block's tokens are formed
+    over its stacked parses and built by `VideoSample.from_block`.
     """
     spec.validate()
     t, c, d = spec.segments, spec.classes, spec.dim
     proto_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
     protos_a = _unit_rows(proto_rng.normal(size=(c, d)))
     protos_v = _unit_rows(proto_rng.normal(size=(c, d)))
-    mix = np.array([spec.p_audio_only, spec.p_visual_only, spec.p_audible_visible])
-    mix = mix / mix.sum()
+    kinds = _cdf(np.array([spec.p_audio_only, spec.p_visual_only, spec.p_audible_visible]))
+    uniform = functools.cache(lambda n: _cdf(np.ones(n)))
     samples = []
-    for i in range(spec.n_videos):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1 + i)))
-        gt_a = np.zeros((t, c), dtype=np.int64)
-        gt_v = np.zeros((t, c), dtype=np.int64)
-        n_events = min(int(rng.poisson(spec.event_rate)), c)
-        for cls in _sample_classes(rng, c, n_events, spec.cooccur):
-            kind = int(rng.choice(3, p=mix))
-            length = int(rng.integers(1, t + 1))
-            start = int(rng.integers(0, t - length + 1))
-            if kind in (AUDIO_ONLY, AUDIBLE_VISIBLE):
-                gt_a[start : start + length, cls] = 1
-            if kind in (VISUAL_ONLY, AUDIBLE_VISIBLE):
-                gt_v[start : start + length, cls] = 1
+    for lo in range(0, spec.n_videos, SCORE_BLOCK_VIDEOS):
+        block = range(lo, min(lo + SCORE_BLOCK_VIDEOS, spec.n_videos))
+        gt_a = np.zeros((len(block), t, c), dtype=np.int64)
+        gt_v = np.zeros((len(block), t, c), dtype=np.int64)
+        noise = np.empty((len(block), 2, t, d))  # each video's audio, then visual noise
+        for row, i in enumerate(block):
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1 + i)))
+            n_events = min(int(rng.poisson(spec.event_rate)), c)
+            for cls in _sample_classes(rng, c, n_events, spec.cooccur, uniform):
+                kind = _draw(rng, kinds)
+                length = int(rng.integers(1, t + 1))
+                start = int(rng.integers(0, t - length + 1))
+                if kind in (AUDIO_ONLY, AUDIBLE_VISIBLE):
+                    gt_a[row, start : start + length, cls] = 1
+                if kind in (VISUAL_ONLY, AUDIBLE_VISIBLE):
+                    gt_v[row, start : start + length, cls] = 1
+            noise[row] = rng.normal(size=(2, t, d))
         audio = gt_a @ protos_a + spec.leak * ((gt_v * (1 - gt_a)) @ protos_a)
         visual = gt_v @ protos_v + spec.leak * ((gt_a * (1 - gt_v)) @ protos_v)
-        audio = audio + spec.noise_sigma * rng.normal(size=(t, d))
-        visual = visual + spec.noise_sigma * rng.normal(size=(t, d))
-        gt = BinaryParse(audio=gt_a, visual=gt_v)
-        samples.append(
-            VideoSample(
-                id=f"vid{i:05d}",
-                audio_tokens=audio,
-                visual_tokens=visual,
-                weak_label=weak_labels_from_temporal(gt),
-                gt=gt,
-            )
-        )
+        audio = audio + spec.noise_sigma * noise[:, 0]
+        visual = visual + spec.noise_sigma * noise[:, 1]
+        weak = weak_labels_from_temporal(unchecked(BinaryParse, audio=gt_a, visual=gt_v))
+        ids = [f"vid{i:05d}" for i in block]
+        samples += VideoSample.from_block(ids, audio, visual, weak, gt_a, gt_v)
     return GeneratedCorpus(
         samples=samples,
         prototypes_audio=protos_a,
@@ -296,8 +310,14 @@ def _block_samples(recs, shape):
 
 
 def _record_sample(rec, shape):
-    """The video of one record, of the header's (T, C, D)."""
-    gt = BinaryParse(audio=rec.get("gt_audio"), visual=rec.get("gt_visual")) if _has_gt(rec) else None
+    """The video of one record, of the header's (T, C, D); a record that gives one parse
+    of its ground truth without the other raises `ValueError` naming the missing key."""
+    gt = None
+    if _has_gt(rec):
+        for key in ("gt_audio", "gt_visual"):
+            if rec.get(key) is None:
+                raise ValueError(f"missing key {key}")
+        gt = BinaryParse(audio=rec["gt_audio"], visual=rec["gt_visual"])
     sample = VideoSample(
         id=rec["id"],
         audio_tokens=rec["audio"],

@@ -328,7 +328,7 @@ def test_corpus_with_a_repeated_id_exits_2(tmp_path, capsys):
     [
         ({"weak_label": 1}, "train", "weak labels must be C, got ()"),
         ({"weak_label": np.eye(4, dtype=int).tolist()}, "train", "weak labels must be C, got (4, 4)"),
-        ({"gt_audio": None}, "eval", "audio parse must hold only 0 and 1"),
+        ({"gt_audio": None}, "eval", "missing key gt_audio"),
     ],
     ids=["scalar-weak-label", "c-by-c-weak-label", "gt-visual-only"],
 )

@@ -21,7 +21,9 @@ from coleaf.metrics import (
     _probability_pair,
     _streams,
     as_binary,
+    unchecked,
 )
+from coleaf.synthdata import CorpusSpec
 
 from oracles import (
     oracle_cell_counts,
@@ -489,6 +491,25 @@ def test_full_report_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_unchecked_records_are_as_compact_as_built_ones_and_equal_to_them():
+    # a record without `__post_init__` and with shared scalar fields, so the traced memory
+    # is the records' own
+    fields = {f: getattr(CorpusSpec(), f) for f in CorpusSpec.__dataclass_fields__}
+
+    def traced(make):
+        tracemalloc.start()
+        try:
+            records = [make() for _ in range(1000)]
+            return records, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    built, built_bytes = traced(lambda: CorpusSpec(**fields))
+    bare, bare_bytes = traced(lambda: unchecked(CorpusSpec, **fields))
+    assert bare_bytes <= built_bytes
+    assert bare == built
 
 
 def test_full_report_shape_errors_name_the_shapes():

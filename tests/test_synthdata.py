@@ -1,16 +1,19 @@
 import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse
+from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse, unchecked
 from coleaf.errors import ConfigError, FileFormatError
 from coleaf.fileio import _ENCODER
 from coleaf.synthdata import (
     CorpusSpec,
     GeneratedCorpus,
+    _cdf,
+    _draw,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -268,12 +271,80 @@ def test_bad_video_id_names_line(tmp_path, new_id, message):
     assert message in str(err.value)
 
 
+def test_weak_labels_of_stacked_parses_are_each_videos_labels():
+    audio, visual = np.random.default_rng(1).integers(0, 2, (2, 7, 5, 4))
+    block = weak_labels_from_temporal(unchecked(BinaryParse, audio=audio, visual=visual))
+    assert block.shape == (7, 4)
+    for a, v, labels in zip(audio, visual, block):
+        assert np.array_equal(labels, weak_labels_from_temporal(BinaryParse(a, v)))
+
+
 def test_per_video_streams_independent_of_corpus_size():
-    # the first videos of a longer corpus are bit-identical to a shorter one
-    long = generate_corpus(small_spec(n_videos=10))
-    short = generate_corpus(small_spec(n_videos=4))
-    for a, b in zip(short.samples, long.samples):
-        assert a == b
+    # the first videos of a longer corpus are bit-identical to a shorter one, wherever
+    # the shorter one's last block ends
+    longest = generate_corpus(small_spec(n_videos=2 * SCORE_BLOCK_VIDEOS + 3))
+    for n_videos in (4, 10, SCORE_BLOCK_VIDEOS - 1, SCORE_BLOCK_VIDEOS + 1):
+        short = generate_corpus(small_spec(n_videos=n_videos))
+        assert short.samples == longest.samples[:n_videos], n_videos
+
+
+def test_a_generated_videos_arrays_are_apart_from_its_block_neighbours():
+    corpus = generate_corpus(small_spec(n_videos=LONG))
+    changed = {0, SCORE_BLOCK_VIDEOS // 2, SCORE_BLOCK_VIDEOS - 1, SCORE_BLOCK_VIDEOS}
+    for i in changed:
+        sample = corpus.samples[i]
+        for array in (sample.audio_tokens, sample.visual_tokens, sample.weak_label,
+                      sample.gt.audio, sample.gt.visual):
+            array[...] = 7
+    for i, (a, b) in enumerate(zip(corpus.samples, generate_corpus(small_spec(n_videos=LONG)).samples)):
+        assert (a == b) is (i not in changed), i
+
+
+DESK = dict(segments=10, classes=5, dim=16, event_rate=2.5, leak=0.3, noise_sigma=0.15)
+_BOOSTS = np.full((5, 5), 2.0) - 2.0 * np.eye(5)
+_BOOSTS[0, 1] = _BOOSTS[1, 0] = 6.0
+
+
+def _corpus_digest(corpus):
+    """sha256 over each video's id and the dtype, shape and bytes of its five arrays."""
+    digest = hashlib.sha256()
+    for s in corpus.samples:
+        digest.update(s.id.encode())
+        for array in (s.audio_tokens, s.visual_tokens, s.weak_label, s.gt.audio, s.gt.visual):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (CorpusSpec(n_videos=SCORE_BLOCK_VIDEOS + 1, seed=23, **DESK),
+         "e988dfef30480fd9320a1c4dc94f81310b26c6f65f2ff18c8c8c723378d60e6e"),
+        (CorpusSpec(n_videos=3, seed=24, **{**DESK, "classes": 25, "dim": 256}),
+         "a2be1219cdd564f99b0744e600bc440dfe8f1654e3cb001fc254991ddf74deb6"),
+        (CorpusSpec(n_videos=40, classes=5, cooccur=_BOOSTS, p_audio_only=0.1, p_visual_only=0.6,
+                    p_audible_visible=0.3, event_rate=3.0, leak=0.2, seed=25),
+         "67cfee0f41af73bd2101e5c0df883213ad97ac61458889bbc2085a665bf1ca6e"),
+        (CorpusSpec(n_videos=20, segments=1, classes=1, dim=1, event_rate=1.0, seed=26),
+         "713e4fddcc68f4a18869aa8342ed5606b6c449a396701c98109b6bfd24a9c255"),
+    ],
+    ids=["desk-past-a-block", "llp-shape", "cooccur", "one-by-one-by-one"],
+)
+def test_generated_corpora_keep_their_pinned_bytes(spec, expected):
+    # digests taken from the per-video generator that came before the block-wise one
+    assert _corpus_digest(generate_corpus(spec)) == expected
+
+
+def test_the_cdf_draw_is_generator_choice():
+    # the same index as `Generator.choice(n, p=p)`, and the stream left in the same state
+    weights_rng = np.random.default_rng(0)
+    for seed in range(1000):
+        weights = weights_rng.uniform(size=1 + seed % 7) * (weights_rng.uniform(size=1 + seed % 7) < 0.8)
+        weights[seed % len(weights)] += 1.0  # never all zero
+        chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _draw(drawn, _cdf(weights)) == chosen.choice(len(weights), p=weights / weights.sum())
+        assert drawn.random() == chosen.random()
 
 
 def _u1_payload(rows):
@@ -297,7 +368,7 @@ def _record_lines(n_videos):
         ({"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": [[0, 1], [1, 0]]},
          "parse matrices must share T x C, got (3, 2) and (2, 2)"),
         ({"gt_audio": [0, 1], "gt_visual": [1, 0]}, "parse matrices must share T x C, got (2,) and (2,)"),
-        ({"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": None}, "visual parse must hold only 0 and 1"),
+        ({"gt_audio": [[0, 1], [1, 0], [0, 0]], "gt_visual": None}, "missing key gt_visual"),
         ({"gt_audio": [[7, 0], [0, 0], [0, 0]]}, "audio parse must hold only 0 and 1"),
         ({"gt_visual": [[0.5, 0], [0, 0], [0, 0]]}, "visual parse must hold only 0 and 1"),
         ({"weak_label": [3, 0]}, "weak label must hold only 0 and 1"),
@@ -308,7 +379,7 @@ def _record_lines(n_videos):
         ({"audio": [[float("nan")] * 8] * 3}, "tokens must be finite"),
         ({"visual": [[float("inf")] * 8] * 3}, "tokens must be finite"),
         ({"audio": [[10**400] * 8] * 3}, "int too large to convert to float"),
-        ({"gt_audio": None}, "audio parse must hold only 0 and 1"),
+        ({"gt_audio": None}, "missing key gt_audio"),
         ({"weak_label": 1}, "weak labels must be C, got ()"),
         ({"weak_label": [[0, 1], [1, 0]]}, "weak labels must be C, got (2, 2)"),
         ({"weak_label": _u1_payload([[0, 1], [1, 0]])}, "weak labels must be C, got (2, 2)"),
@@ -330,6 +401,18 @@ def test_bad_ground_truth_names_line(tmp_path, changes, message):
         with pytest.raises(FileFormatError) as err:
             load_corpus(path)
         assert str(err.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("absent", ["gt_audio", "gt_visual"])
+def test_half_ground_truth_names_the_absent_key(tmp_path, absent):
+    path, lines = _saved_lines(tmp_path, generate_corpus(small_spec(n_videos=3)))
+    rec = json.loads(lines[2])
+    del rec[absent]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}:3: missing key {absent}"
 
 
 def test_a_corpus_longer_than_a_block_loads_equal_and_its_videos_stay_apart(tmp_path):
