@@ -27,12 +27,10 @@ from .losses import (
 )
 from .metrics import (
     BinaryParse,
-    EventProposal,
     ExclusiveParse,
     MetricConfig,
     MetricReport,
     derive_exclusive,
-    extract_event_proposals,
     full_report,
 )
 from .numerics import Tensor, attention, backward, bce, matmul, sigmoid, softmax

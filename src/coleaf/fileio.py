@@ -16,10 +16,11 @@ loop, the id rule, the blocks and the record-by-record fallback, and its
 callers give only their keys and two builders. It leaves each payload's base64
 to `stack_payloads`, which decodes a block's payloads of one field into one
 buffer, so every error stays that of `parse_record` at its line.
+`parse_record` decodes each payload as a block of one, so `stack_payloads` is
+the one base64 decoder and names a fault in the same words for both.
 """
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 import math
@@ -119,15 +120,7 @@ def _from_payload(obj):
     obj = _checked_payload(obj)
     if type(obj) is not _Deferred:
         return obj
-    shape, b64, dtype = obj["shape"], obj["b64"], _PAYLOAD_DTYPES[obj["dtype"]]
-    try:
-        raw = base64.b64decode(b64, validate=True)
-    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
-        raise _PayloadError(f"payload b64 is not base64: {err}") from None
-    need = dtype.itemsize * math.prod(shape)
-    if len(raw) != need:
-        raise _PayloadError(f"payload holds {len(raw)} bytes, shape {shape} of {dtype.name} needs {need}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    return stack_payloads([obj]).reshape(obj["shape"])
 
 
 # Built once rather than per line: both are stateless between calls. The writers build
@@ -232,15 +225,16 @@ def _record_parser(path, required, deferred):
 
 
 def stack_payloads(values):
-    """`values` stacked into one writable array, `len(values)` x their shape.
+    """`values` stacked into one writable array, `len(values)` x their shape; the one
+    decoder of payload base64.
 
     Payloads that `read_records` deferred are decoded together into one
     buffer of their dtype; other values (nested lists, arrays, None) are
-    stacked by `np.array`. Values that do not stack, payloads
-    of more than one dtype or shape, a mix of payloads and other values, or
-    a payload whose base64 or byte count is bad raise `ValueError` or
-    `TypeError`; `read_records` then builds the block record by record, which
-    names the fault.
+    stacked by `np.array`. A payload whose base64, byte count or shape is bad
+    raises `_PayloadError`, which names the fault. Values that do not stack,
+    payloads of more than one dtype or shape, or a mix of payloads and other
+    values raise `ValueError` or `TypeError`. On any of these `read_records`
+    builds the block record by record, which names the faulty line.
     """
     deferred = sum(type(value) is _Deferred for value in values)
     if not values or deferred < len(values):
@@ -248,15 +242,25 @@ def stack_payloads(values):
             raise ValueError("the block mixes payloads and other values")
         return np.array(values)
     name, shape = values[0]["dtype"], values[0]["shape"]
-    payload_dtype = _PAYLOAD_DTYPES[name]
-    need = payload_dtype.itemsize * math.prod(shape)
-    parts = [binascii.a2b_base64(value["b64"], strict_mode=True) for value in values]
-    if any(value["dtype"] != name or value["shape"] != shape for value in values) or any(
-        len(part) != need for part in parts
-    ):
-        raise ValueError("the payloads differ in dtype, shape or byte count")
-    stack = np.frombuffer(bytearray().join(parts), dtype=payload_dtype)  # over a bytearray, so writable
-    return stack.reshape(len(values), *shape).astype(payload_dtype.newbyteorder("="), copy=False)
+    if any(value["dtype"] != name or value["shape"] != shape for value in values):
+        raise ValueError("the payloads differ in dtype or shape")
+    dtype = _PAYLOAD_DTYPES[name]
+    need = dtype.itemsize * math.prod(shape)
+    parts = []
+    for value in values:
+        try:
+            part = binascii.a2b_base64(value["b64"], strict_mode=True)
+        except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+            raise _PayloadError(f"payload b64 is not base64: {err}") from None
+        if len(part) != need:
+            raise _PayloadError(f"payload holds {len(part)} bytes, shape {shape} of {dtype.name} needs {need}")
+        parts.append(part)
+    stack = np.frombuffer(bytearray().join(parts), dtype=dtype)  # over a bytearray, so writable
+    try:
+        stack = stack.reshape(len(values), *shape)
+    except (ValueError, OverflowError) as err:  # more axes, or a longer axis, than numpy allows
+        raise _PayloadError(f"payload shape {shape} does not fit an array: {err}") from None
+    return stack.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _check_video_id(vid, first_lines, path, line_no):

@@ -161,14 +161,6 @@ class ExclusiveParse:
     audible_visible: np.ndarray
 
 
-@dataclass(frozen=True)
-class EventProposal:
-    class_index: int
-    start: int  # first positive segment
-    end: int  # last positive segment, inclusive
-    stream: str
-
-
 @dataclass
 class LevelScores:
     a: float
@@ -285,59 +277,12 @@ def segment_counts(pred, gt):
     return tp, np.sum(pred, axis=(-2, -1)) - tp, np.sum(gt, axis=(-2, -1)) - tp
 
 
-def extract_event_proposals(stream_matrix, stream):
-    """Maximal contiguous positive runs per class, as inclusive segment spans."""
-    mat = np.asarray(stream_matrix, dtype=np.int64)
-    proposals = []
-    t = mat.shape[0]
-    for c in range(mat.shape[1]):
-        start = None
-        for i in range(t):
-            if mat[i, c] and start is None:
-                start = i
-            elif not mat[i, c] and start is not None:
-                proposals.append(EventProposal(c, start, i - 1, stream))
-                start = None
-        if start is not None:
-            proposals.append(EventProposal(c, start, t - 1, stream))
-    return proposals
+def extract_event_proposals(stacks):
+    """The events of a B x 5 x T x C stream stack: its maximal positive runs along T.
 
-
-def _temporal_iou(a, b):
-    inter = min(a.end, b.end) - max(a.start, b.start) + 1
-    if inter <= 0:
-        return 0.0
-    union = (a.end - a.start + 1) + (b.end - b.start + 1) - inter
-    return inter / union
-
-
-def match_events(pred_events, gt_events, iou_threshold=0.5):
-    """Greedy matching by descending IoU within (stream, class); returns tp, fp, fn."""
-    candidates = []
-    for i, p in enumerate(pred_events):
-        for j, g in enumerate(gt_events):
-            if p.stream != g.stream or p.class_index != g.class_index:
-                continue
-            iou = _temporal_iou(p, g)
-            if iou >= iou_threshold:
-                candidates.append((iou, i, j))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    used_pred, used_gt = set(), set()
-    tp = 0
-    for _, i, j in candidates:
-        if i in used_pred or j in used_gt:
-            continue
-        used_pred.add(i)
-        used_gt.add(j)
-        tp += 1
-    return tp, len(pred_events) - tp, len(gt_events) - tp
-
-
-def _runs(stacks):
-    """Maximal positive runs along T of a B x 5 x T x C stream stack.
-
-    Returns each run's (video, stream, class) key as one flat index, its first
-    segment and its end (exclusive), ordered by key and then start.
+    Returns an n x 3 int array with one `(key, start, end)` row per run: the
+    run's (video, stream, class) as one flat index, its first segment and its
+    end (exclusive), ordered by key and then start.
     """
     b, s, t, c = stacks.shape
     padded = np.zeros((b, s, c, t + 2), dtype=np.int8)
@@ -345,18 +290,19 @@ def _runs(stacks):
     # within each key's row of T + 1 edges, starts and ends alternate
     edges = np.flatnonzero(np.diff(padded, axis=-1))
     key, start = np.divmod(edges[0::2], t + 1)
-    return key, start, edges[1::2] % (t + 1)
+    return np.stack((key, start, edges[1::2] % (t + 1))).T  # so match_events reads contiguous columns
 
 
-def _event_counts(pred, gt):
+def match_events(pred, gt):
     """Event TP, FP and FN of B x 5 x T x C stream stacks at IoU 0.5, as a 3 x 5 x B count array.
 
+    The events are the runs `extract_event_proposals` finds in each stack.
     Maximal runs are disjoint and never adjacent, so no run reaches IoU 0.5
     with two others: greedy matching is one-to-one, and its TP per key is the
     number of qualifying run pairs.
     """
     n_videos, n_streams, _, n_classes = gt.shape
-    (pk, ps, pe), (gk, gs, ge) = _runs(pred), _runs(gt)
+    (pk, ps, pe), (gk, gs, ge) = extract_event_proposals(pred).T, extract_event_proposals(gt).T
     # pair each pred run with the gt runs of its key
     n_gt = np.bincount(gk, minlength=n_videos * n_streams * n_classes)
     gt_first = np.cumsum(n_gt) - n_gt  # each key's first gt run
@@ -485,7 +431,7 @@ def full_report(preds, gts, thresholds=None, config=None):
         pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
         gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
         counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))
-        counts[1][..., block] = _event_counts(pred, gt)
+        counts[1][..., block] = match_events(pred, gt)
     return MetricReport(
         segment=_level_scores(counts[0], config.aggregation),
         event=_level_scores(counts[1], config.aggregation),

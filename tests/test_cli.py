@@ -665,3 +665,26 @@ def test_an_int_too_large_for_a_float_exits_2_at_its_line(tmp_path, capsys, wher
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith(f"coleaf: error: {target}:{line}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["corpus-header", "params"])
+def test_a_payload_with_too_many_axes_exits_2_at_its_line(tmp_path, capsys, where):
+    """A payload of more axes than numpy allows, each of length 1, is a bad value at its
+    line in the files decoded in full as well: the corpus header and `params.json`."""
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    capsys.readouterr()
+    target = params if where == "params" else corpus
+    lines = target.read_text().splitlines()
+    record = json.loads(lines[0])
+    payload = {"dtype": "<f8", "shape": [1] * 70, "b64": "AAAAAAAAAAA="}  # one zero float64
+    if where == "params":
+        record["values"]["anchor.classifier.bias"] = payload
+    else:
+        record["prototypes_audio"] = payload
+    lines[0] = json.dumps(record)
+    target.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.jsonl"
+    assert run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"coleaf: error: {target}:1: payload shape ") and "Traceback" not in err

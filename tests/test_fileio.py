@@ -260,6 +260,9 @@ PAYLOAD_FAULTS = {
     "base64": (lambda p: dict(p, b64="not base64!"), "payload b64 is not base64"),
     "dtype": (lambda p: dict(p, dtype="<f4"), "payload dtype must be '<f8', got '<f4'"),
     "shape": (lambda p: dict(p, shape=[-1, 8]), "payload shape must be a list of non-negative"),
+    "axes": (  # one float64 in more axes than numpy allows
+        lambda p: dict(p, shape=[1] * 70, b64="AAAAAAAAAAA="), f"payload shape {[1] * 70} does not fit an array",
+    ),
 }
 
 

@@ -751,10 +751,11 @@ def test_load_predictions_rejects_a_malformed_line(tmp_path, line, message):
         ("bad-base64", ":1: payload b64 is not base64: "),
         ("big-endian", ":1: payload dtype must be '<f8', got '>f8'; "),
         ("byte-count", ":1: payload holds 8 bytes, shape [2] of float64 needs 16"),
+        ("too-many-axes", f":1: payload shape {[1] * 70} does not fit an array: "),
     ],
     ids=[
         "bad-json", "missing-key", "name-mismatch", "infinite", "number", "values-number", "values-list",
-        "int-too-large", "bad-base64", "big-endian", "byte-count",
+        "int-too-large", "bad-base64", "big-endian", "byte-count", "too-many-axes",
     ],
 )
 def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
@@ -779,6 +780,8 @@ def test_load_params_rejects_a_malformed_file(tmp_path, edit, message):
         b64 = {"bad-base64": "AAAA*AAA", "byte-count": "AAAAAAAA8D8="}.get(edit, "AAAAAAAA8D8AAAAAAAAAAA==")
         dtype = ">f8" if edit == "big-endian" else "<f8"
         values["anchor.classifier.bias"] = {"dtype": dtype, "shape": [2], "b64": b64}
+    elif edit == "too-many-axes":  # more axes than numpy allows, each of length 1
+        values["anchor.classifier.bias"] = {"dtype": "<f8", "shape": [1] * 70, "b64": "AAAAAAAAAAA="}
     path = tmp_path / "params.json"
     path.write_text("{" if edit == "bad-json" else json.dumps(payload))
     with pytest.raises(FileFormatError) as err:

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coleaf import metrics
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
 from coleaf.metrics import (
     SCORE_BLOCK_VIDEOS,
     STREAMS,
     BinaryParse,
-    EventProposal,
     MetricConfig,
     derive_exclusive,
     extract_event_proposals,
     full_report,
     match_events,
     segment_counts,
-    _event_counts,
     _probability_pair,
     _streams,
     as_binary,
@@ -162,29 +161,39 @@ def test_segment_fscore_shape_mismatch():
         segment_counts(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+def _audio_stack(*mats):
+    """A stream stack with one video per T x C matrix of `mats`, in its A stream alone."""
+    stack = np.zeros((len(mats), len(STREAMS), *mats[0].shape), dtype=np.int64)
+    stack[:, 0] = mats
+    return stack
+
+
 def test_extract_event_proposals():
     col = np.array([[1], [1], [0], [1]])
-    events = extract_event_proposals(col, "A")
-    assert events == [EventProposal(0, 0, 1, "A"), EventProposal(0, 3, 3, "A")]
-    assert extract_event_proposals(np.zeros((4, 2), dtype=int), "A") == []
+    assert extract_event_proposals(_audio_stack(col)).tolist() == [[0, 0, 2], [0, 3, 4]]
+    assert extract_event_proposals(_audio_stack(np.zeros((4, 2), dtype=int))).shape == (0, 3)
 
 
 def test_extract_event_proposals_matches_run_length_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        mat = rng.integers(0, 2, (10, 3))
-        got = [(e.class_index, e.start, e.end) for e in extract_event_proposals(mat, "V")]
-        want = sorted(oracle_runs(mat), key=lambda r: (r[0], r[1]))
-        assert sorted(got) == want
+    stacks = rng.integers(0, 2, (4, len(STREAMS), 10, 3))
+    want = [
+        [(b * len(STREAMS) + s) * 3 + c, start, end + 1]
+        for b in range(4)
+        for s in range(len(STREAMS))
+        for c, start, end in oracle_runs(stacks[b, s])
+    ]
+    assert extract_event_proposals(stacks).tolist() == want
 
 
 def test_event_fscore_identical_sets():
     audio = np.zeros((4, 3), dtype=int)
     audio[1:4, 0] = audio[0, 2] = 1
-    events = extract_event_proposals(audio, "A")
-    assert events == [EventProposal(0, 1, 3, "A"), EventProposal(2, 0, 0, "A")]
+    stack = _audio_stack(audio)
+    assert oracle_runs(audio) == [(0, 1, 3), (2, 0, 0)]
+    assert extract_event_proposals(stack).tolist() == [[0, 1, 4], [2, 0, 1]]
     assert _audio_report([audio], [audio]).event.a == 100.0
-    assert match_events(events, list(events)) == (2, 0, 0)
+    assert tuple(match_events(stack, stack)[:, 0, 0]) == (2, 0, 0)
 
 
 def test_event_fscore_low_iou_is_no_match():
@@ -192,15 +201,15 @@ def test_event_fscore_low_iou_is_no_match():
     pred[0:5, 0] = gt[0:2, 0] = 1
     # IoU = 2/5 < 0.5
     assert _audio_report([pred], [gt]).event.a == 0.0
-    events = extract_event_proposals(pred, "A"), extract_event_proposals(gt, "A")
-    assert match_events(*events) == (0, 1, 1)
+    assert oracle_greedy_match(oracle_runs(pred), oracle_runs(gt)) == (0, 1, 1)
+    assert tuple(match_events(_audio_stack(pred), _audio_stack(gt))[:, 0, 0]) == (0, 1, 1)
 
 
 def test_event_matching_equals_optimal_on_small_sets():
     rng = np.random.default_rng(3)
-    checked = 0
+    pred_mats, gt_mats, want = [], [], []
     for _ in range(500):
-        if checked >= 25:
+        if len(want) >= 25:
             break
         pred_mat = rng.integers(0, 2, (8, 2))
         gt_mat = rng.integers(0, 2, (8, 2))
@@ -212,10 +221,44 @@ def test_event_matching_equals_optimal_on_small_sets():
         optimal = oracle_optimal_match(pred_runs, gt_runs)
         if greedy != optimal:
             continue  # keep instances where greedy is optimal by construction
-        pred_events = extract_event_proposals(pred_mat, "A")
-        gt_events = extract_event_proposals(gt_mat, "A")
-        assert match_events(pred_events, gt_events) == optimal
-        checked += 1
+        pred_mats.append(pred_mat)
+        gt_mats.append(gt_mat)
+        want.append(optimal)
+    counts = match_events(_audio_stack(*pred_mats), _audio_stack(*gt_mats))
+    assert [tuple(counts[:, 0, b]) for b in range(len(want))] == want
+
+
+def test_full_report_runs_the_event_pass_once_per_block(monkeypatch):
+    """`full_report` finds each block's events with `extract_event_proposals`, once for the
+    predictions and once for the ground truth, and matches them with `match_events`, so
+    a wrapper over either name sees every block."""
+    rng = np.random.default_rng(14)
+    n_videos = 2 * SCORE_BLOCK_VIDEOS + 3
+    preds, gts = _random_corpus(rng, n_videos=n_videos, t=6, c=3)
+    calls = {"extract": 0, "match": 0}
+    rows = []
+
+    def counting_extract(stacks):
+        calls["extract"] += 1
+        rows.append(len(result := extract(stacks)))
+        return result
+
+    def counting_match(pred, gt):
+        calls["match"] += 1
+        return match(pred, gt)
+
+    extract, match = metrics.extract_event_proposals, metrics.match_events
+    monkeypatch.setattr(metrics, "extract_event_proposals", counting_extract)
+    monkeypatch.setattr(metrics, "match_events", counting_match)
+    full_report(preds, gts)
+    n_blocks = -(-n_videos // SCORE_BLOCK_VIDEOS)
+    assert calls == {"extract": 2 * n_blocks, "match": n_blocks}
+    want = sum(
+        len(oracle_runs(stream))
+        for parse in (*preds.values(), *gts.values())
+        for stream in _streams(parse.audio, parse.visual)
+    )
+    assert sum(rows) == want
 
 
 def _random_corpus(rng, n_videos=3, t=5, c=3):
@@ -434,7 +477,7 @@ def test_event_counts_equal_greedy_matching_per_video_and_stream(pair_iou):
     # the integer test 2 * inter >= union must agree with both oracles' quotient
     # IoU >= 0.5, at 1/2 exactly and at 12/25 just below it
     pred, gt = _boundary_stacks(np.random.default_rng(12), _RUN_PAIRS[pair_iou])
-    counts = _event_counts(pred, gt)
+    counts = match_events(pred, gt)
     for b in range(pred.shape[0]):
         for s, stream in enumerate(STREAMS):
             p, g = oracle_runs(pred[b, s]), oracle_runs(gt[b, s])

@@ -62,6 +62,25 @@ def test_only_fileio_imports_base64():
     )
 
 
+def test_one_site_decodes_base64():
+    decode = re.compile(r"\ba2b_base64\(")
+    sites = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if decode.search(line)
+    ]
+    b64decode = sorted(
+        path.name for path in PACKAGE.glob("*.py") if "b64decode" in path.read_text(encoding="utf-8")
+    )
+    assert len(sites) == 1 and b64decode == [], (
+        f"base64 is decoded at {', '.join(sites) or 'no site'} with a2b_base64 and in "
+        f"{', '.join(b64decode) or 'no file'} with b64decode. coleaf.fileio.stack_payloads alone "
+        "decodes payload base64, for a block and for a single record alike, so that every "
+        "reader checks base64, byte count and shape by one rule."
+    )
+
+
 def test_only_synthdata_states_the_corpus_shape_rule():
     owners = sorted(
         path.name

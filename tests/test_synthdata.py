@@ -473,6 +473,8 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
         ({"prototypes_audio": [[1, 2]]}, "prototypes_audio must be a 4 x 8 matrix"),
         ({"prototypes_visual": [[1.0] * 8] * 3 + [[1.0] * 7]}, "prototypes_visual must be a 4 x 8 matrix"),
         ({"prototypes_visual": [[float("nan")] * 8] * 4}, "prototypes_visual must be a 4 x 8 matrix"),
+        ({"prototypes_audio": {"dtype": "<f8", "shape": [1] * 70, "b64": "AAAAAAAAAAA="}},
+         f"payload shape {[1] * 70} does not fit an array: "),
         ({"T": "6"}, "T, C and D must be positive integers"),
         ({"class_names": [0, 1, 2, 3]}, "class_names must be a list of strings"),
         ({"class_names": []}, "class_names must be a list of strings, C=4 of them"),
@@ -481,7 +483,7 @@ def test_record_that_disagrees_with_the_header_names_line(tmp_path, changes):
     ids=[
         "spec-text", "spec-unknown-field", "spec-invalid", "spec-other-classes", "spec-text-seed",
         "spec-int-too-large", "spec-cooccur-int-too-large",
-        "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan",
+        "prototype-text", "prototype-shape", "prototype-ragged", "prototype-nan", "prototype-too-many-axes",
         "T-text", "class-names-numbers", "class-names-none", "class-names-five",
     ],
 )
