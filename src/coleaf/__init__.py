@@ -4,7 +4,6 @@ from .branches import (
     AnchorOutput,
     BranchParams,
     ReferenceOutput,
-    VideoSample,
     anchor_forward,
     init_branch_params,
     instrumentation,
@@ -26,7 +25,6 @@ from .losses import (
     video_loss_reference,
 )
 from .metrics import (
-    BinaryParse,
     ExclusiveParse,
     MetricConfig,
     MetricReport,
@@ -34,6 +32,7 @@ from .metrics import (
     full_report,
 )
 from .numerics import Tensor, attention, backward, bce, matmul, sigmoid, softmax
+from .records import BinaryParse, VideoSample
 from .synthdata import (
     CorpusSpec,
     GeneratedCorpus,

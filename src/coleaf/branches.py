@@ -14,8 +14,8 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .metrics import BinaryParse, as_binary, binary_pair, matrix_pair, record_eq, unchecked
 from .numerics import Tensor
+from .records import VideoSample
 
 
 @dataclass
@@ -33,74 +33,6 @@ class Instrumentation:
 # The prediction path is required to leave the reference branch untouched;
 # these counters let tests and callers check that.
 instrumentation = Instrumentation()
-
-
-@dataclass(eq=False)
-class VideoSample:
-    id: str
-    audio_tokens: np.ndarray  # T x D
-    visual_tokens: np.ndarray  # T x D
-    weak_label: np.ndarray  # C in {0,1}, modality-agnostic
-    gt: BinaryParse | None = None
-
-    def __post_init__(self):
-        gt_audio = None if self.gt is None else self.gt.audio
-        self.audio_tokens, self.visual_tokens, self.weak_label = _video_fields(
-            self.audio_tokens, self.visual_tokens, self.weak_label, gt_audio
-        )
-
-    @classmethod
-    def from_block(cls, ids, audio_tokens, visual_tokens, weak_labels, gt_audio=None, gt_visual=None):
-        """One video per id from fields stacked along a leading video axis: B x T x D
-        tokens, B x C weak labels and, when `gt_audio` is given, B x T x C ground truth.
-
-        `__post_init__`'s rules run once over the whole stacks, and each video's
-        arrays are views into them.
-        """
-        lead = (len(ids),)
-        gts = [None] * len(ids)
-        if gt_audio is not None:
-            gt_audio, gt_visual = binary_pair(gt_audio, gt_visual, lead=lead)
-            gts = [unchecked(BinaryParse, audio=a, visual=v) for a, v in zip(gt_audio, gt_visual)]
-        audio, visual, weak = _video_fields(audio_tokens, visual_tokens, weak_labels, gt_audio, lead=lead)
-        return [
-            unchecked(cls, id=i, audio_tokens=a, visual_tokens=v, weak_label=w, gt=g)
-            for i, a, v, w, g in zip(ids, audio, visual, weak, gts)
-        ]
-
-    @property
-    def n_segments(self):
-        return self.audio_tokens.shape[0]
-
-    @property
-    def dim(self):
-        return self.audio_tokens.shape[1]
-
-    @property
-    def n_classes(self):
-        return self.weak_label.shape[0]
-
-    __eq__ = record_eq
-
-
-def _video_fields(audio_tokens, visual_tokens, weak_label, gt_audio=None, *, lead=()):
-    """The one check on a video: finite token matrices of one T x D, a weak label of C
-    values in {0,1} and, if given, the audio matrix of its checked parse, of T x C; with
-    `lead`, `lead` x ... stacks of them. Returns the tokens as float64 and the weak label
-    as int64."""
-    audio = np.asarray(audio_tokens, dtype=np.float64)
-    visual = np.asarray(visual_tokens, dtype=np.float64)
-    weak = as_binary(weak_label, "weak label")
-    if not matrix_pair(audio, visual, lead):
-        raise DimensionError(f"token matrices must share T x D, got {audio.shape} and {visual.shape}")
-    if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
-        raise ValueError("tokens must be finite")
-    if weak.ndim != len(lead) + 1 or weak.shape[:-1] != lead:
-        raise DimensionError(f"weak labels must be {' x '.join([*map(str, lead), 'C'])}, got {weak.shape}")
-    expect = (*audio.shape[:-1], weak.shape[-1])
-    if gt_audio is not None and gt_audio.shape != expect:
-        raise DimensionError(f"ground truth shape {gt_audio.shape}, expected {expect}")
-    return audio, visual, weak
 
 
 def param_layout(dim, n_classes):

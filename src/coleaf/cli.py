@@ -32,7 +32,7 @@ from .harness import (
     train,
     write_predictions,
 )
-from .metrics import field_rules, parse_threshold
+from .records import field_rules, parse_threshold
 from .synthdata import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 
@@ -120,6 +120,7 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
+    _check_out_dir(args.out)  # before the parameters and corpus load
     params = load_params(args.params)
     corpus = load_corpus(args.corpus)
     preds = predict(params, corpus, branch=args.branch, unimodal_only=args.unimodal_only)
@@ -129,6 +130,8 @@ def _cmd_predict(args):
 
 
 def _cmd_eval(args):
+    if args.out:
+        _check_out_dir(args.out)  # before the predictions and corpus load
     preds = load_predictions(args.pred)
     corpus = load_corpus(args.gt)
     report = evaluate(preds, corpus, threshold=args.threshold)

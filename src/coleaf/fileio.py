@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import FileFormatError
-from .metrics import SCORE_BLOCK_VIDEOS
+from .records import SCORE_BLOCK_VIDEOS
 
 
 @contextmanager

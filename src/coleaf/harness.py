@@ -12,7 +12,6 @@ import numpy as np
 from . import numerics as nm
 from .branches import (
     BranchParams,
-    VideoSample,
     anchor_forward,
     init_branch_params,
     param_layout,
@@ -25,27 +24,27 @@ from .losses import (
     anchor_modality_video_probs,
     cooccurrence_kd,
     distil_pseudo_labels,
-    # unused here: the one-video form of _modality_nce, which perfbench's
+    # unused here: the one-video form of modality_nce, which perfbench's
     # tracer hooks by this name
     event_aware_nce,
-    _modality_nce,
+    modality_nce,
     self_modality_kd,
     total_loss,
     unalignment_weights,
     video_loss_anchor,
     video_loss_reference,
 )
-from .metrics import (
-    MetricReport,
-    _check_threshold,
-    _probability_pair,
+from .metrics import MetricReport, full_report
+from .numerics import Tensor
+from .records import (
+    VideoSample,
     check_fields,
+    check_threshold,
     field_rules,
-    full_report,
     kind_error,
     parse_threshold,
+    probability_pair,
 )
-from .numerics import Tensor
 from .synthdata import corpus_shape
 
 SEED_ENV_VAR = "COLEAF_SEED"
@@ -95,8 +94,8 @@ class TrainConfig:
     eval_threshold: float | tuple = 0.5
 
     def validate(self):
-        """Check each field against its annotation (`metrics.check_fields`), and
-        `eval_threshold` (`metrics.parse_threshold`); raise `ConfigError` at the first fault."""
+        """Check each field against its annotation (`records.check_fields`), and
+        `eval_threshold` (`records.parse_threshold`); raise `ConfigError` at the first fault."""
         check_fields(self)
         parse_threshold(self.eval_threshold)
 
@@ -149,11 +148,17 @@ def _coerce_config_value(key, raw):
 def load_train_config(path):
     """Parse a flat `key = value` config file; unknown keys are an error.
 
-    An unknown or repeated key or a value of the wrong type is reported with its line.
+    The file is UTF-8 text, with or without a BOM. A byte that is not UTF-8, an unknown
+    or repeated key or a value of the wrong type is reported with its line.
     """
     mapping, first_lines = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text holds
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}:{line_no}: not UTF-8 text") from None
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -265,7 +270,7 @@ def sample_losses(videos, params, config, epoch=0):
         t = anchor_out.tokens.shape[-2]
         ref_tokens = ref_out.tokens.data[..., :t, :]  # constant teacher
         theta = np.stack([weights.theta_audio, weights.theta_visual], axis=-1)
-        evt = _modality_nce(
+        evt = modality_nce(
             anchor_out.tokens,
             ref_tokens,
             theta,
@@ -313,7 +318,7 @@ def _check_eval_corpus(corpus, eval_corpus, threshold):
         raise ConfigError(
             f"evaluation corpus has C={eval_c}, D={eval_d}, training corpus has C={c}, D={d}"
         )
-    _check_threshold(threshold, c)
+    check_threshold(threshold, c)
 
 
 def _train_step(batch, params, adam, lr, config, epoch, step):
@@ -392,10 +397,12 @@ def predict(params, corpus, branch="anchor", unimodal_only=False):
     Videos must share T, C and D. They run as forwards over blocks of
     `PREDICT_BLOCK_VIDEOS`, so memory stays bounded on a large corpus. The
     anchor branch is the deployment default; the reference branch is never
-    touched on that path.
+    touched on that path. `unimodal_only` applies to the anchor branch only.
     """
     if branch not in ("anchor", "reference"):
         raise ConfigError(f"unknown branch {branch!r}")
+    if unimodal_only and branch != "anchor":
+        raise ConfigError(f"unimodal_only applies to the anchor branch only, not the {branch} branch")
     corpus_shape(corpus)  # over the corpus; a forward sees one block
     samples = corpus.samples
     preds = {}
@@ -436,15 +443,15 @@ def load_predictions(path):
     """
     pairs, _ = read_records(
         path, json_lines(path), _PREDICTION_KEYS, _PREDICTION_KEYS[1:], _prediction_block,
-        lambda rec: (rec["id"], _probability_pair(rec["probs_audio"], rec["probs_visual"])),
+        lambda rec: (rec["id"], probability_pair(rec["probs_audio"], rec["probs_visual"])),
     )
     return dict(pairs)
 
 
 def _prediction_block(recs):
     """`(id, (probs_audio, probs_visual))` for each record of `recs`, whose stacked
-    matrices pass `_probability_pair` once."""
-    pa, pv = _probability_pair(
+    matrices pass `probability_pair` once."""
+    pa, pv = probability_pair(
         stack_payloads([rec["probs_audio"] for rec in recs]),
         stack_payloads([rec["probs_visual"] for rec in recs]),
         lead=(len(recs),),

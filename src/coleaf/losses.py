@@ -128,15 +128,15 @@ def event_aware_nce(
     positive is left out of the normalizer unless `include_positive` is set.
     Each modality's sum is scaled by its unalignment weight, so videos whose
     events are all audible-visible contribute nothing. This is the one-video
-    form of `_modality_nce`.
+    form of `modality_nce`.
     """
     student = nm.stack([anchor_audio, anchor_visual])
     teacher = np.stack([_values(ref_audio), _values(ref_visual)])
     theta = np.array([weights.theta_audio, weights.theta_visual])
-    return _modality_nce(student, teacher, theta, tau, include_positive)
+    return modality_nce(student, teacher, theta, tau, include_positive)
 
 
-def _modality_nce(student, teacher, theta, tau=0.2, include_positive=False):
+def modality_nce(student, teacher, theta, tau=0.2, include_positive=False):
     """`event_aware_nce` over stacked modalities, one value per video.
 
     `student` and the constant `teacher` are (..., 2, T, D) token blocks and

@@ -7,151 +7,17 @@ audible-only or visible-only.
 """
 from __future__ import annotations
 
-import functools
-import math
-import numbers
-import operator
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, DimensionError
+from .records import SCORE_BLOCK_VIDEOS, BinaryParse, check_threshold, probability_pair
 
 STREAMS = ("A", "V", "AV", "Ao", "Vo")
 # rows: the five streams, then the A+V and Ao+Vo pools that Event@AV and Event@AVo score
 _POOLS = np.vstack((np.eye(len(STREAMS), dtype=np.int64), [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]))
-# videos per array pass in `full_report`, per stacked record check in the corpus and
-# prediction file readers and per assembled block in `synthdata.generate_corpus`;
-# bounds the memory one pass takes
-SCORE_BLOCK_VIDEOS = 128
 REPORT_KEYS = ("A", "Ao", "V", "Vo", "AV", "Type@AV", "Type@AVo", "Event@AV", "Event@AVo")
-
-
-def as_binary(values, what):
-    """`values` as int64, rejecting anything but 0 and 1 before the cast could truncate it."""
-    values = np.asarray(values)
-    if values.dtype.kind in "biu":  # two reductions are cheaper than the elementwise test
-        ok = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
-    else:  # a float such as 0.5 lies inside [0, 1] but is not 0 or 1
-        ok = np.all((values == 0) | (values == 1))
-    if not ok:
-        raise ValueError(f"{what} must hold only 0 and 1")
-    return values.astype(np.int64)
-
-
-def as_float(value):
-    """The real number `value` as a float; an integer too large for one is infinite."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-# each field type's words in `check_fields`' messages and the classes that pass as it;
-# a bool is not a number here
-_KINDS = {bool: ("true or false", (bool, np.bool_)), int: ("an integer", numbers.Integral),
-          float: ("a number", numbers.Real)}
-_BRACKETS = {"[": operator.ge, "(": operator.gt, "]": operator.le, ")": operator.lt}
-
-
-def _rule_test(rule):
-    """The test that a field's rule states: `positive`, `>= k`, or `in` an interval such as
-    `[0,1)`. Each is a comparison that only a number in range passes, so NaN fails it."""
-    if rule == "positive":
-        return lambda x: x > 0
-    if rule.startswith(">= "):
-        return functools.partial(operator.le, float(rule[3:]))  # low <= x
-    low, high = map(float, rule[4:-1].split(","))
-    above, below = _BRACKETS[rule[3]], _BRACKETS[rule[-1]]
-    return lambda x: above(x, low) and below(x, high)
-
-
-@functools.cache
-def field_rules(cls):
-    """The bool, int and float fields of dataclass `cls` as name -> (type, rule, test), read
-    once per class from annotations such as `Annotated[int, ">= 1"]` into one dict that all
-    callers share and none may change. A plain bool has no rule; other types are left out."""
-    rules = {}
-    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
-        kind, rule = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint, None)
-        if kind in _KINDS:
-            rules[name] = (kind, rule, rule and _rule_test(rule))
-    return rules
-
-
-def kind_error(name, kind, value):
-    return ConfigError(f"{name} must be {_KINDS[kind][0]}, got {value!r}")
-
-
-def check_fields(record):
-    """Check each field that `field_rules` lists for `record`: its type, then its rule
-    (an integer too large for a float is infinite there), then, for a float, that it is
-    finite. A `ConfigError` names the first field that fails."""
-    for name, (kind, rule, test) in field_rules(type(record)).items():
-        value = getattr(record, name)
-        if not isinstance(value, _KINDS[kind][1]) or (kind is not bool and isinstance(value, bool)):
-            raise kind_error(name, kind, value)
-        if rule and not test(as_float(value)):
-            raise ConfigError(f"{name} must be {rule}, got {value}")
-        if kind is float and not math.isfinite(number := as_float(value)):
-            raise ConfigError(f"{name} must be finite, got {number}")
-
-
-def matrix_pair(a, b, lead=()):
-    """Whether arrays `a` and `b` share one shape: `lead`, the leading axes of a stack of
-    records, then two matrix axes."""
-    return a.shape == b.shape and a.ndim == len(lead) + 2 and a.shape[:-2] == lead
-
-
-def unchecked(cls, **fields):
-    """A `cls` record holding `fields` as given, without running its `__post_init__`: for
-    arrays that have already passed its checks as part of a stacked block.
-
-    Fields are set one at a time, as `__init__` sets them, so the record keeps the
-    compact attribute table its class's instances share.
-    """
-    record = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(record, name, value)
-    return record
-
-
-def record_eq(self, other):
-    """`==` for dataclass records with array fields: records of one type are equal when
-    their array fields are `np.array_equal` (None against an array is unequal) and
-    every other field is `==`."""
-    if type(other) is not type(self):
-        return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            if not np.array_equal(a, b):
-                return False
-        elif a != b:
-            return False
-    return True
-
-
-@dataclass(eq=False)
-class BinaryParse:
-    audio: np.ndarray  # T x C in {0,1}
-    visual: np.ndarray
-
-    def __post_init__(self):
-        self.audio, self.visual = binary_pair(self.audio, self.visual)
-
-    __eq__ = record_eq
-
-
-def binary_pair(audio, visual, *, lead=()):
-    """The one check on a parse: two T x C matrices of 0 and 1 of one shape, as int64; with
-    `lead`, two `lead` x T x C stacks of them."""
-    audio = as_binary(audio, "audio parse")
-    visual = as_binary(visual, "visual parse")
-    if not matrix_pair(audio, visual, lead):
-        raise DimensionError(f"parse matrices must share T x C, got {audio.shape} and {visual.shape}")
-    return audio, visual
 
 
 @dataclass
@@ -203,48 +69,6 @@ class MetricConfig:
     def validate(self):
         if self.aggregation not in ("micro", "per-video-mean"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-
-
-def _check_threshold(threshold, n_classes):
-    """`threshold`, one value or one per class, as a 1-D float array; each value must be a
-    number strictly inside (0,1), and an integer too large for a float is infinite."""
-    try:
-        arr = np.atleast_1d(np.asarray(threshold, dtype=object))
-        arr = np.frompyfunc(as_float, 1, 1)(arr).astype(np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threshold must be a number or comma list, got {threshold!r}") from None
-    if arr.ndim != 1 or arr.shape[0] not in (1, n_classes):
-        raise ConfigError(f"threshold must be a scalar or one value per class, got shape {arr.shape}")
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ConfigError(f"thresholds must lie strictly inside (0,1), got {arr}")
-    return arr
-
-
-def parse_threshold(raw):
-    """One threshold, or one per class as a sequence or comma-separated text.
-
-    Returns a float for a single value and a tuple otherwise; every value
-    must lie strictly inside (0,1).
-    """
-    if isinstance(raw, str) and "," in raw:
-        raw = raw.split(",")
-    per_class = isinstance(raw, (list, tuple))
-    arr = _check_threshold(raw, len(raw) if per_class else 1)
-    return tuple(arr.tolist()) if per_class else float(arr[0])
-
-
-def _probability_pair(probs_audio, probs_visual, *, lead=()):
-    """The one check on a video's probabilities: two T x C float matrices of one shape,
-    every value finite and inside [0,1]; with `lead`, two `lead` x T x C stacks of them."""
-    pa = np.asarray(probs_audio, dtype=np.float64)
-    pv = np.asarray(probs_visual, dtype=np.float64)
-    if not matrix_pair(pa, pv, lead):
-        raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
-    for name, probs in (("audio", pa), ("visual", pv)):
-        # min and max carry a NaN through, and NaN fails both comparisons, so it is rejected too
-        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
-            raise ValueError(f"{name} probabilities hold a non-finite value or one outside [0,1]")
-    return pa, pv
 
 
 def _streams(audio, visual):
@@ -370,7 +194,7 @@ def _rates(counts, cells):
 def _checked_block(ids, preds, gts, first, shape):
     """The predictions and ground truth of the videos `ids` as B x 2 x T x C stacks.
 
-    The stacked probabilities pass `_probability_pair` once. If that fails, or
+    The stacked probabilities pass `probability_pair` once. If that fails, or
     the videos do not stack to the first video's T x C, each video is checked
     on its own in order, so an error names the first bad video.
     """
@@ -379,13 +203,13 @@ def _checked_block(ids, preds, gts, first, shape):
     try:
         pred_stack, gt_stack = np.array(pred, dtype=np.float64), np.array(gt)
         if pred_stack.shape[1:] == gt_stack.shape[1:] == (2, *shape):
-            _probability_pair(pred_stack[:, 0], pred_stack[:, 1], lead=(len(ids),))
+            probability_pair(pred_stack[:, 0], pred_stack[:, 1], lead=(len(ids),))
             return pred_stack, gt_stack
     except (TypeError, ValueError):  # ragged, not numbers, or out of range
         pass
     for i, vid in enumerate(ids):
         if not isinstance(preds[vid], BinaryParse):
-            pred[i] = _probability_pair(*pred[i])
+            pred[i] = probability_pair(*pred[i])
         if gt[i][0].shape != shape:
             raise DimensionError(
                 f"video {vid} has ground truth T x C = {gt[i][0].shape}, but the first "
@@ -421,7 +245,7 @@ def full_report(preds, gts, thresholds=None, config=None):
     ids = sorted(preds)
     shape = gts[ids[0]].audio.shape
     # 0 and 1 threshold to themselves, so a BinaryParse goes through as is
-    thr = _check_threshold(0.5 if thresholds is None else thresholds, shape[1])
+    thr = check_threshold(0.5 if thresholds is None else thresholds, shape[1])
     # level x (tp, fp, fn) x stream x video; each stream's V counts form one
     # contiguous row in id order, which per-video-mean averages
     counts = np.empty((2, 3, len(STREAMS), len(ids)), dtype=np.int64)

@@ -14,10 +14,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .branches import VideoSample
 from .errors import ConfigError, DimensionError, FileFormatError
 from .fileio import json_lines, parse_record, read_records, stack_payloads, write_json_lines
-from .metrics import SCORE_BLOCK_VIDEOS, BinaryParse, check_fields, record_eq, unchecked
+from .records import SCORE_BLOCK_VIDEOS, BinaryParse, VideoSample, check_fields, record_eq, unchecked
 
 
 @dataclass(eq=False)
@@ -37,7 +36,7 @@ class CorpusSpec:
     seed: Annotated[int, ">= 0"] = 0
 
     def validate(self):
-        """Check each field against its annotation (`metrics.check_fields`), then the rules
+        """Check each field against its annotation (`records.check_fields`), then the rules
         across fields: the event-type mix sums to 1, `event_rate` <= `classes`, and `cooccur`
         is None or a symmetric C x C matrix of finite boosts >= 0 with a zero diagonal."""
         check_fields(self)

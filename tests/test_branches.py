@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from coleaf.branches import (
-    VideoSample,
     anchor_forward,
     init_branch_params,
     instrumentation,
     reference_forward,
 )
 from coleaf.errors import DimensionError
-from coleaf.metrics import BinaryParse
+from coleaf.records import BinaryParse, VideoSample
 
 from oracles import anchor_forward_oracle, reference_forward_oracle
 

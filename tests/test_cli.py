@@ -138,6 +138,20 @@ def test_predict_to_a_missing_directory_exits_2(tmp_path, capsys):
     assert "cannot read" not in err
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_predict_and_eval_check_out_before_loading_anything(tmp_path, capsys, monkeypatch, command):
+    def unreached(*args, **kwargs):
+        raise AssertionError("called before --out was checked")
+
+    for name in ("load_params", "load_corpus", "load_predictions", "predict", "evaluate"):
+        monkeypatch.setattr(f"coleaf.cli.{name}", unreached)
+    out = tmp_path / "missing" / "p.jsonl"
+    inputs = {"predict": ["--params", "p.json", "--corpus", "c.jsonl"],
+              "eval": ["--pred", "p.jsonl", "--gt", "c.jsonl"]}[command]
+    assert run_cli(command, *inputs, "--out", str(out)) == 2
+    _assert_output_error(capsys, out, "No such file or directory")
+
+
 def test_predict_with_non_finite_params_exits_2(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
     params = _trained(tmp_path, corpus)
@@ -222,6 +236,23 @@ def test_a_repeated_config_key_exits_2_before_training(tmp_path, capsys, command
     assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"coleaf: error: {cfg}:3: epochs repeats line 1\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("raw, message", [
+    (b"epochs = 2\nbatch_size = 4\n# caf\xe9\n", "{cfg}:3: not UTF-8 text"),
+    # the BOM is not part of the first key, so the repeat is found
+    (b"\xef\xbb\xbfepochs = 2\nbatch_size = 4\nepochs = 5\n", "{cfg}:3: epochs repeats line 1"),
+], ids=["latin-1", "bom"])
+def test_a_config_file_with_latin1_or_a_bom_exits_2_at_its_line(tmp_path, capsys, command, raw, message):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_bytes(raw)
+    out = tmp_path / "run"
+    assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"coleaf: error: {message.format(cfg=cfg)}\n" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -502,6 +533,21 @@ def test_predict_reference_branch(tmp_path):
     assert np.asarray(first["probs_audio"]).shape == (6, 4)
 
 
+def test_predict_reference_branch_with_unimodal_only_exits_2(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = _trained(tmp_path, corpus)
+    capsys.readouterr()
+    preds = tmp_path / "ref.jsonl"
+    status = run_cli(
+        "predict", "--params", str(params), "--corpus", str(corpus),
+        "--branch", "reference", "--unimodal-only", "--out", str(preds),
+    )
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "coleaf: error: unimodal_only applies to the anchor branch only" in err
+    assert "Traceback" not in err and not preds.exists()
+
+
 def test_gen_data_with_a_negative_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "x.jsonl"
     assert run_cli("gen-data", "--out", str(path), "--seed", "-1") == 2
@@ -510,7 +556,7 @@ def test_gen_data_with_a_negative_seed_exits_2(tmp_path, capsys):
 
 
 def _corpus_of_two_lengths():
-    from coleaf.branches import VideoSample
+    from coleaf.records import VideoSample
     from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
 
     spec = CorpusSpec(n_videos=4, segments=6, classes=4, dim=8, seed=1)

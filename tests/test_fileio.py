@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coleaf.branches import VideoSample, init_branch_params
+from coleaf.branches import init_branch_params
 from coleaf.errors import FileFormatError
 from coleaf.fileio import _ENCODER, json_lines, parse_record, write_json_lines
 from coleaf.harness import load_params, load_predictions, save_params, write_predictions
-from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse
+from coleaf.records import SCORE_BLOCK_VIDEOS, BinaryParse, VideoSample
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus, load_corpus, save_corpus
 
 FAULT_MESSAGES = {

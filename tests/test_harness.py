@@ -10,7 +10,6 @@ import pytest
 
 from coleaf import harness, numerics as nm
 from coleaf.branches import (
-    VideoSample,
     anchor_forward,
     init_branch_params,
     instrumentation,
@@ -36,7 +35,7 @@ from coleaf.harness import (
     train,
     write_predictions,
 )
-from coleaf.metrics import field_rules
+from coleaf.records import VideoSample, field_rules
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
 
 from oracles import fd_check_params, sample_coords
@@ -488,6 +487,24 @@ def test_config_bad_entry_names_line(tmp_path, line, message):
         load_train_config(path)
 
 
+def test_config_file_may_start_with_a_bom(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfepochs = 3\nseed = 12\n")
+    assert load_train_config(path) == TrainConfig(epochs=3, seed=12)
+
+
+@pytest.mark.parametrize("raw, line_no", [
+    (b"epochs = 3\n# caf\xe9\nseed = 12\n", 2),
+    (b"\xef\xbb\xbfepochs = 3\r\nseed = 1\xff2\r\n", 2),
+    (b"\xe9pochs = 3\n", 1),
+], ids=["latin-1 comment", "bom and crlf", "first byte"])
+def test_config_bytes_that_are_not_utf8_name_their_line(tmp_path, raw, line_no):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:{line_no}: not UTF-8 text')}$"):
+        load_train_config(path)
+
+
 def test_readme_config_block_names_every_field(tmp_path):
     text = README.read_text()
     intro = text.index("Every `TrainConfig` field is nameable")
@@ -678,9 +695,9 @@ def test_evaluate_rejects_probabilities_outside_the_unit_interval(bad):
 def test_a_read_and_scored_corpus_runs_each_record_rule_once_per_block(tmp_path, monkeypatch):
     """Loading two blocks' worth of videos builds no `VideoSample` or `BinaryParse` one at a
     time, and the probability rule runs once per block in the reader and in the report."""
-    from coleaf import branches, metrics, synthdata
+    from coleaf import metrics, records, synthdata
 
-    n_videos = metrics.SCORE_BLOCK_VIDEOS + 10
+    n_videos = records.SCORE_BLOCK_VIDEOS + 10
     corpus = desk_corpus(n_videos=n_videos)
     preds = predict(init_branch_params(8, 4, 5), corpus)
     corpus_path, preds_path = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
@@ -694,10 +711,10 @@ def test_a_read_and_scored_corpus_runs_each_record_rule_once_per_block(tmp_path,
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls in (branches.VideoSample, metrics.BinaryParse):
+    for cls in (records.VideoSample, records.BinaryParse):
         monkeypatch.setattr(cls, "__post_init__", counted("records", cls.__post_init__))
     for module in (harness, metrics):
-        monkeypatch.setattr(module, "_probability_pair", counted("pairs", metrics._probability_pair))
+        monkeypatch.setattr(module, "probability_pair", counted("pairs", records.probability_pair))
     loaded = synthdata.load_corpus(corpus_path)
     read_back = load_predictions(preds_path)
     assert calls == {"records": 0, "pairs": 2}
@@ -799,6 +816,11 @@ def test_gt_parses_needs_ground_truth_on_every_video():
 def test_predict_rejects_an_unknown_branch():
     with pytest.raises(ConfigError, match="unknown branch 'both'"):
         predict(init_branch_params(8, 4, 5), desk_corpus(n_videos=2), branch="both")
+
+
+def test_predict_rejects_unimodal_only_on_the_reference_branch():
+    with pytest.raises(ConfigError, match="^unimodal_only applies to the anchor branch only"):
+        predict(init_branch_params(8, 4, 5), desk_corpus(n_videos=2), branch="reference", unimodal_only=True)
 
 
 def test_per_class_eval_threshold_reads_back_from_the_train_log():

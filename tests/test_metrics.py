@@ -8,20 +8,16 @@ from hypothesis.extra.numpy import arrays
 from coleaf import metrics
 from coleaf.errors import AlignmentError, ConfigError, DimensionError
 from coleaf.metrics import (
-    SCORE_BLOCK_VIDEOS,
     STREAMS,
-    BinaryParse,
     MetricConfig,
     derive_exclusive,
     extract_event_proposals,
     full_report,
     match_events,
     segment_counts,
-    _probability_pair,
     _streams,
-    as_binary,
-    unchecked,
 )
+from coleaf.records import SCORE_BLOCK_VIDEOS, BinaryParse, as_binary, probability_pair, unchecked
 from coleaf.synthdata import CorpusSpec
 
 from oracles import (
@@ -573,7 +569,7 @@ def test_full_report_shape_errors_name_the_shapes():
          "audio probabilities hold a non-finite value or one outside [0,1]"),
         (lambda pa, pv: (pa[:, :2], pv), "probability matrices must share T x C, got (6, 2) and (6, 3)"),
         (lambda pa, pv: (pa[:4], pv[:4]), "video {vid}: prediction shape (4, 3) vs ground truth (6, 3)"),
-        (lambda pa, pv: (pa, pv, pv), "_probability_pair() takes 2 positional arguments but 3 were given"),
+        (lambda pa, pv: (pa, pv, pv), "probability_pair() takes 2 positional arguments but 3 were given"),
     ],
     ids=["above-one", "nan", "shapes-differ", "other-t", "three-matrices"],
 )
@@ -687,10 +683,10 @@ def _probability_pairs(draw):
 @example(pair=(np.array([[0.5, 1.0]]), np.array([[0.0, np.nan]])))
 @example(pair=(np.array([[-np.inf, 0.5]]), np.array([[np.inf, 0.5]])))
 def test_probability_pair_accepts_exactly_what_the_elementwise_test_accepts(pair):
-    """`_probability_pair` checks each matrix by its minimum and maximum; the reference is
+    """`probability_pair` checks each matrix by its minimum and maximum; the reference is
     the elementwise test it used before, which names the first faulty modality."""
     faulty = [name for name, p in zip(("audio", "visual"), pair) if not np.all((p >= 0.0) & (p <= 1.0))]
-    message = _raises_value_error(_probability_pair, *pair)
+    message = _raises_value_error(probability_pair, *pair)
     if faulty:
         assert message == f"{faulty[0]} probabilities hold a non-finite value or one outside [0,1]"
     else:

@@ -1,4 +1,5 @@
 """Files that must not change, pinned by content hash, and layout rules that keep one owner."""
+import ast
 import hashlib
 import re
 from pathlib import Path
@@ -6,6 +7,9 @@ from pathlib import Path
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 ACCEPTANCE_SHA256 = "eb6caf29894191d636849a8830b31ff3af921b86b0c8e0d89a912fe95bc37835"
 PACKAGE = Path(__file__).parents[1] / "src" / "coleaf"
+# bottom first: each module may import only the modules before it
+LAYERS = ("errors", "records", "numerics", "fileio", "metrics", "synthdata", "branches", "losses",
+          "harness", "cli")
 
 
 def test_acceptance_suite_is_byte_identical():
@@ -108,15 +112,55 @@ def test_only_fileio_reads_data_file_records():
     )
 
 
-def test_only_metrics_imports_numbers():
+def test_only_records_imports_numbers():
     imports_numbers = re.compile(r"^\s*(from\s+numbers\s+import|import\s[^#\n]*\bnumbers\b)", re.M)
     owners = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
         if imports_numbers.search(path.read_text(encoding="utf-8"))
     )
-    assert owners == ["metrics.py"], (
+    assert owners == ["records.py"], (
         f"{', '.join(owners)} import numbers. A setting's type is stated once, by "
-        "coleaf.metrics.check_fields, which checks every bool, int and float field of "
+        "coleaf.records.check_fields, which checks every bool, int and float field of "
         "TrainConfig and CorpusSpec against the annotation next to the field."
+    )
+
+
+def _coleaf_imports(path):
+    """`(line, module, name)` for each import of a coleaf module in the file `path`, at any
+    depth of its tree: `name` is the name taken from the module, or None when the module
+    itself is imported (`from . import numerics`, `import coleaf.errors`)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[1], None)
+                      for a in node.names if a.name.startswith("coleaf.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "coleaf" and not module.startswith("coleaf."):
+                    continue
+                module = module[len("coleaf."):]
+            if module:
+                found += [(node.lineno, module.split(".")[0], a.name) for a in node.names]
+            else:
+                found += [(node.lineno, a.name, None) for a in node.names]
+    return found
+
+
+def test_modules_import_only_the_layers_below_them():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    faults = [f"{name}.py has no place in LAYERS" for name in modules if name not in LAYERS]
+    faults += [f"LAYERS lists {name}, which has no module" for name in LAYERS if name not in modules]
+    rank = {name: LAYERS.index(name) if name in LAYERS else -1 for name in modules}
+    for module in modules:
+        for line, imported, name in _coleaf_imports(PACKAGE / f"{module}.py"):
+            where = f"{module}.py:{line}"
+            if imported not in rank or rank[imported] >= rank[module]:
+                faults.append(f"{where} imports {imported}, which is not below {module}")
+            if name is not None and name.startswith("_"):
+                faults.append(f"{where} imports the private name {imported}.{name}")
+    assert faults == [], (
+        "coleaf's import graph is one layer order, " + " < ".join(LAYERS) + ", and no module "
+        "reaches into another's private names:\n" + "\n".join(faults)
     )

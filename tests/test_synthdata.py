@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from coleaf.metrics import SCORE_BLOCK_VIDEOS, BinaryParse, unchecked
 from coleaf.errors import ConfigError, FileFormatError
 from coleaf.fileio import _ENCODER
+from coleaf.records import SCORE_BLOCK_VIDEOS, BinaryParse, unchecked
 from coleaf.synthdata import (
     CorpusSpec,
     GeneratedCorpus,
