@@ -52,8 +52,9 @@ def _load_config(args):
 
 
 def _check_out_dir(path):
-    """Raise the `OSError` that writing `path` would meet for want of its directory, naming
-    `path`, so that a command fails before its work rather than after it."""
+    """Raise the `OSError` that writing the file `path` would meet for want of its
+    directory, or because `path` is itself a directory, naming `path`, so that a
+    command fails before its work rather than after it."""
     head = os.path.dirname(path) or os.curdir
     try:
         mode = os.stat(head).st_mode
@@ -61,6 +62,8 @@ def _check_out_dir(path):
         raise type(err)(err.errno, err.strerror, path) from None
     if not stat.S_ISDIR(mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _threshold_flag(text):

@@ -55,7 +55,10 @@ def atomic_write(path):
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:  # as at the open: the caller's file, not the temp file
+            raise type(err)(err.errno, err.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -95,9 +95,19 @@ class TrainConfig:
 
     def validate(self):
         """Check each field against its annotation (`records.check_fields`), and
-        `eval_threshold` (`records.parse_threshold`); raise `ConfigError` at the first fault."""
+        `eval_threshold` (`records.parse_threshold`), and that some loss term trains in
+        some epoch; raise `ConfigError` at the first fault."""
         check_fields(self)
         parse_threshold(self.eval_threshold)
+        if self.disable_ref_video and self.disable_anchor_video:
+            collab = ("disable_event_contrastive", "disable_self_modality_kd", "disable_cooccurrence_kd")
+            if all(getattr(self, name) for name in collab):
+                raise ConfigError("every loss term is disabled, so training would change nothing")
+            if self.warmup_epochs >= self.epochs:
+                raise ConfigError(
+                    f"both video-level losses are disabled and warmup_epochs {self.warmup_epochs} "
+                    f">= epochs {self.epochs}, so training would change nothing"
+                )
 
     @classmethod
     def fullscale(cls, **overrides):
@@ -551,13 +561,15 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
             for axis in axes
             for value in (False, True)
         ]
+    configs = [replace(base_config, **overrides) for _, overrides in variants]
+    for cfg in configs:  # before the first variant trains
+        cfg.validate()
     rows = []
     gts = gt_parses(eval_corpus)
     # variants differ only in the axis switches, so these name a configuration;
     # an axis's off row is often the base, which is then trained once
     reports = {}
-    for label, overrides in variants:
-        cfg = replace(base_config, **overrides)
+    for (label, overrides), cfg in zip(variants, configs):
         key = tuple(getattr(cfg, axis) for axis in ABLATION_AXES)
         if key not in reports:
             params, _ = train(corpus, cfg)

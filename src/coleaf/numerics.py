@@ -6,6 +6,19 @@ results are never modified after creation. Parameter tensors are the
 exception: they are views into `BranchParams.flat`, which the optimiser
 updates in place between graphs, so a graph must be differentiated before the
 next optimiser step.
+
+Backward forms only the gradients it keeps. An operation's `grad_fn` forms a
+gradient only for an operand that requires one and puts `None` in a constant
+operand's slot, and `backward` walks only the parents that require a gradient.
+The arrays it returns may be read-only broadcast views or shared with other
+entries, so callers must not modify them in place (`BranchParams.flat_grad`
+copies them into one new vector).
+
+`matmul`'s gradient for a right operand that lacks some of the left operand's
+leading axes, such as a weight shared across a batch, is one product with
+those axes folded into the row axis rather than one product per problem that
+is then summed. The fold costs copies, so it is taken only for a right operand
+of at least `FOLD_MIN_WEIGHT` entries per problem (K x N).
 """
 from __future__ import annotations
 
@@ -17,6 +30,8 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 _BCE_EPS = 1e-7
+# K x N from which matmul's right-operand gradient folds the axes that operand lacks
+FOLD_MIN_WEIGHT = 4096
 
 _sequence = itertools.count()
 
@@ -105,7 +120,12 @@ def _make(data, parents, grad_fn):
 
 
 def backward(loss):
-    """Gradients of a finite scalar w.r.t. every requires_grad tensor in its graph."""
+    """Gradients of a finite scalar w.r.t. every requires_grad tensor in its graph.
+
+    Only operands that require a gradient get one formed: constants are neither
+    walked nor differentiated. The returned arrays may be read-only or shared
+    views; do not modify them in place.
+    """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data):
@@ -121,7 +141,7 @@ def backward(loss):
             continue
         seen.add(id(node))
         reachable.append(node)
-        stack.extend(node._parents)
+        stack.extend(p for p in node._parents if p.requires_grad)
     # Creation order places every node after its parents, so walking it in
     # reverse visits each node only after all of its consumers.
     reachable.sort(key=lambda n: n._seq)
@@ -137,10 +157,12 @@ def backward(loss):
                 grads[parent] = grads[parent] + gpar
             else:
                 grads[parent] = gpar
-    return {t: g for t, g in grads.items() if t.requires_grad}
+    return grads
 
 
 def _unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     for _ in range(extra):
         grad = grad.sum(axis=0)
@@ -155,7 +177,10 @@ def add(a, b):
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), grad_fn)
 
@@ -165,7 +190,10 @@ def sub(a, b):
     out = a.data - b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), grad_fn)
 
@@ -180,7 +208,10 @@ def mul(a, b):
     out = a.data * b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), grad_fn)
 
@@ -191,8 +222,8 @@ def div(a, b):
 
     def grad_fn(g):
         return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), grad_fn)
@@ -206,10 +237,29 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def grad_fn(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        return _unbroadcast(ga, a.shape), _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        return ga, (_right_grad(a.data, g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), grad_fn)
+
+
+def _right_grad(a, g, shape):
+    """Gradient of `a @ b` w.r.t. a `b` of `shape`, given the output's gradient `g`.
+
+    A `b` that lacks `a`'s first leading axes (B entries in all) and holds at least
+    `FOLD_MIN_WEIGHT` entries per problem gets one product with those axes moved
+    into the row axis, `(..., B*M, K)^T @ (..., B*M, N)`, instead of B per-problem
+    products that `_unbroadcast` would sum; a smaller one keeps that per-problem form.
+    """
+    extra = a.ndim - len(shape)
+    if extra > 0 and shape[-2] * shape[-1] >= FOLD_MIN_WEIGHT and a.shape[extra:-2] == shape[:-2]:
+        # b's leading axes first, then the folded axes next to the rows
+        lead = range(extra, a.ndim - 2)
+        order = (*lead, *range(extra), a.ndim - 2, a.ndim - 1)
+        rows_a = np.transpose(a, order).reshape(shape[:-2] + (-1, shape[-2]))
+        rows_g = np.transpose(g, order).reshape(shape[:-2] + (-1, shape[-1]))
+        return np.swapaxes(rows_a, -1, -2) @ rows_g
+    return _unbroadcast(np.swapaxes(a, -1, -2) @ g, shape)
 
 
 def transpose(a, axes=None):
@@ -229,13 +279,23 @@ def _reshape(a, shape):
     return _make(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
+def _is_basic(index):
+    """Whether `index` is numpy basic indexing, which selects each entry at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer)) for p in parts)
+
+
 def take(a, index):
     a = as_tensor(a)
     out = a.data[index]
+    basic = _is_basic(index)
 
     def grad_fn(g):
         acc = np.zeros(a.shape, dtype=np.float64)
-        np.add.at(acc, index, g)
+        if basic:
+            acc[index] = g
+        else:  # an advanced index may repeat an entry, whose gradients then add up
+            np.add.at(acc, index, g)
         return (acc,)
 
     return _make(out, (a,), grad_fn)
@@ -276,7 +336,7 @@ def _sum(a, axis=None, keepdims=False):
     def grad_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _make(out, (a,), grad_fn)
 

@@ -672,6 +672,46 @@ def test_ablate_to_an_unusable_out_exits_2_before_the_first_variant(tmp_path, ca
     assert steps == []
 
 
+@pytest.mark.parametrize("command", ["predict", "eval", "gen-data", "gen-data-eval-out", "ablate"])
+def test_an_out_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def unreached(*args, **kwargs):
+        raise AssertionError("called before --out was checked")
+
+    for name in ("load_params", "load_corpus", "load_predictions", "predict", "evaluate",
+                 "generate_corpus", "save_corpus", "ablate", "train"):
+        monkeypatch.setattr(f"coleaf.cli.{name}", unreached)
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    argv = {
+        "predict": ["predict", "--params", "p.json", "--corpus", "c.jsonl", "--out", str(adir)],
+        "eval": ["eval", "--pred", "p.jsonl", "--gt", "c.jsonl", "--out", str(adir)],
+        "gen-data": ["gen-data", "--out", str(adir)],
+        "gen-data-eval-out": ["gen-data", "--out", str(tmp_path / "t.jsonl"),
+                              "--eval-out", str(adir), "--eval-videos", "2"],
+        "ablate": ["ablate", "--corpus", "c.jsonl", "--axes", "unimodal_only", "--out", str(adir)],
+    }[command]
+    assert run_cli(*argv) == 2
+    _assert_output_error(capsys, adir, "Is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any(adir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_configuration_that_trains_nothing_exits_2_before_training(tmp_path, capsys, monkeypatch, command):
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4)
+    steps = _adam_steps(monkeypatch)
+    # with the anchor's video loss also off, the ablation's on row trains nothing
+    cfg = write_config(tmp_path, "epochs = 1\nbatch_size = 4\n" + "".join(
+        f"{name} = true\n" for name in
+        ("disable_anchor_video", "disable_event_contrastive", "disable_self_modality_kd",
+         "disable_cooccurrence_kd") + (("disable_ref_video",) if command == "train" else ())
+    ))
+    extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--axes", "disable_ref_video"]
+    assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), *extra) == 2
+    err = capsys.readouterr().err
+    assert "coleaf: error: every loss term is disabled" in err and "Traceback" not in err
+    assert steps == [] and not (tmp_path / "run").exists()
+
+
 def test_a_permission_error_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "x.jsonl"
 

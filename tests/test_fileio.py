@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from coleaf.branches import init_branch_params
 from coleaf.errors import FileFormatError
-from coleaf.fileio import _ENCODER, json_lines, parse_record, write_json_lines
+from coleaf.fileio import _ENCODER, atomic_write, json_lines, parse_record, write_json_lines
 from coleaf.harness import load_params, load_predictions, save_params, write_predictions
 from coleaf.records import SCORE_BLOCK_VIDEOS, BinaryParse, VideoSample
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus, load_corpus, save_corpus
@@ -754,3 +754,13 @@ def test_a_corpus_with_its_0_1_fields_as_nested_lists_loads_equal(tmp_path):
         assert s.weak_label.dtype == s.gt.audio.dtype == s.gt.visual.dtype == np.int64
     save_corpus(loaded, path)
     assert path.read_bytes() == today
+
+
+def test_a_rename_that_fails_names_the_callers_path_and_leaves_no_temp_file(tmp_path):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        with atomic_write(adir) as fh:
+            fh.write("text")
+    assert err.value.filename == str(adir)
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any(adir.iterdir())

@@ -144,6 +144,55 @@ def test_warmup_epochs_gate_collaborative_losses():
     )
 
 
+@pytest.mark.parametrize(
+    "switch, term, branch",
+    [("disable_ref_video", "ref_video", "reference."), ("disable_anchor_video", "anchor_video", "anchor.")],
+)
+def test_a_video_loss_switch_zeros_exactly_its_own_term(switch, term, branch):
+    batch = desk_corpus(n_videos=4).samples
+    params = init_branch_params(8, 4, 0)
+    _, base = sample_losses(batch, params, quick_config())
+    _, off = sample_losses(batch, params, quick_config(**{switch: True}))
+    for name in ("ref_video", "anchor_video", "event_contrastive", "self_modality_kd", "cooccurrence_kd"):
+        if name == term:
+            assert getattr(off, name) == 0.0 and np.all(getattr(base, name) > 0)
+        else:
+            assert np.array_equal(getattr(off, name), getattr(base, name))
+    assert np.allclose(off.total, base.total - getattr(base, term), rtol=1e-14, atol=0)
+    # with the collaboration terms off as well, only the other branch gets a gradient
+    collab_off = dict.fromkeys(
+        ("disable_event_contrastive", "disable_self_modality_kd", "disable_cooccurrence_kd"), True
+    )
+    totals, _ = sample_losses(batch, params, quick_config(**{switch: True}, **collab_off))
+    grads = nm.backward(totals.mean())
+    trained = {name for name, tensor in params.named_parameters() if np.any(grads.get(tensor, 0.0))}
+    assert trained and not any(name.startswith(branch) for name in trained)
+
+
+def test_a_configuration_that_trains_nothing_is_rejected():
+    every = dict.fromkeys(
+        (
+            "disable_ref_video",
+            "disable_anchor_video",
+            "disable_event_contrastive",
+            "disable_self_modality_kd",
+            "disable_cooccurrence_kd",
+        ),
+        True,
+    )
+    with pytest.raises(ConfigError, match="every loss term is disabled"):
+        TrainConfig(**every).validate()
+    with pytest.raises(ConfigError, match="every loss term is disabled"):
+        train(desk_corpus(n_videos=4), quick_config(**every))
+    for name in every:  # any one term left on trains
+        TrainConfig(**{**every, name: False}).validate()
+    video_off = dict(disable_ref_video=True, disable_anchor_video=True)
+    with pytest.raises(ConfigError, match="warmup_epochs 3 >= epochs 3"):
+        TrainConfig(epochs=3, warmup_epochs=3, **video_off).validate()
+    TrainConfig(epochs=3, warmup_epochs=2, **video_off).validate()
+    TrainConfig(epochs=3, warmup_epochs=3, disable_ref_video=True).validate()
+
+
 def test_divergence_aborts_with_step_index():
     corpus = desk_corpus(n_videos=4)
     huge = corpus.samples[0]

@@ -374,3 +374,143 @@ def test_bce_over_axes_is_each_slice_mean_with_its_gradient(axis):
 
         fd = (f(p[index] + 1e-6) - f(p[index] - 1e-6)) / 2e-6
         assert relative_error(grad[index], fd) < 1e-6
+
+
+def _per_problem_weight_grad(a, g, shape):
+    """The right operand's gradient as one product per problem, summed over the axes it lacks."""
+    return nm._unbroadcast(np.swapaxes(a, -1, -2) @ g, shape)
+
+
+def _unbroadcast_shapes(monkeypatch):
+    """The shapes `_unbroadcast` is asked for from now on."""
+    shapes, inner = [], nm._unbroadcast
+
+    def recorded(grad, shape):
+        shapes.append(tuple(shape))
+        return inner(grad, shape)
+
+    monkeypatch.setattr(nm, "_unbroadcast", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("shape_b", [(64, 80), (2, 64, 64)], ids=["2d-weight", "stacked-weight"])
+def test_a_shared_weight_at_the_fold_size_gets_one_folded_product(monkeypatch, shape_b):
+    """At K x N >= FOLD_MIN_WEIGHT a weight lacking the input's batch axes takes the fold,
+    which agrees with the per-video product and with central differences."""
+    assert shape_b[-2] * shape_b[-1] >= nm.FOLD_MIN_WEIGHT
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(3, 2, 4, 64))  # B x S x T x D
+    b = rng.normal(size=shape_b) / 8.0
+    weight = rng.normal(size=(3, 2, 4, shape_b[-1]))
+    w = Tensor(b, requires_grad=True)
+    shapes = _unbroadcast_shapes(monkeypatch)
+    grad = nm.backward((nm.matmul(Tensor(a), w) * weight).sum())[w]
+    assert shape_b not in shapes  # no per-video product was summed
+    want = _per_problem_weight_grad(a, weight, shape_b)
+    assert grad.shape == shape_b
+    assert np.max(np.abs(grad - want)) <= 1e-9 * np.max(np.abs(want))
+    # the loss is linear in the weight, so a wide step is exact but for rounding
+    for idx in [tuple(rng.integers(0, n) for n in shape_b) for _ in range(24)]:
+
+        def f(v, idx=idx):
+            values = b.copy()
+            values[idx] = v
+            return float(np.sum((a @ values) * weight))
+
+        assert relative_error(grad[idx], central_difference(f, b[idx], h=1e-3)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((16, 2, 10, 16), (2, 16, 16)), ((16, 10, 2, 16), (16, 5)), ((16, 4, 10, 16), (4, 16, 16))],
+    ids=["reference-attention", "anchor-classifier", "anchor-attention"],
+)
+def test_desk_weights_keep_the_per_video_product(monkeypatch, shape_a, shape_b):
+    assert shape_b[-2] * shape_b[-1] < nm.FOLD_MIN_WEIGHT
+    rng = np.random.default_rng(27)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    weight = rng.normal(size=shape_a[:-1] + shape_b[-1:])
+    w = Tensor(b, requires_grad=True)
+    shapes = _unbroadcast_shapes(monkeypatch)
+    grad = nm.backward((nm.matmul(Tensor(a), w) * weight).sum())[w]
+    assert shapes.count(shape_b) == 1
+    assert np.array_equal(grad, _per_problem_weight_grad(a, weight, shape_b))
+
+
+# each op with the gradient it gives each operand for an output gradient g
+_TWO_SIDED = {
+    "add": (nm.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (nm.sub, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (nm.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (nm.div, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+    "matmul": (
+        nm.matmul,
+        lambda g, a, b: g @ np.swapaxes(b, -1, -2),
+        lambda g, a, b: np.swapaxes(a, -1, -2) @ g,
+    ),
+}
+_OPERAND_SHAPES = {
+    "elementwise": [((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((2, 1, 4), (3, 1))],
+    "matmul": [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))],
+}
+
+
+@pytest.mark.parametrize(
+    "name, shapes",
+    [
+        (name, shapes)
+        for name in _TWO_SIDED
+        for shapes in _OPERAND_SHAPES["matmul" if name == "matmul" else "elementwise"]
+    ],
+)
+@pytest.mark.parametrize("constant", [0, 1], ids=["left-constant", "right-constant"])
+def test_a_constant_operand_gets_no_gradient_formed(name, shapes, constant):
+    op, *formulas = _TWO_SIDED[name]
+    rng = np.random.default_rng(28)
+    arrays = [rng.uniform(0.5, 2.0, size=s) for s in shapes]
+    g = rng.normal(size=op(*arrays).shape)
+    live = 1 - constant
+    operands = [Tensor(x, requires_grad=(i == live)) for i, x in enumerate(arrays)]
+    out = op(*operands)
+    slots = out._grad_fn(g)
+    assert slots[constant] is None
+    want = nm._unbroadcast(formulas[live](g, *arrays), shapes[live])
+    assert np.array_equal(slots[live], want)
+    # the same as the operand's gradient when both sides carry one
+    both = [Tensor(x, requires_grad=True) for x in arrays]
+    assert np.array_equal(op(*both)._grad_fn(g)[live], want)
+    grads = nm.backward((out * g).sum())
+    assert operands[constant] not in grads and np.array_equal(grads[operands[live]], want)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        (Ellipsis, slice(None, 3), slice(None)),
+        (Ellipsis, slice(3, None), slice(None)),
+        (Ellipsis, 0, slice(None), slice(None)),
+    ],
+    ids=["segment-rows", "class-token-rows", "first-modality"],
+)
+def test_take_of_a_basic_index_matches_finite_differences(index):
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(2, 2, 5, 3))
+    weight = Tensor(rng.normal(size=a[index].shape))
+    _check_all_gradients(lambda x: (x[index] * weight).sum(), [a])
+
+
+@pytest.mark.parametrize(
+    "index",
+    [np.array([0, 2, 0, 0]), (slice(None), np.array([1, 1])), np.array([True, False, True])],
+    ids=["repeated-rows", "repeated-columns", "mask"],
+)
+def test_take_of_an_advanced_index_adds_up_repeated_entries(index):
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(3, 4))
+    weight = rng.normal(size=a[index].shape)
+    x = Tensor(a, requires_grad=True)
+    grad = nm.backward((x[index] * weight).sum())[x]
+    want = np.zeros_like(a)
+    np.add.at(want, index, weight)
+    assert np.array_equal(grad, want)
+    _check_all_gradients(lambda t: (t[index] * Tensor(weight)).sum(), [a])
