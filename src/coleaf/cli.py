@@ -66,6 +66,23 @@ def _check_out_dir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _check_distinct(outputs, inputs):
+    """Raise `ConfigError` naming both flags if an output's path names an input's or
+    another output's (the same file if both exist, else the same absolute path), so that
+    a command fails before its work rather than write over a file it reads or writes.
+    Each of `outputs` and `inputs` is a list of `(flag, path)`; a path of None is left out."""
+    outputs = [(flag, path) for flag, path in outputs if path]
+    named = outputs + [(flag, path) for flag, path in inputs if path]
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in named[i + 1 :]:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # one of them is not there yet
+                same = os.path.abspath(path) == os.path.abspath(other_path)
+            if same:
+                raise ConfigError(f"{flag} {path} names the same file as {other} {other_path}")
+
+
 def _threshold_flag(text):
     try:
         return parse_threshold(text)
@@ -78,6 +95,7 @@ _SPEC_FLAGS = field_rules(CorpusSpec)
 
 
 def _cmd_gen_data(args):
+    _check_distinct([("--out", args.out), ("--eval-out", args.eval_out)], [])
     for out in (args.out, args.eval_out):
         if out:
             _check_out_dir(out)  # before the first file, so a bad one leaves neither written
@@ -100,6 +118,12 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    params_path = os.path.join(args.out, "params.json")
+    log_path = os.path.join(args.out, "trainlog.json")
+    _check_distinct(
+        [("--out", params_path), ("--out", log_path)],
+        [("--corpus", args.corpus), ("--eval-corpus", args.eval_corpus), ("--config", args.config)],
+    )
     config = _load_config(args)
     corpus = load_corpus(args.corpus)
     eval_corpus = load_corpus(args.eval_corpus) if args.eval_corpus else None
@@ -111,8 +135,6 @@ def _cmd_train(args):
         if made:  # a run that fails leaves no output directory behind
             os.rmdir(args.out)
         raise
-    params_path = os.path.join(args.out, "params.json")
-    log_path = os.path.join(args.out, "trainlog.json")
     save_params(params, params_path)
     write_json(log_path, log.to_mapping())
     last = log.epochs[-1].losses
@@ -123,6 +145,7 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
+    _check_distinct([("--out", args.out)], [("--params", args.params), ("--corpus", args.corpus)])
     _check_out_dir(args.out)  # before the parameters and corpus load
     params = load_params(args.params)
     corpus = load_corpus(args.corpus)
@@ -133,6 +156,7 @@ def _cmd_predict(args):
 
 
 def _cmd_eval(args):
+    _check_distinct([("--out", args.out)], [("--pred", args.pred), ("--gt", args.gt)])
     if args.out:
         _check_out_dir(args.out)  # before the predictions and corpus load
     preds = load_predictions(args.pred)
@@ -147,6 +171,10 @@ def _cmd_eval(args):
 
 
 def _cmd_ablate(args):
+    _check_distinct(
+        [("--out", args.out)],
+        [("--corpus", args.corpus), ("--eval-corpus", args.eval_corpus), ("--config", args.config)],
+    )
     if args.out:
         _check_out_dir(args.out)  # before the first variant trains
     config = _load_config(args)

@@ -12,12 +12,13 @@ and formats each record's line by that layout, not through the generic JSON
 walk, and writes the bytes the JSON encoder would; `write_json` writes only
 the indented training log, which holds no arrays. One reader,
 `read_records`, reads the corpus and prediction records: it owns the record
-loop, the id rule, the blocks and the record-by-record fallback, and its
-callers give only their keys and two builders. It leaves each payload's base64
-to `stack_payloads`, which decodes a block's payloads of one field into one
-buffer, so every error stays that of `parse_record` at its line.
-`parse_record` decodes each payload as a block of one, so `stack_payloads` is
-the one base64 decoder and names a fault in the same words for both.
+loop, the id rule and the blocks, and its callers give only their keys and
+one block builder. A block that fails is built again one record at a time by
+that builder, so the error names the faulty line. Each payload's base64 is
+left to `stack_payloads`, which decodes a block's payloads of one field into
+one buffer, and `parse_record` decodes each payload as a block of one, so
+`stack_payloads` is the one base64 decoder and names a fault in the same words
+for both.
 """
 from __future__ import annotations
 
@@ -199,8 +200,8 @@ def _decode(decoder, raw, required, path, line_no):
 
 def _record_parser(path, required, deferred):
     """A `parse(raw, line_no)` that reads a line of `path` as `parse_record` does, except
-    that a payload object under a key in `deferred` stays undecoded, for `stack_payloads`
-    or `_build`; a key in `deferred` may also be absent or hold another value.
+    that a payload object under a key in `deferred` stays undecoded, for `stack_payloads`;
+    a key in `deferred` may also be absent or hold another value.
 
     Its dtype and shape are checked at its line, its base64 and byte count
     only when it is decoded, so `parse` passes some lines that `parse_record`
@@ -232,18 +233,18 @@ def stack_payloads(values):
     decoder of payload base64.
 
     Payloads that `read_records` deferred are decoded together into one
-    buffer of their dtype; other values (nested lists, arrays, None) are
-    stacked by `np.array`. A payload whose base64, byte count or shape is bad
-    raises `_PayloadError`, which names the fault. Values that do not stack,
+    buffer of their dtype; other values (nested lists, arrays, None) are each
+    made an array and then stacked, so a ragged list is named by its own
+    shape. A payload whose base64, byte count or shape is bad raises
+    `_PayloadError`, which names the fault. Values that do not stack,
     payloads of more than one dtype or shape, or a mix of payloads and other
-    values raise `ValueError` or `TypeError`. On any of these `read_records`
-    builds the block record by record, which names the faulty line.
+    values raise `ValueError` or `TypeError`.
     """
     deferred = sum(type(value) is _Deferred for value in values)
     if not values or deferred < len(values):
         if deferred:
             raise ValueError("the block mixes payloads and other values")
-        return np.array(values)
+        return np.stack([np.asarray(value) for value in values])
     name, shape = values[0]["dtype"], values[0]["shape"]
     if any(value["dtype"] != name or value["shape"] != shape for value in values):
         raise ValueError("the payloads differ in dtype or shape")
@@ -278,18 +279,18 @@ def _check_video_id(vid, first_lines, path, line_no):
     first_lines[vid] = line_no
 
 
-def read_records(path, lines, required, deferred, stacked, one):
+def read_records(path, lines, required, deferred, stacked):
     """Read `lines`, the `(line_no, bytes)` of `path` that `json_lines` yields, as records
     that each hold every key in `required` and a unique string "id"; return the list of
-    what `stacked` and `one` build from them, and the last line read (0 for none).
+    what `stacked` builds from them, and the last line read (0 for none).
 
     A payload under a key in `deferred` is left for `stack_payloads`. Records
     are gathered `SCORE_BLOCK_VIDEOS` at a time and `stacked(records)` builds a
     block's items. If that raises `TypeError`, `ValueError` or `OverflowError`,
-    each record is decoded and built by `one(record)`, and such an error from
-    `one` is a `FileFormatError` at the record's line. A line that does not
-    parse or repeats an id is reported after the block before it is built, so
-    the earliest faulty line is the one named.
+    `stacked` builds each record of the block alone, in line order, and the
+    first such error is a `FileFormatError` at its record's line. A line that
+    does not parse or repeats an id is reported after the block before it is
+    built, so the earliest faulty line is the one named.
     """
     parse = _record_parser(path, required, deferred)
     built, id_lines, block, line_no = [], {}, [], 0
@@ -298,20 +299,20 @@ def read_records(path, lines, required, deferred, stacked, one):
             rec = parse(raw, line_no)
             _check_video_id(rec["id"], id_lines, path, line_no)
         except FileFormatError:
-            _build(block, path, stacked, one)  # an earlier line's fault comes first,
+            _build(block, path, stacked)  # an earlier line's fault comes first,
             parse_record(raw, required, path, line_no)  # then this line's, payloads decoded
             raise
         block.append((line_no, rec))
         if len(block) == SCORE_BLOCK_VIDEOS:
-            built += _build(block, path, stacked, one)
+            built += _build(block, path, stacked)
             block = []
-    built += _build(block, path, stacked, one)
+    built += _build(block, path, stacked)
     return built, line_no
 
 
-def _build(block, path, stacked, one):
+def _build(block, path, stacked):
     """The items of `block`, a list of `(line_no, record)`: `stacked` of its records, or
-    else `one` of each with its payloads decoded, so an error names the first faulty line."""
+    else `stacked` of each record alone, so an error names the first faulty line."""
     if not block:
         return []
     try:
@@ -321,7 +322,7 @@ def _build(block, path, stacked, one):
     items = []
     for line_no, rec in block:
         try:  # a bad payload's `_PayloadError` is a ValueError
-            items.append(one({k: _from_payload(v) if type(v) is _Deferred else v for k, v in rec.items()}))
+            items += stacked([rec])
         except (TypeError, ValueError, OverflowError) as err:
             raise FileFormatError(f"{path}:{line_no}: {err}") from err
     return items

@@ -38,6 +38,7 @@ from .metrics import MetricReport, full_report
 from .numerics import Tensor
 from .records import (
     VideoSample,
+    check_field,
     check_fields,
     check_threshold,
     field_rules,
@@ -159,7 +160,10 @@ def load_train_config(path):
     """Parse a flat `key = value` config file; unknown keys are an error.
 
     The file is UTF-8 text, with or without a BOM. A byte that is not UTF-8, an unknown
-    or repeated key or a value of the wrong type is reported with its line.
+    or repeated key or a value of the wrong type is reported at its line, as
+    `<path>:<line>: <fault>`. A value outside its field's rule is reported in the words
+    of `records.check_field`, followed by a second line `  <path>:<line>: <the line>`;
+    a rule across fields is `validate`'s, without a line.
     """
     mapping, first_lines = {}, {}
     # a byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text holds
@@ -183,6 +187,11 @@ def load_train_config(path):
                 mapping[key] = _coerce_config_value(key, value.strip())
             except ConfigError as err:
                 raise ConfigError(f"{path}:{line_no}: {err}") from None
+            try:
+                if key != "eval_threshold":  # whose rule `_coerce_config_value` has checked
+                    check_field(TrainConfig, key, mapping[key])
+            except ConfigError as err:
+                raise ConfigError(f"{err}\n  {path}:{line_no}: {text}") from None
     return TrainConfig.from_mapping(mapping)
 
 
@@ -319,9 +328,10 @@ def _nonempty_shape(corpus, role):
 
 
 def _check_eval_corpus(corpus, eval_corpus, threshold):
-    """The corpus scored after training must be non-empty and share the training
-    corpus's C and D, and a per-class threshold must have one value per class;
-    checked before the first step rather than at the first evaluation."""
+    """The corpus scored after training must be non-empty, share the training corpus's
+    C and D and give every video ground truth, and a per-class threshold must have one
+    value per class; checked before the first step rather than at the first evaluation.
+    Returns the evaluation corpus's `gt_parses`."""
     _, c, d = _nonempty_shape(corpus, "training")
     _, eval_c, eval_d = _nonempty_shape(eval_corpus, "evaluation")
     if (eval_c, eval_d) != (c, d):
@@ -329,6 +339,7 @@ def _check_eval_corpus(corpus, eval_corpus, threshold):
             f"evaluation corpus has C={eval_c}, D={eval_d}, training corpus has C={c}, D={d}"
         )
     check_threshold(threshold, c)
+    return gt_parses(eval_corpus)
 
 
 def _train_step(batch, params, adam, lr, config, epoch, step):
@@ -451,10 +462,7 @@ def load_predictions(path):
     block's matrices are stacked and pass the probability rule once, and each
     pair is a view into its block's stacks.
     """
-    pairs, _ = read_records(
-        path, json_lines(path), _PREDICTION_KEYS, _PREDICTION_KEYS[1:], _prediction_block,
-        lambda rec: (rec["id"], probability_pair(rec["probs_audio"], rec["probs_visual"])),
-    )
+    pairs, _ = read_records(path, json_lines(path), _PREDICTION_KEYS, _PREDICTION_KEYS[1:], _prediction_block)
     return dict(pairs)
 
 
@@ -553,7 +561,7 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
             raise ConfigError(f"unknown ablation axis {axis!r}; valid axes: {', '.join(ABLATION_AXES)}")
     if eval_corpus is None:
         corpus, eval_corpus = split_corpus(corpus)
-    _check_eval_corpus(corpus, eval_corpus, base_config.eval_threshold)
+    gts = _check_eval_corpus(corpus, eval_corpus, base_config.eval_threshold)
     variants = [("base", {})]
     if axes:
         variants = [
@@ -565,7 +573,6 @@ def ablate(corpus, base_config, axes, eval_corpus=None):
     for cfg in configs:  # before the first variant trains
         cfg.validate()
     rows = []
-    gts = gt_parses(eval_corpus)
     # variants differ only in the axis switches, so these name a configuration;
     # an axis's off row is often the base, which is then trained once
     reports = {}

@@ -81,23 +81,35 @@ def kind_error(name, kind, value):
 
 
 def check_fields(record):
-    """Check each field that `field_rules` lists for `record`: its type, then its rule
-    (an integer too large for a float is infinite there), then, for a float, that it is
-    finite. A `ConfigError` names the first field that fails."""
-    for name, (kind, rule, test) in field_rules(type(record)).items():
-        value = getattr(record, name)
-        if not isinstance(value, _KINDS[kind][1]) or (kind is not bool and isinstance(value, bool)):
-            raise kind_error(name, kind, value)
-        if rule and not test(as_float(value)):
-            raise ConfigError(f"{name} must be {rule}, got {value}")
-        if kind is float and not math.isfinite(number := as_float(value)):
-            raise ConfigError(f"{name} must be finite, got {number}")
+    """`check_field` of each field that `field_rules` lists for `record`; a `ConfigError`
+    names the first field that fails."""
+    for name in field_rules(type(record)):
+        check_field(type(record), name, getattr(record, name))
 
 
-def matrix_pair(a, b, lead=()):
-    """Whether arrays `a` and `b` share one shape: `lead`, the leading axes of a stack of
-    records, then two matrix axes."""
-    return a.shape == b.shape and a.ndim == len(lead) + 2 and a.shape[:-2] == lead
+def check_field(cls, name, value):
+    """Check `value` for the field `name` of dataclass `cls`: its type, then its rule (an
+    integer too large for a float is infinite there), then, for a float, that it is finite."""
+    kind, rule, test = field_rules(cls)[name]
+    if not isinstance(value, _KINDS[kind][1]) or (kind is not bool and isinstance(value, bool)):
+        raise kind_error(name, kind, value)
+    if rule and not test(as_float(value)):
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    if kind is float and not math.isfinite(number := as_float(value)):
+        raise ConfigError(f"{name} must be finite, got {number}")
+
+
+def matrix_pair(a, b, lead, what):
+    """Raise `DimensionError`, `what` and both shapes, unless arrays `a` and `b` share one
+    shape: `lead`, the leading axes of a stack of records, then two matrix axes."""
+    if not (a.shape == b.shape and a.ndim == len(lead) + 2 and a.shape[:-2] == lead):
+        raise DimensionError(f"{what}, got {_own(a.shape, lead)} and {_own(b.shape, lead)}")
+
+
+def _own(shape, lead):
+    """The shape of each record in a stack of `shape` whose leading axes are `lead`, so a
+    fault reads as it does for one record; `shape` itself if the stack lacks them."""
+    return shape[len(lead):] if shape[: len(lead)] == lead else shape
 
 
 def unchecked(cls, **fields):
@@ -145,8 +157,7 @@ def binary_pair(audio, visual, *, lead=()):
     `lead`, two `lead` x T x C stacks of them."""
     audio = as_binary(audio, "audio parse")
     visual = as_binary(visual, "visual parse")
-    if not matrix_pair(audio, visual, lead):
-        raise DimensionError(f"parse matrices must share T x C, got {audio.shape} and {visual.shape}")
+    matrix_pair(audio, visual, lead, "parse matrices must share T x C")
     return audio, visual
 
 
@@ -183,8 +194,7 @@ def probability_pair(probs_audio, probs_visual, *, lead=()):
     every value finite and inside [0,1]; with `lead`, two `lead` x T x C stacks of them."""
     pa = np.asarray(probs_audio, dtype=np.float64)
     pv = np.asarray(probs_visual, dtype=np.float64)
-    if not matrix_pair(pa, pv, lead):
-        raise DimensionError(f"probability matrices must share T x C, got {pa.shape} and {pv.shape}")
+    matrix_pair(pa, pv, lead, "probability matrices must share T x C")
     for name, probs in (("audio", pa), ("visual", pv)):
         # min and max carry a NaN through, and NaN fails both comparisons, so it is rejected too
         if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
@@ -248,13 +258,13 @@ def _video_fields(audio_tokens, visual_tokens, weak_label, gt_audio=None, *, lea
     audio = np.asarray(audio_tokens, dtype=np.float64)
     visual = np.asarray(visual_tokens, dtype=np.float64)
     weak = as_binary(weak_label, "weak label")
-    if not matrix_pair(audio, visual, lead):
-        raise DimensionError(f"token matrices must share T x D, got {audio.shape} and {visual.shape}")
+    matrix_pair(audio, visual, lead, "token matrices must share T x D")
     if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
         raise ValueError("tokens must be finite")
     if weak.ndim != len(lead) + 1 or weak.shape[:-1] != lead:
-        raise DimensionError(f"weak labels must be {' x '.join([*map(str, lead), 'C'])}, got {weak.shape}")
-    expect = (*audio.shape[:-1], weak.shape[-1])
-    if gt_audio is not None and gt_audio.shape != expect:
-        raise DimensionError(f"ground truth shape {gt_audio.shape}, expected {expect}")
+        axes = [] if weak.shape[: len(lead)] == lead else [*map(str, lead)]  # a stack of another length
+        raise DimensionError(f"weak labels must be {' x '.join([*axes, 'C'])}, got {_own(weak.shape, lead)}")
+    expect = (*audio.shape[len(lead):-1], weak.shape[-1])
+    if gt_audio is not None and gt_audio.shape[len(lead):] != expect:
+        raise DimensionError(f"ground truth shape {gt_audio.shape[len(lead):]}, expected {expect}")
     return audio, visual, weak

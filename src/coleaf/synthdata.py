@@ -266,8 +266,7 @@ def load_corpus(path):
     if type(header["n_videos"]) is not int or header["n_videos"] < 0:
         raise FileFormatError(f"{path}:{header_line}: n_videos must be a non-negative integer")
     samples, line_no = read_records(
-        path, lines, _VIDEO_KEYS, _PAYLOAD_FIELDS,
-        lambda recs: _block_samples(recs, (t, c, d)), lambda rec: _record_sample(rec, (t, c, d)),
+        path, lines, _VIDEO_KEYS, _PAYLOAD_FIELDS, lambda recs: _block_samples(recs, (t, c, d))
     )
     if len(samples) != header["n_videos"]:
         raise FileFormatError(
@@ -292,56 +291,36 @@ def load_corpus(path):
 def _block_samples(recs, shape):
     """The videos of the records `recs`, of the header's (T, C, D), built at once by
     `VideoSample.from_block`; records that do not stack (another shape, ground truth on
-    some only) raise `ValueError` or `TypeError`."""
+    some only) raise `ValueError` or `TypeError`, and so does a record that gives one
+    parse of its ground truth without the other, naming the missing key."""
     has_gt = [_has_gt(rec) for rec in recs]
     if any(has_gt) and not all(has_gt):
         raise ValueError("ground truth on some videos only")
     gt_keys = ("gt_audio", "gt_visual") if has_gt[0] else ()
+    for key in gt_keys:
+        if any(rec.get(key) is None for rec in recs):
+            raise ValueError(f"missing key {key}")
     samples = VideoSample.from_block(
         [rec["id"] for rec in recs],
         stack_payloads([rec["audio"] for rec in recs]),
         stack_payloads([rec["visual"] for rec in recs]),
         stack_payloads([rec["weak_label"] for rec in recs]),
-        *(stack_payloads([rec.get(key) for rec in recs]) for key in gt_keys),
+        *(stack_payloads([rec[key] for rec in recs]) for key in gt_keys),
     )
-    _fitted(samples[0], shape)  # the stacks share one shape
+    t, c, d = shape
+    first = samples[0]  # the stacks share one shape
+    if first.audio_tokens.shape != (t, d) or first.n_classes != c:
+        raise DimensionError(
+            f"video {first.id} has T x D {first.audio_tokens.shape} "
+            f"and C {first.n_classes}, header says T={t}, D={d}, C={c}"
+        )
     return samples
-
-
-def _record_sample(rec, shape):
-    """The video of one record, of the header's (T, C, D); a record that gives one parse
-    of its ground truth without the other raises `ValueError` naming the missing key."""
-    gt = None
-    if _has_gt(rec):
-        for key in ("gt_audio", "gt_visual"):
-            if rec.get(key) is None:
-                raise ValueError(f"missing key {key}")
-        gt = BinaryParse(audio=rec["gt_audio"], visual=rec["gt_visual"])
-    sample = VideoSample(
-        id=rec["id"],
-        audio_tokens=rec["audio"],
-        visual_tokens=rec["visual"],
-        weak_label=rec["weak_label"],
-        gt=gt,
-    )
-    return _fitted(sample, shape)
 
 
 def _has_gt(rec):
     """Whether a record gives ground truth: either parse, so that one without the other is
     a fault at its line rather than a video without ground truth."""
     return rec.get("gt_audio") is not None or rec.get("gt_visual") is not None
-
-
-def _fitted(sample, shape):
-    """`sample` if it has the header's (T, C, D); else raises `DimensionError`."""
-    t, c, d = shape
-    if sample.audio_tokens.shape != (t, d) or sample.n_classes != c:
-        raise DimensionError(
-            f"video {sample.id} has T x D {sample.audio_tokens.shape} "
-            f"and C {sample.n_classes}, header says T={t}, D={d}, C={c}"
-        )
-    return sample
 
 
 def _default_class_names(c):

@@ -276,11 +276,38 @@ def test_from_block_builds_the_samples_the_constructor_builds():
         ((audio, visual, weak[:4]), DimensionError, r"weak labels must be 5 x C, got \(4, 3\)"),
         ((audio, visual, weak + 1), ValueError, "weak label must hold only 0 and 1"),
         ((audio, visual, weak, gt_audio[:, :3], gt_visual[:, :3]), DimensionError,
-         r"ground truth shape \(5, 3, 3\), expected \(5, 4, 3\)"),
+         r"ground truth shape \(3, 3\), expected \(4, 3\)"),
         ((audio, visual, weak, gt_audio, 2 * gt_visual), ValueError, "visual parse must hold only 0 and 1"),
     ]:
         with pytest.raises(error, match=message):
             VideoSample.from_block(ids, *args)
+
+
+def test_a_bad_video_fails_alone_and_as_a_block_of_one_in_the_same_words():
+    """One wording per rule: each bad video of the constructor cases raises the same
+    error from `VideoSample(...)` as from `VideoSample.from_block` of that video alone."""
+    rng = np.random.default_rng(23)
+    audio, visual = rng.normal(size=(2, 4, 8))
+    weak = np.array([1, 0, 1])
+    gt_audio, gt_visual = rng.integers(0, 2, (2, 4, 3))
+    nan_audio = audio.copy()
+    nan_audio[1, 2] = np.nan
+    for fields in [
+        (nan_audio, visual, weak),
+        (audio, visual[:, :4], weak),
+        (audio, visual, weak + 1),
+        (audio, visual, 1),
+        (audio, visual, [[0, 1], [1, 0]]),
+        (audio, visual, [[0, 1], [1, 0]], gt_audio, gt_visual),
+        (audio, visual, weak, gt_audio[:3], gt_visual[:3]),
+        (audio, visual, weak, gt_audio, gt_visual[:3]),
+        (audio, visual, weak, gt_audio, 2 * gt_visual),
+    ]:
+        with pytest.raises((TypeError, ValueError)) as alone:
+            VideoSample("v", *fields[:3], BinaryParse(*fields[3:]) if fields[3:] else None)
+        with pytest.raises((TypeError, ValueError)) as block:
+            VideoSample.from_block(["v"], *(np.asarray(field)[None] for field in fields))
+        assert (type(block.value), str(block.value)) == (type(alone.value), str(alone.value))
 
 
 @pytest.mark.parametrize(

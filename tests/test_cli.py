@@ -256,6 +256,19 @@ def test_a_config_file_with_latin1_or_a_bom_exits_2_at_its_line(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_config_value_outside_its_rule_names_its_line(tmp_path, capsys, monkeypatch, command):
+    """The rule's text as `validate` gives it, then the file line that set the value."""
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
+    cfg = write_config(tmp_path, "epochs = 1\nbatch_size = 0\n")
+    steps = _adam_steps(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"coleaf: error: batch_size must be >= 1, got 0\n  {cfg}:2: batch_size = 0\n"
+    assert steps == [] and not out.exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("learning_rate = nan", "learning_rate must be >= 0, got nan"),
     ("learning_rate = inf", "learning_rate must be finite, got inf"),
@@ -774,3 +787,40 @@ def test_a_payload_with_too_many_axes_exits_2_at_its_line(tmp_path, capsys, wher
     assert run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"coleaf: error: {target}:1: payload shape ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "predict", "eval", "ablate"])
+def test_an_output_that_names_an_input_or_the_other_output_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def unreached(*args, **kwargs):
+        raise AssertionError("called before the outputs were checked")
+
+    for name in ("load_params", "load_corpus", "load_predictions", "load_train_config", "predict",
+                 "evaluate", "generate_corpus", "save_corpus", "ablate", "train"):
+        monkeypatch.setattr(f"coleaf.cli.{name}", unreached)
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("kept\n")
+    (tmp_path / "run").mkdir()
+    params = tmp_path / "run" / "params.json"
+    params.write_text("kept\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(kept)
+    new = tmp_path / "new.jsonl"
+    # an output and the input or other output it names: the same path, a symlink to it,
+    # or a path not there yet that normalises to it
+    argv, output, other = {
+        "gen-data": (["gen-data", "--out", new, "--eval-out", tmp_path / "sub" / ".." / "new.jsonl",
+                      "--eval-videos", "1"], f"--out {new}", f"--eval-out {tmp_path / 'sub' / '..' / 'new.jsonl'}"),
+        "train": (["train", "--corpus", params, "--out", tmp_path / "run"],
+                  f"--out {params}", f"--corpus {params}"),
+        "predict": (["predict", "--params", params, "--corpus", kept, "--out", link],
+                    f"--out {link}", f"--corpus {kept}"),
+        "eval": (["eval", "--pred", kept, "--gt", params, "--out", kept], f"--out {kept}", f"--pred {kept}"),
+        "ablate": (["ablate", "--corpus", params, "--config", link, "--out", kept],
+                   f"--out {kept}", f"--config {link}"),
+    }[command]
+    assert run_cli(*map(str, argv)) == 2
+    err = capsys.readouterr().err
+    assert err == f"coleaf: error: {output} names the same file as {other}\n"
+    assert kept.read_text() == params.read_text() == "kept\n" and not new.exists()

@@ -910,6 +910,20 @@ def test_a_per_class_eval_threshold_of_the_wrong_length_fails_before_the_first_s
     assert steps == []
 
 
+def test_an_evaluation_video_without_ground_truth_fails_before_the_first_step(monkeypatch):
+    steps = []
+    train_step = harness._train_step
+    monkeypatch.setattr(harness, "_train_step", lambda *args: steps.append(1) or train_step(*args))
+    eval_corpus = desk_corpus(n_videos=4, seed=2)
+    eval_corpus.samples[2] = dataclasses.replace(eval_corpus.samples[2], gt=None)
+    message = f"video {eval_corpus.samples[2].id} has no segment ground truth"
+    with pytest.raises(ConfigError, match=message):
+        train(desk_corpus(n_videos=16), quick_config(epochs=1), eval_corpus=eval_corpus)
+    with pytest.raises(ConfigError, match=message):
+        ablate(desk_corpus(n_videos=16), quick_config(epochs=1), ["unimodal_only"], eval_corpus=eval_corpus)
+    assert steps == []
+
+
 def test_ablate_trains_each_distinct_configuration_once(monkeypatch):
     configs = []
 

@@ -107,8 +107,8 @@ def test_only_fileio_reads_data_file_records():
     )
     assert readers == [], (
         f"{', '.join(readers)} read data-file records themselves. coleaf.fileio.read_records "
-        "alone owns the record loop, the id rule, the blocks and the record-by-record "
-        "fallback; a reader gives it only its keys and two builders."
+        "alone owns the record loop, the id rule, the blocks and the rebuild of a failing "
+        "block one record at a time; a reader gives it only its keys and one block builder."
     )
 
 
