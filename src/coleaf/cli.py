@@ -66,6 +66,24 @@ def _check_out_dir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _make_dirs(path, made):
+    """`os.makedirs(path, exist_ok=True)`, putting each directory it makes at the front of
+    the list `made`, so that `made` lists them deepest first. Only an `os.mkdir` that
+    succeeds counts, so a directory that was there before under another spelling (`x/..`,
+    or `x/y/` after `x/y`) is never listed."""
+    missing, head = [], path
+    while head and not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    for head in reversed(missing):
+        try:
+            os.mkdir(head)
+        except FileExistsError:
+            continue
+        made.insert(0, head)
+    os.makedirs(path, exist_ok=True)  # nothing left to make, or the error `path` meets
+
+
 def _check_distinct(outputs, inputs):
     """Raise `ConfigError` naming both flags if an output's path names an input's or
     another output's (the same file if both exist, else the same absolute path), so that
@@ -127,13 +145,13 @@ def _cmd_train(args):
     config = _load_config(args)
     corpus = load_corpus(args.corpus)
     eval_corpus = load_corpus(args.eval_corpus) if args.eval_corpus else None
-    made = not os.path.isdir(args.out)
-    os.makedirs(args.out, exist_ok=True)  # before training, so a bad --out costs no work
+    made = []
     try:
+        _make_dirs(args.out, made)  # before training, so a bad --out costs no work
         params, log = train(corpus, config, eval_corpus=eval_corpus)
     except BaseException:
-        if made:  # a run that fails leaves no output directory behind
-            os.rmdir(args.out)
+        for path in made:  # a run that fails leaves no directory it made behind
+            os.rmdir(path)
         raise
     save_params(params, params_path)
     write_json(log_path, log.to_mapping())

@@ -160,10 +160,9 @@ def load_train_config(path):
     """Parse a flat `key = value` config file; unknown keys are an error.
 
     The file is UTF-8 text, with or without a BOM. A byte that is not UTF-8, an unknown
-    or repeated key or a value of the wrong type is reported at its line, as
-    `<path>:<line>: <fault>`. A value outside its field's rule is reported in the words
-    of `records.check_field`, followed by a second line `  <path>:<line>: <the line>`;
-    a rule across fields is `validate`'s, without a line.
+    or repeated key, a value of the wrong type and a value outside its field's rule (in
+    the words of `records.check_field`) are reported at their line, as
+    `<path>:<line>: <fault>`; a rule across fields is `validate`'s, without a line.
     """
     mapping, first_lines = {}, {}
     # a byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text holds
@@ -185,13 +184,10 @@ def load_train_config(path):
             first_lines[key] = line_no
             try:
                 mapping[key] = _coerce_config_value(key, value.strip())
-            except ConfigError as err:
-                raise ConfigError(f"{path}:{line_no}: {err}") from None
-            try:
                 if key != "eval_threshold":  # whose rule `_coerce_config_value` has checked
                     check_field(TrainConfig, key, mapping[key])
             except ConfigError as err:
-                raise ConfigError(f"{err}\n  {path}:{line_no}: {text}") from None
+                raise ConfigError(f"{path}:{line_no}: {err}") from None
     return TrainConfig.from_mapping(mapping)
 
 
@@ -375,7 +371,7 @@ def train(corpus, config, eval_corpus=None):
     config.validate()
     t, c, d = _nonempty_shape(corpus, "training")
     if eval_corpus is not None:
-        _check_eval_corpus(corpus, eval_corpus, config.eval_threshold)
+        gts = _check_eval_corpus(corpus, eval_corpus, config.eval_threshold)
     contrastive = not config.disable_event_contrastive and config.warmup_epochs < config.epochs
     if contrastive and t < 2:
         raise ConfigError(
@@ -400,7 +396,7 @@ def train(corpus, config, eval_corpus=None):
         report = None
         if eval_corpus is not None:
             preds = predict(params, eval_corpus, unimodal_only=config.unimodal_only)
-            report = evaluate(preds, eval_corpus, config.eval_threshold)
+            report = full_report(preds, gts, thresholds=config.eval_threshold)
         losses = _mean_bundle(np.concatenate(rows))
         epoch_logs.append(EpochLog(losses=losses, learning_rate=lr, metrics=report))
     log = TrainLog(

@@ -191,35 +191,26 @@ def _rates(counts, cells):
     return rates
 
 
-def _checked_block(ids, preds, gts, first, shape):
-    """The predictions and ground truth of the videos `ids` as B x 2 x T x C stacks.
-
-    The stacked probabilities pass `probability_pair` once. If that fails, or
-    the videos do not stack to the first video's T x C, each video is checked
-    on its own in order, so an error names the first bad video.
-    """
+def _block_stacks(ids, preds, gts, first, shape):
+    """The audio and visual B x T x C stacks of the predictions and the ground truth of the
+    videos `ids`, checked by each scoring rule once: every ground truth has the first
+    video's T x C, every prediction is two matrices, the stacked pairs pass
+    `probability_pair`, and their T x C is the ground truth's. A ragged block fails with
+    numpy's own `ValueError`."""
+    gt = np.array([(gts[vid].audio, gts[vid].visual) for vid in ids])
+    if gt.shape[2:] != shape:  # the block stacked to one T x C, so its first video is at fault
+        raise DimensionError(
+            f"video {ids[0]} has ground truth T x C = {gt.shape[2:]}, but the first "
+            f"video {first} has {shape}; every video of a corpus needs the same T and C"
+        )
     pred = [(p.audio, p.visual) if isinstance(p, BinaryParse) else p for p in map(preds.get, ids)]
-    gt = [(g.audio, g.visual) for g in map(gts.get, ids)]
-    try:
-        pred_stack, gt_stack = np.array(pred, dtype=np.float64), np.array(gt)
-        if pred_stack.shape[1:] == gt_stack.shape[1:] == (2, *shape):
-            probability_pair(pred_stack[:, 0], pred_stack[:, 1], lead=(len(ids),))
-            return pred_stack, gt_stack
-    except (TypeError, ValueError):  # ragged, not numbers, or out of range
-        pass
-    for i, vid in enumerate(ids):
-        if not isinstance(preds[vid], BinaryParse):
-            pred[i] = probability_pair(*pred[i])
-        if gt[i][0].shape != shape:
-            raise DimensionError(
-                f"video {vid} has ground truth T x C = {gt[i][0].shape}, but the first "
-                f"video {first} has {shape}; every video of a corpus needs the same T and C"
-            )
-        if pred[i][0].shape != shape:
-            raise DimensionError(
-                f"video {vid}: prediction shape {pred[i][0].shape} vs ground truth {shape}"
-            )
-    return np.array(pred), np.array(gt)
+    for vid, pair in zip(ids, pred):  # before the matrices are split, which would drop a third
+        if len(pair) != 2:
+            raise DimensionError(f"video {vid}: a prediction must be two T x C matrices, got {len(pair)}")
+    audio, visual = probability_pair([p[0] for p in pred], [p[1] for p in pred], lead=(len(ids),))
+    if audio.shape[1:] != shape:
+        raise DimensionError(f"video {ids[0]}: prediction shape {audio.shape[1:]} vs ground truth {shape}")
+    return (audio, visual), (gt[:, 0], gt[:, 1])
 
 
 def full_report(preds, gts, thresholds=None, config=None):
@@ -231,9 +222,10 @@ def full_report(preds, gts, thresholds=None, config=None):
     BinaryParse. Prediction and ground-truth ids must match, the corpus must
     not be empty, the threshold must suit its C, and every parse must have the
     first video's T x C. Events match at IoU 0.5. Videos are checked and
-    scored `SCORE_BLOCK_VIDEOS` at a time: each block's probabilities pass the
-    pair rule once as one stack, and an error names the first bad video. The
-    report is independent of enumeration order.
+    scored `SCORE_BLOCK_VIDEOS` at a time by `_block_stacks`, which states each
+    of these rules once; a block that fails is checked again one video at a
+    time, in id order, so the error is the first bad video's own. The report
+    is independent of enumeration order.
     """
     config = config or MetricConfig()
     config.validate()
@@ -251,9 +243,14 @@ def full_report(preds, gts, thresholds=None, config=None):
     counts = np.empty((2, 3, len(STREAMS), len(ids)), dtype=np.int64)
     for lo in range(0, len(ids), SCORE_BLOCK_VIDEOS):
         block = slice(lo, lo + SCORE_BLOCK_VIDEOS)
-        pred, gt = _checked_block(ids[block], preds, gts, ids[0], shape)
-        pred = _streams(*(pred > thr).astype(np.int64).swapaxes(0, 1))
-        gt = _streams(*gt.astype(np.int64).swapaxes(0, 1))
+        try:
+            pred, gt = _block_stacks(ids[block], preds, gts, ids[0], shape)
+        except (TypeError, ValueError):  # name the first bad video of the block
+            for vid in ids[block]:
+                _block_stacks([vid], preds, gts, ids[0], shape)
+            raise
+        pred = _streams(*((p > thr).astype(np.int64) for p in pred))
+        gt = _streams(*gt)
         counts[0][..., block] = np.transpose(segment_counts(pred, gt), (0, 2, 1))
         counts[1][..., block] = match_events(pred, gt)
     return MetricReport(

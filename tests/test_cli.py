@@ -224,7 +224,8 @@ def test_bad_adam_settings_and_negative_seeds_exit_2_before_training(
     argv = [command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out), *flags]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert f"coleaf: error: {message}" in err and "Traceback" not in err
+    where = f"{cfg}:3: " if setting else ""  # a fault from the file names its line
+    assert f"coleaf: error: {where}{message}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -258,14 +259,14 @@ def test_a_config_file_with_latin1_or_a_bom_exits_2_at_its_line(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_a_config_value_outside_its_rule_names_its_line(tmp_path, capsys, monkeypatch, command):
-    """The rule's text as `validate` gives it, then the file line that set the value."""
+    """The rule's text as `validate` gives it, at the file line that set the value."""
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=8)
     cfg = write_config(tmp_path, "epochs = 1\nbatch_size = 0\n")
     steps = _adam_steps(monkeypatch)
     out = tmp_path / "run"
     assert run_cli(command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == f"coleaf: error: batch_size must be >= 1, got 0\n  {cfg}:2: batch_size = 0\n"
+    assert err == f"coleaf: error: {cfg}:2: batch_size must be >= 1, got 0\n"
     assert steps == [] and not out.exists()
 
 
@@ -284,7 +285,7 @@ def test_non_finite_settings_exit_2_before_training(tmp_path, capsys, setting, m
     out = tmp_path / "run"
     assert run_cli("train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"coleaf: error: {message}\n" in err and "Traceback" not in err
+    assert f"coleaf: error: {cfg}:3: {message}\n" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -650,6 +651,20 @@ def test_a_failed_training_run_leaves_no_out_directory(tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             run_cli("train", "--corpus", str(corpus), "--out", str(out))
     assert not made.exists() and kept.is_dir()
+
+
+def test_a_failed_training_run_removes_every_directory_it_made(tmp_path, capsys):
+    """Each missing parent of `--out` is made too, and removed again, deepest first, when
+    training fails; a parent that was there before the run stays."""
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=4, segments=1)  # fails the contrastive check
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    # the last names `kept` through a missing directory, which the run makes too
+    for out in (tmp_path / "x" / "y" / "z", kept / "y" / "z", tmp_path / "w" / ".." / "kept" / "y"):
+        assert run_cli("train", "--corpus", str(corpus), "--out", f"{out}{os.sep}") == 2
+        assert "disable_event_contrastive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "kept"]
+    assert list(kept.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--out", "--eval-out"])

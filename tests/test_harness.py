@@ -924,6 +924,18 @@ def test_an_evaluation_video_without_ground_truth_fails_before_the_first_step(mo
     assert steps == []
 
 
+def test_train_builds_the_evaluation_ground_truth_once(monkeypatch):
+    """`train` scores each epoch on the parses it checked before the first step, and each
+    report is the one `evaluate` gives for the epoch's predictions."""
+    calls, build = [], harness.gt_parses
+    monkeypatch.setattr(harness, "gt_parses", lambda corpus: calls.append(1) or build(corpus))
+    eval_corpus = desk_corpus(n_videos=4, seed=2)
+    params, log = train(desk_corpus(n_videos=16), quick_config(epochs=4), eval_corpus=eval_corpus)
+    assert len(calls) == 1
+    final = evaluate(predict(params, eval_corpus), eval_corpus, quick_config().eval_threshold)
+    assert log.epochs[-1].metrics.as_dict() == final.as_dict()
+
+
 def test_ablate_trains_each_distinct_configuration_once(monkeypatch):
     configs = []
 

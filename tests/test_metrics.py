@@ -561,7 +561,7 @@ def test_full_report_shape_errors_name_the_shapes():
     assert str(err.value) == "video v: prediction shape (4, 3) vs ground truth (2, 3)"
 
 
-@pytest.mark.parametrize(
+_SPOILS = pytest.mark.parametrize(
     "spoil, message",
     [
         (lambda pa, pv: (pa, pv * 0 + 1.5), "visual probabilities hold a non-finite value or one outside [0,1]"),
@@ -569,10 +569,13 @@ def test_full_report_shape_errors_name_the_shapes():
          "audio probabilities hold a non-finite value or one outside [0,1]"),
         (lambda pa, pv: (pa[:, :2], pv), "probability matrices must share T x C, got (6, 2) and (6, 3)"),
         (lambda pa, pv: (pa[:4], pv[:4]), "video {vid}: prediction shape (4, 3) vs ground truth (6, 3)"),
-        (lambda pa, pv: (pa, pv, pv), "probability_pair() takes 2 positional arguments but 3 were given"),
+        (lambda pa, pv: (pa, pv, pv), "video {vid}: a prediction must be two T x C matrices, got 3"),
     ],
     ids=["above-one", "nan", "shapes-differ", "other-t", "three-matrices"],
 )
+
+
+@_SPOILS
 def test_full_report_names_the_first_bad_pair_among_several_blocks(spoil, message):
     """The error of the first bad video in id order, wherever it sits among the blocks;
     a second bad video after it, spoilt another way, is not the one reported."""
@@ -588,6 +591,39 @@ def test_full_report_names_the_first_bad_pair_among_several_blocks(spoil, messag
         with pytest.raises((TypeError, ValueError)) as err:
             full_report(preds, gts)
         assert str(err.value) == message.format(vid=ids[bad])
+
+
+@_SPOILS
+def test_a_bad_video_alone_fails_as_it_does_among_several_blocks(spoil, message):
+    """A bad video scored on its own gives the same exception, type and text, as it does
+    as the first bad video of a corpus, where its block is checked again one video at a time."""
+    rng = np.random.default_rng(17)
+    ids = [f"v{i:03d}" for i in range(SCORE_BLOCK_VIDEOS + 20)]
+    gts = {vid: BinaryParse(*(rng.uniform(size=(2, 6, 3)) < 0.4)) for vid in ids}
+    preds = {vid: (rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3))) for vid in ids}
+    bad = ids[SCORE_BLOCK_VIDEOS + 5]
+    preds[bad] = spoil(*preds[bad])
+    errors = []
+    for pred, gt in ((preds, gts), ({bad: preds[bad]}, {bad: gts[bad]})):
+        with pytest.raises((TypeError, ValueError)) as err:
+            full_report(pred, gt)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message.format(vid=bad)
+
+
+@pytest.mark.parametrize("all_three", [False, True], ids=["one-among-pairs", "whole-block"])
+def test_full_report_rejects_a_prediction_of_three_matrices(all_three):
+    """A third matrix is a fault whether the rest of its block holds pairs or every video
+    of the block has three, and the error names the first such video."""
+    rng = np.random.default_rng(18)
+    ids = [f"v{i:02d}" for i in range(10)]
+    gts = {vid: BinaryParse(*(rng.uniform(size=(2, 4, 3)) < 0.4)) for vid in ids}
+    preds = {vid: tuple(rng.uniform(size=(3 if all_three or vid == "v04" else 2, 4, 3))) for vid in ids}
+    with pytest.raises(DimensionError) as err:
+        full_report(preds, gts)
+    first = "v00" if all_three else "v04"
+    assert str(err.value) == f"video {first}: a prediction must be two T x C matrices, got 3"
 
 
 def test_full_report_rejects_a_corpus_of_two_shapes():
