@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +151,14 @@ class AnchorOutput:
 
     tokens_audio = property(lambda self: self.tokens[..., 0, :, :])
     tokens_visual = property(lambda self: self.tokens[..., 1, :, :])
+
+    @cached_property
+    def modality_video_probs(self):
+        """Each modality's temporal pooling of the segment probabilities, 2 x C.
+
+        Built on first use; every later use shares the same graph node.
+        """
+        return (self.w_temporal * self.seg_probs).sum(axis=-3)
 
 
 def _check_dims(sample, params):

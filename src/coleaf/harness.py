@@ -274,8 +274,8 @@ def sample_losses(videos, params, config, epoch=0):
     anchor_video = 0.0 if config.disable_anchor_video else video_loss_anchor(anchor_out, y)
     collab = epoch >= config.warmup_epochs
     evt = kd = cls = 0.0
-    # pseudo-labels are read off the forward values; only the anchor's
-    # per-modality pooling builds graph nodes (2 per call) that no loss uses
+    # pseudo-labels are read off the forward values; the anchor's per-modality
+    # pooling is built once per output, and `cooccurrence_kd` reuses it
     if collab and not config.disable_event_contrastive:
         probs = ref_out.video_probs.data
         pseudo_ref = distil_pseudo_labels(
@@ -346,7 +346,10 @@ def _train_step(batch, params, adam, lr, config, epoch, step):
     """
     totals, bundle = sample_losses(batch, params, config, epoch)
     # B x 6 in `LossBundle` field order; a disabled term is a plain 0.0
-    rows = np.stack([np.broadcast_to(v, (len(batch),)) for v in vars(bundle).values()], axis=-1)
+    fields = vars(bundle).values()
+    rows = np.empty((len(batch), len(fields)))
+    for column, value in enumerate(fields):
+        rows[:, column] = value
     grads = {}
     if isinstance(totals, Tensor):
         batch_loss = totals.mean()

@@ -184,8 +184,12 @@ def class_correlation(video_probs):
 
 
 def anchor_modality_video_probs(anchor_out):
-    """Per-modality video probabilities, 2 x C: each modality's temporal pooling."""
-    return (anchor_out.w_temporal * anchor_out.seg_probs).sum(axis=-3)
+    """Per-modality video probabilities, 2 x C: each modality's temporal pooling.
+
+    One output's pooling is built once: the anchor pseudo-labels and
+    `cooccurrence_kd` share it.
+    """
+    return anchor_out.modality_video_probs
 
 
 def cooccurrence_kd(ref_out, anchor_out):

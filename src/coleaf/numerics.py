@@ -7,12 +7,16 @@ exception: they are views into `BranchParams.flat`, which the optimiser
 updates in place between graphs, so a graph must be differentiated before the
 next optimiser step.
 
-Backward forms only the gradients it keeps. An operation's `grad_fn` forms a
-gradient only for an operand that requires one and puts `None` in a constant
-operand's slot, and `backward` walks only the parents that require a gradient.
-The arrays it returns may be read-only broadcast views or shared with other
-entries, so callers must not modify them in place (`BranchParams.flat_grad`
-copies them into one new vector).
+`backward` visits each node once, in one pass from the latest-created node to
+the earliest, so a node's gradient is complete when it is reached and the
+contributions of its consumers add up latest-created first. It forms only the
+gradients it keeps. An operation's `grad_fn` forms a gradient only for an
+operand that requires one and puts `None` in a constant operand's slot, and
+`backward` walks only the parents that require a gradient. The arrays it
+returns may be read-only broadcast views, views of another node's gradient
+(`stack` hands each operand its slice) or shared with other entries, so
+callers must not modify them in place (`BranchParams.flat_grad` copies them
+into one new vector).
 
 `matmul`'s gradient for a right operand that lacks some of the left operand's
 leading axes, such as a weight shared across a batch, is one product with
@@ -22,6 +26,7 @@ of at least `FOLD_MIN_WEIGHT` entries per problem (K x N).
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -33,6 +38,7 @@ _BCE_EPS = 1e-7
 # K x N from which matmul's right-operand gradient folds the axes that operand lacks
 FOLD_MIN_WEIGHT = 4096
 
+_F64 = np.dtype(np.float64)
 _sequence = itertools.count()
 
 
@@ -42,7 +48,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, _parents=(), _grad_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an operation's float64 result is kept as it is, without a call into numpy
+        if type(data) is np.ndarray and data.dtype is _F64:
+            self.data = data
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._grad_fn = _grad_fn
@@ -114,17 +124,22 @@ def as_tensor(value):
 
 
 def _make(data, parents, grad_fn):
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, True, tuple(parents), grad_fn)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, tuple(parents), grad_fn)
     return Tensor(data)
 
 
 def backward(loss):
     """Gradients of a finite scalar w.r.t. every requires_grad tensor in its graph.
 
-    Only operands that require a gradient get one formed: constants are neither
-    walked nor differentiated. The returned arrays may be read-only or shared
-    views; do not modify them in place.
+    One pass pops the nodes from a max-heap keyed by creation order, starting
+    at the loss; a node is pushed when it first receives a gradient. Every
+    consumer of a node is created after it, so each node is visited once,
+    after all of its consumers, and its gradient adds up their contributions
+    latest-created first. Only operands that require a gradient get one
+    formed: constants are neither walked nor differentiated. The returned
+    arrays may be read-only or shared views; do not modify them in place.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -132,32 +147,34 @@ def backward(loss):
         raise ContractError("backward needs a finite loss")
     if not loss.requires_grad:
         return {}
-    seen = set()
-    reachable = []
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        reachable.append(node)
-        stack.extend(p for p in node._parents if p.requires_grad)
-    # Creation order places every node after its parents, so walking it in
-    # reverse visits each node only after all of its consumers.
-    reachable.sort(key=lambda n: n._seq)
     grads = {loss: np.ones((), dtype=np.float64)}
-    for node in reversed(reachable):
-        gout = grads.get(node)
-        if gout is None or node._grad_fn is None:
+    heap = [(-loss._seq, loss)]  # sequence numbers are unique, so no two nodes compare
+    while heap:
+        node = heapq.heappop(heap)[1]
+        if node._grad_fn is None:
             continue
-        for parent, gpar in zip(node._parents, node._grad_fn(gout)):
+        for parent, gpar in zip(node._parents, node._grad_fn(grads[node])):
             if gpar is None or not parent.requires_grad:
                 continue
             if parent in grads:
                 grads[parent] = grads[parent] + gpar
             else:
                 grads[parent] = gpar
+                heapq.heappush(heap, (-parent._seq, parent))
     return grads
+
+
+def _axes(axis):
+    """The axes an `axis` argument names: an int, or a tuple of them."""
+    return axis if isinstance(axis, tuple) else (axis,)
+
+
+def _kept_shape(shape, axis):
+    """`shape` as a list, with the axes that `axis` reduces kept as size 1 (`keepdims`)."""
+    kept = list(shape)
+    for i in _axes(axis):
+        kept[i] = 1
+    return kept
 
 
 def _unbroadcast(grad, shape):
@@ -269,8 +286,13 @@ def transpose(a, axes=None):
         raise DimensionError(f"transpose needs at least two axes, got shape {a.shape}")
     if axes is None:
         axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
-    inverse = np.argsort(axes)
-    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
+    out = np.transpose(a.data, axes)  # rejects axes that are not a permutation
+
+    def grad_fn(g):
+        order = [ax % a.ndim for ax in axes]
+        return (np.transpose(g, sorted(range(a.ndim), key=order.__getitem__)),)
+
+    return _make(out, (a,), grad_fn)
 
 
 def _reshape(a, shape):
@@ -322,9 +344,11 @@ def concat(tensors, axis=0):
 def stack(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = np.stack([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
 
     def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        # basic indexing: views of g, not copies
+        return tuple(g[(*lead, i)] for i in range(len(tensors)))
 
     return _make(out, tensors, grad_fn)
 
@@ -335,7 +359,7 @@ def _sum(a, axis=None, keepdims=False):
 
     def grad_fn(g):
         if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
+            g = g.reshape(_kept_shape(a.shape, axis))
         return (np.broadcast_to(g, a.shape),)
 
     return _make(out, (a,), grad_fn)
@@ -343,7 +367,7 @@ def _sum(a, axis=None, keepdims=False):
 
 def _mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    count = a.data.size if axis is None else a.shape[axis]
+    count = a.data.size if axis is None else math.prod(a.shape[i] for i in _axes(axis))
     return mul(_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -407,7 +431,7 @@ def bce(target, prob, axis=None):
 
     def grad_fn(g):
         if axis is not None:
-            g = np.expand_dims(g, axis)
+            g = g.reshape(_kept_shape(p.shape, axis))
         inside = (prob.data > _BCE_EPS) & (prob.data < 1.0 - _BCE_EPS)
         return (np.where(inside, (p - t) / (p * (1.0 - p)), 0.0) * (g / n),)
 

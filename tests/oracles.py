@@ -1,12 +1,16 @@
 """Independent reference computations used to check the package.
 
 Everything here is deliberately written as plain loops over numpy scalars,
-with no reuse of the package's own operator implementations.
+with no reuse of the package's own operator implementations. The one
+exception is `oracle_backward`, an earlier graph walk that calls the
+operations' own gradient functions.
 """
 import itertools
 import math
 
 import numpy as np
+
+from coleaf.errors import ContractError
 
 
 def naive_matmul(a, b):
@@ -145,6 +149,45 @@ def nce_oracle(anchor_a, anchor_v, ref_a, ref_v, theta_a, theta_v, tau, include_
             acc += math.log(pos / den)
         total += theta * acc
     return -total / t
+
+
+def oracle_backward(loss):
+    """The two-pass walk `numerics.backward` replaced: a depth-first search collects
+    the reachable nodes, a sort puts them in creation order, and a reverse walk
+    applies each node's gradient function. Kept verbatim to hold the one-pass
+    walk to the same key set and the same bits."""
+    if loss.shape != ():
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if not np.isfinite(loss.data):
+        raise ContractError("backward needs a finite loss")
+    if not loss.requires_grad:
+        return {}
+    seen = set()
+    reachable = []
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        reachable.append(node)
+        stack.extend(p for p in node._parents if p.requires_grad)
+    # Creation order places every node after its parents, so walking it in
+    # reverse visits each node only after all of its consumers.
+    reachable.sort(key=lambda n: n._seq)
+    grads = {loss: np.ones((), dtype=np.float64)}
+    for node in reversed(reachable):
+        gout = grads.get(node)
+        if gout is None or node._grad_fn is None:
+            continue
+        for parent, gpar in zip(node._parents, node._grad_fn(gout)):
+            if gpar is None or not parent.requires_grad:
+                continue
+            if parent in grads:
+                grads[parent] = grads[parent] + gpar
+            else:
+                grads[parent] = gpar
+    return grads
 
 
 def central_difference(f, x, h=1e-5):

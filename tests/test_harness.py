@@ -35,10 +35,11 @@ from coleaf.harness import (
     train,
     write_predictions,
 )
+from coleaf.numerics import Tensor
 from coleaf.records import VideoSample, field_rules
 from coleaf.synthdata import CorpusSpec, GeneratedCorpus, generate_corpus
 
-from oracles import fd_check_params, sample_coords
+from oracles import fd_check_params, oracle_backward, sample_coords
 
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -265,6 +266,37 @@ def test_batched_objective_passes_finite_differences():
                     sample_coords(rng, params, per_param=1, prefix="anchor."))
     fd_check_params(objective(quick_config(warmup_epochs=1), 0), params,
                     sample_coords(rng, params, per_param=1))
+
+
+def test_training_with_the_two_pass_walk_gives_the_same_bits(monkeypatch):
+    corpus = generate_corpus(CorpusSpec(n_videos=40, seed=2))  # desk shape: T 10, C 5, D 16
+    cfg = TrainConfig(epochs=2, seed=3)
+    params, log = train(corpus, cfg)
+    monkeypatch.setattr(nm, "backward", oracle_backward)
+    want_params, want_log = train(corpus, cfg)
+    assert np.array_equal(params.flat, want_params.flat)
+    assert log.to_mapping(include_wall_clock=False) == want_log.to_mapping(include_wall_clock=False)
+
+
+def test_sample_losses_builds_only_graph_nodes_that_backward_reaches(monkeypatch):
+    """The anchor pseudo-labels and `cooccurrence_kd` share one per-modality pooling, so
+    a default-config batch builds 101 grad-tracking tensors, 2 fewer than when each built
+    its own, and every one of them gets a gradient."""
+    samples, params = desk_corpus(n_videos=16).samples, init_branch_params(8, 4, 0)
+    built = []
+    init = vars(Tensor)["__init__"]
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.requires_grad:
+            built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    totals, _ = sample_losses(samples, params, TrainConfig())
+    monkeypatch.undo()
+    grads = nm.backward(totals.mean())
+    assert len(built) == 101
+    assert all(tensor in grads for tensor in built)
 
 
 def _mixed_corpus(change, n_videos=4, odd_index=2, seed=1):

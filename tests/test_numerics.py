@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coleaf import numerics as nm
+from coleaf.branches import init_branch_params
 from coleaf.errors import ContractError, DimensionError
+from coleaf.harness import TrainConfig, sample_losses
 from coleaf.numerics import Tensor
+from coleaf.synthdata import CorpusSpec, generate_corpus
 
-from oracles import central_difference, naive_attention, naive_bce, naive_matmul, relative_error
+from oracles import (
+    central_difference,
+    naive_attention,
+    naive_bce,
+    naive_matmul,
+    oracle_backward,
+    relative_error,
+)
 
 
 def test_matmul_identity():
@@ -305,7 +315,9 @@ def test_broadcast_gradients_match_finite_differences(shapes, op, seed):
     _check_all_gradients(lambda x, y: (op(x, y) * weight).sum(), [a, b])
 
 
-@pytest.mark.parametrize("axes", [None, (1, 0, 2), (2, 0, 1)])
+@pytest.mark.parametrize(
+    "axes", [None, (1, 0, 2), (2, 0, 1), (0, -1, 1), (-1, 0, 1), (-1, -3, -2), (-3, -2, -1)]
+)
 def test_transpose_axes_values_and_gradient(axes):
     rng = np.random.default_rng(10)
     a = rng.normal(size=(2, 3, 4))
@@ -313,6 +325,33 @@ def test_transpose_axes_values_and_gradient(axes):
     assert np.array_equal(nm.transpose(Tensor(a), axes).data, want)
     weight = Tensor(rng.normal(size=want.shape))
     _check_all_gradients(lambda x: (nm.transpose(x, axes) * weight).sum(), [a])
+
+
+@pytest.mark.parametrize("keepdims", [False, True], ids=["dropped", "kept"])
+@pytest.mark.parametrize("axis", [None, 1, -1, (0, 2), (-3, -1), (2, 0, 1)])
+def test_mean_over_axes_matches_numpy_and_finite_differences(axis, keepdims):
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(2, 3, 4))
+    out = Tensor(a).mean(axis=axis, keepdims=keepdims)
+    want = np.mean(a, axis=axis, keepdims=keepdims)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out.data - want)) < 1e-15
+    weight = Tensor(rng.normal(size=want.shape))
+    _check_all_gradients(lambda x: (x.mean(axis=axis, keepdims=keepdims) * weight).sum(), [a])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+def test_stack_gradient_is_a_view_of_each_slice(axis):
+    rng = np.random.default_rng(33)
+    arrays = [rng.normal(size=(3, 4)) for _ in range(3)]
+    out = nm.stack([Tensor(a, requires_grad=True) for a in arrays], axis=axis)
+    assert np.array_equal(out.data, np.stack(arrays, axis=axis))
+    g = rng.normal(size=out.shape)
+    for i, grad in enumerate(out._grad_fn(g)):
+        assert np.array_equal(grad, np.take(g, i, axis=axis))
+        assert np.shares_memory(grad, g)
+    weight = Tensor(rng.normal(size=out.shape))
+    _check_all_gradients(lambda *xs: (nm.stack(xs, axis=axis) * weight).sum(), arrays)
 
 
 def test_batched_attention_slices_match_naive_and_finite_differences():
@@ -514,3 +553,80 @@ def test_take_of_an_advanced_index_adds_up_repeated_entries(index):
     np.add.at(want, index, weight)
     assert np.array_equal(grad, want)
     _check_all_gradients(lambda t: (t[index] * Tensor(weight)).sum(), [a])
+
+
+# ops over 3 x 4 values, each giving 3 x 4 values
+_UNARY = [
+    nm.sigmoid,
+    lambda x: nm.exp(x * 0.3),
+    lambda x: nm.log(nm.sigmoid(x)),
+    lambda x: nm.softmax(x, axis=-1),
+    lambda x: nm.transpose(nm.transpose(x) * 0.5),
+    lambda x: x.sum(axis=0, keepdims=True) - x,
+    lambda x: x.mean(axis=(0, 1)) * x,
+    lambda x: nm.stack([x[0], x[2], x[1]]),
+    lambda x: nm.stack([x[:, :2], x[:, 2:]], axis=-1).reshape((3, 4)),
+    lambda x: nm.concat([x[:, 2:], x[:, :2]], axis=1),
+    lambda x: -x,
+]
+_BINARY = [
+    nm.add,
+    nm.sub,
+    nm.mul,
+    lambda x, y: x / (nm.sigmoid(y) + 0.5),
+    lambda x, y: nm.matmul(nm.matmul(x, nm.transpose(y)), x) * 0.1,
+    lambda x, y: nm.stack([x, y], axis=-1).sum(axis=-1),
+]
+
+
+def _random_graph(rng, steps=16):
+    """A random graph over 3 x 4 values and its scalar loss.
+
+    A hub node gets a consumer every third step, so it has six consumers
+    created among other nodes, and the last node joins two of them (a diamond).
+    Operands are drawn from every node so far: the first leaf is used by the hub
+    and by a node with the constant leaf, and the rest are used at random.
+    """
+    leaves = [Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3)]
+    constant = Tensor(rng.normal(size=(3, 4)))
+    hub = leaves[0] * leaves[1]
+    nodes = [*leaves, constant, hub, leaves[0] - constant]
+    for step in range(steps):
+        first = hub if step % 3 == 0 else nodes[rng.integers(len(nodes))]
+        if rng.random() < 0.5:
+            out = _UNARY[rng.integers(len(_UNARY))](first)
+        else:
+            out = _BINARY[rng.integers(len(_BINARY))](first, nodes[rng.integers(len(nodes))])
+        nodes.append(out)
+    nodes.append(nodes[6] * nodes[9])  # the hub's consumers of steps 0 and 3
+    return sum((end * Tensor(rng.normal(size=(3, 4)))).sum() for end in nodes[-3:])
+
+
+def _assert_same_gradients(grads, want):
+    assert set(grads) == set(want)
+    for tensor, grad in want.items():
+        assert grads[tensor].shape == grad.shape
+        assert np.array_equal(grads[tensor], grad)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_backward_matches_the_two_pass_walk_bit_for_bit(seed):
+    loss = _random_graph(np.random.default_rng(seed))
+    _assert_same_gradients(nm.backward(loss), oracle_backward(loss))
+
+
+def test_backward_adds_a_nodes_consumers_latest_created_first():
+    """Three consumers of one node give three terms whose sum depends on its order."""
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    loss = sum((x * v).sum() for v in (1.0, 1e16, -1e16))
+    # latest first: (-1e16 + 1e16) + 1.0; earliest first would round 1e16 + 1.0 to 1e16
+    assert nm.backward(loss)[x].tolist() == [1.0]
+    _assert_same_gradients(nm.backward(loss), oracle_backward(loss))
+
+
+def test_backward_of_a_desk_batch_matches_the_two_pass_walk_bit_for_bit():
+    samples = generate_corpus(CorpusSpec(n_videos=16, seed=11)).samples
+    params = init_branch_params(16, 5, 12)
+    totals, _ = sample_losses(samples, params, TrainConfig())
+    loss = totals.mean()
+    _assert_same_gradients(nm.backward(loss), oracle_backward(loss))
