@@ -53,8 +53,9 @@ def _load_config(args):
 
 def _check_out_dir(path):
     """Raise the `OSError` that writing the file `path` would meet for want of its
-    directory, or because `path` is itself a directory, naming `path`, so that a
-    command fails before its work rather than after it."""
+    directory, because `path` is itself a directory, or from `path` itself (a name too
+    long, a loop of links), naming `path`, so that a command fails before its work
+    rather than after it. A `path` that is not there yet passes."""
     head = os.path.dirname(path) or os.curdir
     try:
         mode = os.stat(head).st_mode
@@ -62,7 +63,11 @@ def _check_out_dir(path):
         raise type(err)(err.errno, err.strerror, path) from None
     if not stat.S_ISDIR(mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-    if os.path.isdir(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
@@ -269,14 +274,8 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except (
-        FileNotFoundError,
-        FileExistsError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
-    ) as err:
-        # raised by a read or a write alike, so name the path and the reason only
+    except OSError as err:
+        # any file-system error, raised by a read or a write alike, so name the path and the reason only
         detail = f"{err.filename}: {err.strerror}" if err.filename else err
         sys.stderr.write(f"coleaf: error: {detail}\n")
         return 2

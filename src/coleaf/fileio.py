@@ -42,26 +42,30 @@ def atomic_write(path):
 
     The text goes to a temp file in the same directory, which is flushed to
     disk and then renamed over `path` once the block finishes. If the block
-    raises, the temp file is removed and `path` is left as it was.
+    raises, the temp file is removed and `path` is left as it was. The temp
+    file's name is no longer than `path`'s last part once that is long, so a
+    name the file system takes never fails for its temp file. An `OSError` of
+    the open, the writes or the rename names `path`, not the temp file.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    suffix = f".{os.getpid()}.tmp"
+    # a long `tail` is cut by as many characters as "." and `suffix` add; a short one keeps 8
+    tmp = os.path.join(head, f".{tail[: max(8, len(tail) - len(suffix) - 1)]}{suffix}")
     try:
         fh = open(tmp, "w", encoding="utf-8")
-    except OSError as err:  # name the file the caller asked for, not the temp file
+    except OSError as err:
         raise type(err)(err.errno, err.strerror, path) from None
     try:
         with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        try:
-            os.replace(tmp, path)
-        except OSError as err:  # as at the open: the caller's file, not the temp file
-            raise type(err)(err.errno, err.strerror, path) from None
-    except BaseException:
+        os.replace(tmp, path)
+    except BaseException as err:
         os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename in (None, tmp):
+            raise type(err)(err.errno, err.strerror, path) from None
         raise
 
 

@@ -18,6 +18,11 @@ returns may be read-only broadcast views, views of another node's gradient
 callers must not modify them in place (`BranchParams.flat_grad` copies them
 into one new vector).
 
+The four elementwise ops `add`, `sub`, `mul` and `div` are each a forward and
+two gradient formulas over `_binary`, which states the broadcasting rule once:
+an operand's gradient is summed down to its own shape (`_unbroadcast`), and
+only for an operand that requires one.
+
 `matmul`'s gradient for a right operand that lacks some of the left operand's
 leading axes, such as a weight shared across a batch, is one product with
 those axes folded into the row axis rather than one product per problem that
@@ -189,61 +194,37 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+def _binary(forward, grad_a, grad_b):
+    """An elementwise op on two operands that broadcast: `forward(a, b)` on their
+    arrays, and `grad_a(g, a, b)` / `grad_b(g, a, b)` for the output's gradient `g`.
 
-    def grad_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+    An operand's gradient is formed only if it requires one, and is summed down to
+    its own shape; a constant operand gets None.
+    """
 
-    return _make(out, (a, b), grad_fn)
+    def op(a, b):
+        a, b = as_tensor(a), as_tensor(b)
+
+        def grad_fn(g):
+            return (
+                _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+                _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
+            )
+
+        return _make(forward(a.data, b.data), (a, b), grad_fn)
+
+    return op
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, (a, b), grad_fn)
+add = _binary(np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+div = _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
 
 def neg(a):
     a = as_tensor(a)
     return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, (a, b), grad_fn)
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, (a, b), grad_fn)
 
 
 def matmul(a, b):

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from coleaf.branches import (
+    BranchParams,
     anchor_forward,
     init_branch_params,
     instrumentation,
@@ -252,6 +254,23 @@ def test_batched_forward_rejects_videos_of_two_lengths():
     params = init_branch_params(8, 3, seed=18)
     with pytest.raises(DimensionError, match="share T x D"):
         anchor_forward([make_sample(rng, t=4), make_sample(rng, t=5)], params)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda params: reference_forward([], params), "a forward needs at least one video"),
+        (lambda params: anchor_forward([], params), "a forward needs at least one video"),
+        (lambda params: BranchParams(8, 3, params.flat[:-1]),
+         "parameter vector has shape ({short},), expected ({size},)"),
+    ],
+    ids=["reference-over-no-videos", "anchor-over-no-videos", "parameter-vector-of-another-size"],
+)
+def test_a_forward_over_no_videos_and_a_short_parameter_vector_are_rejected(call, message):
+    params = init_branch_params(8, 3, seed=19)
+    message = message.format(short=params.flat.size - 1, size=params.flat.size)
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call(params)
 
 
 def test_from_block_builds_the_samples_the_constructor_builds():

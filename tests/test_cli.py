@@ -751,6 +751,58 @@ def test_a_permission_error_exits_2(tmp_path, capsys, monkeypatch):
     _assert_output_error(capsys, path, "Permission denied")
 
 
+@pytest.mark.parametrize("length", [250, 255])
+@pytest.mark.parametrize("command", ["predict", "gen-data"])
+def test_an_out_name_the_file_system_takes_is_written(tmp_path, capsys, command, length):
+    """The temp file that `--out` is written through is never longer than `--out`'s own name."""
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < length:
+        pytest.skip(f"the file system takes names of at most {os.pathconf(tmp_path, 'PC_NAME_MAX')} bytes")
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    out = tmp_path / ("p" * (length - 6) + ".jsonl")
+    if command == "predict":
+        argv = ["predict", "--params", str(_trained(tmp_path, corpus)), "--corpus", str(corpus)]
+    else:
+        argv = ["gen-data", "--n-videos", "2"]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert "Traceback" not in capsys.readouterr().err and out.stat().st_size > 0
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "gen-data", "ablate"])
+def test_an_out_name_too_long_exits_2_before_loading_anything(tmp_path, capsys, monkeypatch, command):
+    def unreached(*args, **kwargs):
+        raise AssertionError("called before --out was checked")
+
+    for name in ("load_params", "load_corpus", "load_predictions", "predict", "evaluate",
+                 "generate_corpus", "save_corpus", "ablate", "train"):
+        monkeypatch.setattr(f"coleaf.cli.{name}", unreached)
+    out = tmp_path / ("p" * 294 + ".jsonl")
+    inputs = {"predict": ["--params", "p.json", "--corpus", "c.jsonl"],
+              "eval": ["--pred", "p.jsonl", "--gt", "c.jsonl"],
+              "gen-data": [],
+              "ablate": ["--corpus", "c.jsonl", "--axes", "unimodal_only"]}[command]
+    assert run_cli(command, *inputs, "--out", str(out)) == 2
+    _assert_output_error(capsys, out, "File name too long")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["open", "write", "rename"])
+def test_any_file_system_error_on_write_exits_2_naming_the_out_path(tmp_path, capsys, monkeypatch, where):
+    """Not only the five commonest kinds: every `OSError` is `coleaf: error: <path>: <reason>`."""
+    out = tmp_path / "x.jsonl"
+    code = {"open": errno.EROFS, "write": errno.ENOSPC, "rename": errno.EXDEV}[where]
+
+    def fails(*args, **kwargs):
+        # an open or a rename names a file, as the OS does; a write names none
+        raise OSError(code, os.strerror(code), *(args[:1] if where != "write" else ()))
+
+    name = {"open": "coleaf.fileio.open", "write": "os.fsync", "rename": "os.replace"}[where]
+    monkeypatch.setattr(name, fails, raising=where != "open")
+    assert run_cli("gen-data", "--out", str(out), "--n-videos", "2") == 2
+    _assert_output_error(capsys, out, os.strerror(code))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["corpus-audio", "corpus-spec", "predictions", "params"])
 def test_an_int_too_large_for_a_float_exits_2_at_its_line(tmp_path, capsys, where):
     corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)

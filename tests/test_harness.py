@@ -559,8 +559,9 @@ def test_config_unknown_key_rejected(tmp_path):
     ("learning_rte = 0.1", "unknown config key learning_rte"),
     ("learning_rate = fast", "learning_rate must be a number, got 'fast'"),
     ("seed = 2", "seed repeats line 1"),
+    ("epochs 3", "expected 'key = value', got 'epochs 3'"),
 ], ids=["batch_size = x", "epochs = 3.5", "unimodal_only = maybe", "learning_rte = 0.1",
-        "learning_rate = fast", "seed = 2"])
+        "learning_rate = fast", "seed = 2", "epochs 3"])
 def test_config_bad_entry_names_line(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"seed = 1\n{line}\n")

@@ -12,7 +12,7 @@ from coleaf.branches import (
     init_branch_params,
     reference_forward,
 )
-from coleaf.errors import ConfigError, ContractError
+from coleaf.errors import ConfigError, ContractError, DimensionError
 from coleaf.losses import (
     PseudoLabels,
     anchor_modality_video_probs,
@@ -20,6 +20,7 @@ from coleaf.losses import (
     cooccurrence_kd,
     distil_pseudo_labels,
     event_aware_nce,
+    modality_nce,
     self_modality_kd,
     total_loss,
     unalignment_weights,
@@ -202,6 +203,21 @@ def test_nce_rejects_bad_temperature():
     x = Tensor(np.ones((3, 4)))
     with pytest.raises(ConfigError):
         event_aware_nce(x, x, x, x, _weights(1.0, 1.0), tau=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: distil_pseudo_labels(np.array([0.9]), np.array([0.1]), 0.5, source="teacher"),
+         ConfigError, "unknown pseudo-label source 'teacher'"),
+        (lambda: modality_nce(Tensor(np.ones((2, 3, 4))), np.ones((2, 3, 5)), np.ones(2)),
+         DimensionError, r"token sets must match, got \(2, 3, 4\) and \(2, 3, 5\)"),
+    ],
+    ids=["unknown-pseudo-label-source", "nce-token-sets-of-two-shapes"],
+)
+def test_loss_inputs_outside_their_contract_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_nce_matches_double_loop():

@@ -439,6 +439,18 @@ def test_full_report_rejects_an_empty_corpus(aggregation):
         full_report({}, {}, config=MetricConfig(aggregation=aggregation))
 
 
+@pytest.mark.parametrize(
+    "pred_ids, aggregation, error, message",
+    [(["a", "b", "c"], "micro", AlignmentError, "ids missing from ground truth: b, c"),
+     (["a"], "median", ConfigError, "unknown aggregation 'median'")],
+    ids=["ids-missing-from-ground-truth", "unknown-aggregation"],
+)
+def test_full_report_rejects_extra_predictions_and_an_unknown_aggregation(pred_ids, aggregation, error, message):
+    parse = BinaryParse(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(error, match=f"^{message}$"):
+        full_report(dict.fromkeys(pred_ids, parse), {"a": parse}, config=MetricConfig(aggregation=aggregation))
+
+
 # run pairs as (pred span, gt span), inclusive, keyed by their IoU; 12/25 sits just below 1/2
 _RUN_PAIRS = {
     3 / 10: ((0, 2), (0, 9)),

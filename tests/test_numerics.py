@@ -187,6 +187,24 @@ def test_backward_rejects_non_finite():
         nm.backward(x * 1.0)
 
 
+def test_backward_of_a_constant_loss_is_empty():
+    assert nm.backward((Tensor([1.0, 2.0]) * 3.0).sum()) == {}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nm.transpose(Tensor(np.zeros(3))), r"transpose needs at least two axes, got shape \(3,\)"),
+        (lambda: nm.attention(*(Tensor(np.zeros((2, 3))),) * 2, *(Tensor(np.zeros((4, 4))),) * 3),
+         r"projection \(4, 4\) does not accept tokens of width 3"),
+    ],
+    ids=["transpose-of-one-axis", "attention-projection-of-another-width"],
+)
+def test_operands_of_the_wrong_rank_or_width_are_rejected(call, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call()
+
+
 def test_detach_blocks_gradient():
     x = Tensor(2.0, requires_grad=True)
     grads = nm.backward((x.detach() * x).sum())

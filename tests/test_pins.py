@@ -164,3 +164,19 @@ def test_modules_import_only_the_layers_below_them():
         "coleaf's import graph is one layer order, " + " < ".join(LAYERS) + ", and no module "
         "reaches into another's private names:\n" + "\n".join(faults)
     )
+
+
+def test_only_the_binary_op_helper_and_matmul_sum_gradients_down_to_an_operand():
+    tree = ast.parse((PACKAGE / "numerics.py").read_text(encoding="utf-8"))
+    callers = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else f"line {top.lineno}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unbroadcast":
+                callers.add(owner)
+    assert callers == {"_binary", "matmul", "_right_grad"}, (
+        f"_unbroadcast is called from {', '.join(sorted(callers)) or 'nowhere'}. The rule that an "
+        "operand's gradient is formed only if it requires one and is summed down to its own shape "
+        "is stated once, in coleaf.numerics._binary, which builds add, sub, mul and div from a "
+        "forward and two gradient formulas; only matmul and its _right_grad sum on their own."
+    )

@@ -663,3 +663,22 @@ def test_records_compare_by_value_and_type():
         assert cleared != record and record != cleared
     assert dataclasses.replace(a.spec, cooccur=2 * a.spec.cooccur) != a.spec
     assert BinaryParse(gt.audio, 1 - gt.visual) != gt
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "all-blank"])
+def test_a_corpus_file_without_a_header_names_line_1(tmp_path, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}:1: empty file, expected a header object')}$"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "cooccur, message",
+    [(np.zeros((3, 3)), "cooccur must be 4x4, got (3, 3)"),
+     (np.triu(np.ones((4, 4)), 1), "cooccur must be symmetric")],
+    ids=["another-shape", "asymmetric"],
+)
+def test_spec_rejects_a_cooccur_that_is_not_a_symmetric_c_by_c_matrix(cooccur, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        small_spec(cooccur=cooccur).validate()
