@@ -37,59 +37,62 @@ instrumentation = Instrumentation()
 
 
 def param_layout(dim, n_classes):
-    """`(name, shape)` of every parameter of both branches, in init draw order.
+    """`(prefix, members, parts)` of every parameter group of both branches.
 
-    The order fixes each parameter's offset in `BranchParams.flat`.
+    Each `(part, shape)` of a group is one parameter, `prefix + part`, of shape
+    `(len(members), *shape)`: one array per member, which files name `member + part`.
+    A group without members is unstacked and keeps its names in files. The
+    layout orders the spans of `BranchParams.flat` and `BranchParams.members`.
     """
     d, c = dim, n_classes
-    attn = (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)))
-    lin = (("weight", (d, c)), ("bias", (c,)))  # D -> C
-    layout = []
-    for prefix, parts in (
-        ("reference.attn_audio", attn),
-        ("reference.attn_visual", attn),
-        # learnable class tokens, C x D per modality
-        ("reference", (("class_tokens_audio", (c, d)), ("class_tokens_visual", (c, d)))),
-        ("reference.temporal_fc", lin),  # shared across modalities
-        ("reference.classifier_audio", lin),
-        ("reference.classifier_visual", lin),
-        ("anchor.self_attn_audio", attn),
-        ("anchor.self_attn_visual", attn),
-        ("anchor.cross_attn_audio", attn),  # audio queries over visual tokens
-        ("anchor.cross_attn_visual", attn),
-        ("anchor.classifier", lin),  # shared by both modalities
-        ("anchor.pool_temporal_fc", lin),  # logits normalized along T
-        ("anchor.pool_modality_fc", lin),  # logits normalized across modalities
-    ):
-        layout += [(f"{prefix}.{name}", shape) for name, shape in parts]
-    return layout
+    attn = ((".wq", (d, d)), (".wk", (d, d)), (".wv", (d, d)))
+    lin = ((".weight", (d, c)), (".bias", (c,)))  # D -> C
+    tokens = (("", (c, d)),)  # learnable class tokens, C x D per modality
+    return [
+        ("reference.attn", ("reference.attn_audio", "reference.attn_visual"), attn),
+        ("reference.class_tokens", ("reference.class_tokens_audio", "reference.class_tokens_visual"), tokens),
+        ("reference.temporal_fc", (), lin),  # shared across modalities
+        ("reference.classifier", ("reference.classifier_audio", "reference.classifier_visual"), lin),
+        # cross attention: audio queries over visual tokens and visual over audio
+        ("anchor.attn", ("anchor.self_attn_audio", "anchor.self_attn_visual",
+                         "anchor.cross_attn_audio", "anchor.cross_attn_visual"), attn),
+        ("anchor.classifier", (), lin),  # shared by both modalities
+        ("anchor.pool_temporal_fc", (), lin),  # logits normalized along T
+        ("anchor.pool_modality_fc", (), lin),  # logits normalized across modalities
+    ]
 
 
 class BranchParams:
-    """Every parameter of both branches in one contiguous float64 vector.
+    """Every parameter of both branches in one contiguous float64 vector, zero when built.
 
     `params[name]` is a grad-tracking `Tensor` whose data is a view into
-    `flat`. The views are built once, so an optimiser updates `flat` in place
-    and the tensors that `backward` keys its gradients by stay valid.
+    `flat`, a stacked group's whole stack. The views are built once, so an optimiser
+    updates `flat` in place and the tensors that `backward` keys its gradients by
+    stay valid. `members` lists `(file name, view)` of each member's array.
     """
 
-    def __init__(self, dim, n_classes, flat):
+    def __init__(self, dim, n_classes):
         self.dim = dim
         self.n_classes = n_classes
         layout = param_layout(dim, n_classes)
-        self.flat = np.asarray(flat, dtype=np.float64)
-        size = sum(math.prod(shape) for _, shape in layout)
-        if self.flat.shape != (size,):
-            raise DimensionError(f"parameter vector has shape {self.flat.shape}, expected ({size},)")
+        shapes = {prefix + part: (len(members), *shape) if members else shape
+                  for prefix, members, parts in layout for part, shape in parts}
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
         self._tensors = {}
         self._spans = []
         offset = 0
-        for name, shape in layout:
+        for name, shape in shapes.items():
             span = slice(offset, offset + math.prod(shape))
             tensor = Tensor(self.flat[span].reshape(shape), requires_grad=True)
             self._tensors[name] = tensor
             self._spans.append((tensor, span))
             offset = span.stop
+        self.members = [
+            (member + part, self[prefix + part].data[i] if members else self[prefix + part].data)
+            for prefix, members, parts in layout
+            for i, member in enumerate(members or (prefix,))
+            for part, _ in parts
+        ]
 
     def __getitem__(self, name):
         return self._tensors[name]
@@ -108,11 +111,13 @@ class BranchParams:
 
 
 def init_branch_params(dim, n_classes, seed):
-    """Fresh parameters, uniform in [-1/sqrt(D), 1/sqrt(D)] from one seeded stream."""
+    """Fresh parameters, uniform in [-1/sqrt(D), 1/sqrt(D)] from one seeded stream, member by member."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
-    size = sum(math.prod(shape) for _, shape in param_layout(dim, n_classes))
-    return BranchParams(dim, n_classes, rng.uniform(-bound, bound, size))
+    params = BranchParams(dim, n_classes)
+    for _, view in params.members:
+        view[...] = rng.uniform(-bound, bound, view.shape)
+    return params
 
 
 @dataclass
@@ -189,23 +194,8 @@ def _token_block(videos, params):
     return (x[0] if single else x), len(batch)
 
 
-def _sided(template):
-    return [template.format(side) for side in ("audio", "visual")]
-
-
-def _stack(params, names):
-    """The named parameters stacked on a new leading axis, in the order given."""
-    return nm.stack([params[name] for name in names])
-
-
 def _linear(x, params, prefix):
     return nm.matmul(x, params[f"{prefix}.weight"]) + params[f"{prefix}.bias"]
-
-
-def _attend(query, kv, params, prefixes):
-    """Attention over stacked problems, the i-th with the projections under `prefixes[i]`."""
-    weights = [_stack(params, [f"{p}.{w}" for p in prefixes]) for w in ("wq", "wk", "wv")]
-    return nm.attention(query, kv, *weights)
 
 
 def reference_forward(videos, params, use_class_tokens=True):
@@ -221,19 +211,17 @@ def reference_forward(videos, params, use_class_tokens=True):
     """
     x, count = _token_block(videos, params)  # (B x) 2 x T x D
     instrumentation.reference_forward_calls += count
-    t, c = x.shape[-2], params.n_classes
+    (t, d), c = x.shape[-2:], params.n_classes
     x = Tensor(x)
     if use_class_tokens:
         instrumentation.class_token_reads += 2 * count  # both modalities' class tokens
-        class_tokens = _stack(params, _sided("reference.class_tokens_{}"))  # 2 x C x D
-        # every video attends over the same class tokens
-        class_tokens = class_tokens + Tensor(np.zeros(x.shape[:-2] + class_tokens.shape[-2:]))
+        # every video attends over the same class tokens, 2 x C x D
+        class_tokens = params["reference.class_tokens"] + Tensor(np.zeros(x.shape[:-2] + (c, d)))
         x = nm.concat([x, class_tokens], axis=-2)
-    tokens = _attend(x, x, params, _sided("reference.attn_{}"))
+    tokens = nm.attention(x, x, *(params[f"reference.attn.{w}"] for w in ("wq", "wk", "wv")))
     seg_tokens = tokens[..., :t, :]
-    logits = nm.matmul(seg_tokens, _stack(params, _sided("reference.classifier_{}.weight")))
-    bias = _stack(params, _sided("reference.classifier_{}.bias")).reshape((2, 1, c))
-    seg_probs = nm.sigmoid(logits + bias)
+    logits = nm.matmul(seg_tokens, params["reference.classifier.weight"])
+    seg_probs = nm.sigmoid(logits + params["reference.classifier.bias"].reshape((2, 1, c)))
     weights = nm.softmax(_linear(seg_tokens, params, "reference.temporal_fc"), axis=-2)
     return ReferenceOutput(
         tokens=tokens,
@@ -259,14 +247,15 @@ def anchor_forward(videos, params, unimodal_only=False, pool=True):
     x, count = _token_block(videos, params)  # (B x) 2 x T x D
     instrumentation.anchor_forward_calls += count
     lead, (t, d) = x.shape[:-3], x.shape[-2:]
-    prefixes, query, kv = _sided("anchor.self_attn_{}"), x, x
-    if not unimodal_only:
+    weights = [params[f"anchor.attn.{w}"] for w in ("wq", "wk", "wv")]  # 4 x D x D each
+    query, kv = x, x
+    if unimodal_only:
+        weights = [w[:2] for w in weights]  # the self-attention problems
+    else:
         # cross attention: audio queries over visual tokens and visual over audio
-        prefixes += _sided("anchor.cross_attn_{}")
         query = np.concatenate([x, x], axis=-3)
         kv = np.concatenate([x, np.flip(x, axis=-3)], axis=-3)
-    attended = _attend(query, kv, params, prefixes)
-    attended = attended.reshape(lead + (len(prefixes) // 2, 2, t, d))
+    attended = nm.attention(query, kv, *weights).reshape(lead + (weights[0].shape[0] // 2, 2, t, d))
     tokens = Tensor(x) + attended.sum(axis=-4)  # (B x) 2 x T x D
     n = tokens.ndim
     feats = nm.transpose(tokens, (*range(n - 3), n - 2, n - 3, n - 1))  # (B x) T x 2 x D

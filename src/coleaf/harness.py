@@ -489,12 +489,13 @@ def evaluate(preds, corpus, threshold=0.5):
 
 
 def save_params(params, path):
-    """Write `params` as one JSON line, each parameter a float64 payload."""
-    values = {name: t.data for name, t in params.named_parameters()}
+    """Write `params` as one JSON line, each problem's array a float64 payload."""
+    values = dict(params.members)
     write_json_lines(path, [{"dim": params.dim, "n_classes": params.n_classes, "values": values}])
 
 
 def load_params(path):
+    """Read a `save_params` file, every value checked before the vector is allocated."""
     with open(path, "rb") as fh:
         payload = parse_record(fh.read(), ("dim", "n_classes", "values"), path)
     dim, n_classes, values = payload["dim"], payload["n_classes"], payload["values"]
@@ -502,16 +503,16 @@ def load_params(path):
         raise FileFormatError(f"{path}:1: dim and n_classes must be positive integers")
     if not isinstance(values, dict):
         raise FileFormatError(f"{path}:1: values must be an object of parameter name to array")
-    layout = param_layout(dim, n_classes)
-    names = {name for name, _ in layout}
-    extra = sorted(set(values) - names)
-    missing = sorted(names - set(values))
+    shapes = {member + part: shape for prefix, members, parts in param_layout(dim, n_classes)
+              for member in members or (prefix,) for part, shape in parts}
+    extra = sorted(set(values) - set(shapes))
+    missing = sorted(set(shapes) - set(values))
     if extra or missing:
         raise FileFormatError(
             f"{path}:1: parameter names do not match (missing {missing}, extra {extra})"
         )
-    pieces = []
-    for name, shape in layout:
+    checked = {}
+    for name, shape in shapes.items():
         try:
             value = np.asarray(values[name], dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as err:
@@ -522,8 +523,11 @@ def load_params(path):
             raise FileFormatError(
                 f"{path}:1: parameter {name} has shape {value.shape}, expected {shape}"
             )
-        pieces.append(value.reshape(-1))
-    return BranchParams(dim, n_classes, np.concatenate(pieces))
+        checked[name] = value
+    params = BranchParams(dim, n_classes)
+    for name, view in params.members:
+        view[...] = checked[name]
+    return params
 
 
 @dataclass

@@ -55,7 +55,8 @@ def naive_attention(query, kv, wq, wk, wv):
 
 
 def reference_forward_oracle(sample, values, use_class_tokens=True):
-    """Step-by-step recomputation of the reference branch from a name->array map."""
+    """Step-by-step recomputation of the reference branch from each problem's array by
+    file name, as `dict(params.members)` gives them."""
     t = sample.audio_tokens.shape[0]
     out = {}
     for modality, feats in (("audio", sample.audio_tokens), ("visual", sample.visual_tokens)):
@@ -89,7 +90,8 @@ def reference_forward_oracle(sample, values, use_class_tokens=True):
 
 
 def anchor_forward_oracle(sample, values, unimodal_only=False):
-    """Recomputation of the anchor branch, with the pooled sum as a double loop."""
+    """Recomputation of the anchor branch, with the pooled sum as a double loop, from
+    `dict(params.members)` as in `reference_forward_oracle`."""
     fa, fv = sample.audio_tokens, sample.visual_tokens
 
     def attn(prefix, q, kv):

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from coleaf.branches import init_branch_params
 from coleaf.cli import main
 from coleaf.fileio import parse_record, write_json_lines
+from coleaf.harness import save_params
 
 
 def run_cli(*argv):
@@ -164,6 +166,24 @@ def test_predict_with_non_finite_params_exits_2(tmp_path, capsys):
     assert status == 2
     assert f"{params}:1: parameter reference.attn_audio.wq: values must be finite\n" in capsys.readouterr().err
     assert not preds.exists()
+
+
+def test_predict_with_params_of_a_huge_dim_exits_2(tmp_path, capsys):
+    """The names are right and each value holds one number, but the file claims D = 10**9:
+    a value's shape is refused before any D x D parameter is allocated."""
+    corpus = gen_corpus(tmp_path, "c.jsonl", n_videos=2)
+    params = tmp_path / "params.json"
+    save_params(init_branch_params(8, 4, 0), params)
+    payload = json.loads(params.read_text())
+    payload["dim"] = 10**9
+    payload["values"] = {name: np.zeros(1) for name in payload["values"]}
+    write_json_lines(params, [payload])
+    preds = tmp_path / "p.jsonl"
+    status = run_cli("predict", "--params", str(params), "--corpus", str(corpus), "--out", str(preds))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"coleaf: error: {params}:1: parameter reference.attn_audio.wq has shape (1,)")
+    assert "Traceback" not in err and not preds.exists()
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -279,11 +280,13 @@ def test_training_with_the_two_pass_walk_gives_the_same_bits(monkeypatch):
 
 
 def test_sample_losses_builds_only_graph_nodes_that_backward_reaches(monkeypatch):
-    """The anchor pseudo-labels and `cooccurrence_kd` share one per-modality pooling, so
-    a default-config batch builds 101 grad-tracking tensors, 2 fewer than when each built
-    its own, and every one of them gets a gradient."""
+    """The anchor pseudo-labels and `cooccurrence_kd` share one per-modality pooling, 2
+    nodes fewer than when each built its own. The forwards read each stacked group's
+    parameter as it is stored, 9 stack nodes fewer than when they stacked one parameter
+    per problem; `unimodal_only` takes the self-attention rows of the anchor's three
+    projections, 3 slice nodes. So a default-config batch builds 92 grad-tracking
+    tensors and a unimodal one 95, and every one of them gets a gradient."""
     samples, params = desk_corpus(n_videos=16).samples, init_branch_params(8, 4, 0)
-    built = []
     init = vars(Tensor)["__init__"]
 
     def counting_init(self, *args, **kwargs):
@@ -291,12 +294,14 @@ def test_sample_losses_builds_only_graph_nodes_that_backward_reaches(monkeypatch
         if self.requires_grad:
             built.append(self)
 
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
-    totals, _ = sample_losses(samples, params, TrainConfig())
-    monkeypatch.undo()
-    grads = nm.backward(totals.mean())
-    assert len(built) == 101
-    assert all(tensor in grads for tensor in built)
+    for config, count in ((TrainConfig(), 92), (TrainConfig(unimodal_only=True), 95)):
+        built = []
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        totals, _ = sample_losses(samples, params, config)
+        monkeypatch.undo()
+        grads = nm.backward(totals.mean())
+        assert len(built) == count
+        assert all(tensor in grads for tensor in built)
 
 
 def _mixed_corpus(change, n_videos=4, odd_index=2, seed=1):
@@ -468,10 +473,10 @@ def test_params_round_trip(tmp_path):
     for (name_a, ta), (name_b, tb) in zip(params.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(ta.data, tb.data)
-    # every value a float64 payload, with no number left as text
+    # every value a float64 payload of its member's shape, with no number left as text
     values = json.loads(path.read_text())["values"]
-    assert {(v["dtype"], tuple(v["shape"])) for v in values.values()} == {
-        ("<f8", t.data.shape) for _, t in params.named_parameters()
+    assert {name: (v["dtype"], tuple(v["shape"])) for name, v in values.items()} == {
+        name: ("<f8", view.shape) for name, view in params.members
     }
     # Written by save_params(init_branch_params(2, 2, 5)) when the parameters
     # still lived in nested per-layer records and were saved as nested lists:
@@ -484,6 +489,28 @@ def test_params_round_trip(tmp_path):
     save_params(loaded, tmp_path / "again.json")
     assert all(isinstance(v, dict) for v in json.loads((tmp_path / "again.json").read_text())["values"].values())
     assert np.array_equal(load_params(tmp_path / "again.json").flat, expected.flat)
+
+
+def test_saved_parameters_keep_the_bytes_of_one_array_per_problem(tmp_path):
+    """`save_params(init_branch_params(3, 2, 7))` as written when each problem's array was a
+    parameter of its own, before the stacked groups became the stored parameters."""
+    path = tmp_path / "params.json"
+    save_params(init_branch_params(3, 2, 7), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "3fd9bb529c1ba586ac279364b280e4f37c85cd05c2ea4405a5a1d1ec47e2db3d"
+
+
+def test_load_params_checks_every_value_before_it_allocates(tmp_path):
+    """A file that claims D = 10**9, with the right names and one-element values, is refused
+    for a value's shape before any D x D parameter is allocated."""
+    payload = json.loads((DATA_DIR / "params_d2_c2_seed5.json").read_text())
+    payload["dim"] = 10**9
+    payload["values"] = {name: [0.0] for name in payload["values"]}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    message = "parameter reference.attn_audio.wq has shape (1,), expected (1000000000, 1000000000)"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
+        load_params(path)
 
 
 def test_load_params_rejects_wrong_shape(tmp_path):

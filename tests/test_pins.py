@@ -180,3 +180,36 @@ def test_only_the_binary_op_helper_and_matmul_sum_gradients_down_to_an_operand()
         "is stated once, in coleaf.numerics._binary, which builds add, sub, mul and div from a "
         "forward and two gradient formulas; only matmul and its _right_grad sum on their own."
     )
+
+
+def test_the_forwards_read_stacked_parameters_and_only_param_layout_names_a_member():
+    from coleaf.branches import param_layout
+
+    source = (PACKAGE / "branches.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    stacks = [
+        f"branches.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "stack"
+    ]
+    layout = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "param_layout")
+    # each member's own word, as written out ("attn_audio") and as a template ("attn_{")
+    words = {
+        spelled
+        for _, members, _ in param_layout(1, 1)
+        for member in members
+        for spelled in (member.split(".")[-1], re.sub(r"(audio|visual)$", "{", member.split(".")[-1]))
+    }
+    spellings = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if any(word in line for word in words)
+        and not (path.name == "branches.py" and layout.lineno <= n <= layout.end_lineno)
+    ]
+    assert stacks == [] and spellings == [], (
+        f"branches.py stacks at {', '.join(stacks) or 'no line'} and a member name is spelled at "
+        f"{', '.join(spellings) or 'no line'}. Each stacked group of coleaf.branches.param_layout "
+        "is stored as the stack the forwards use, so no forward stacks parameters, and "
+        "param_layout alone names the problems of a group, in their order."
+    )
