@@ -8,17 +8,21 @@ bit-exact without turning each number into text. Bool arrays stay JSON
 booleans. Readers take a nested list as well.
 
 `write_json_lines` writes every data file (corpora, predictions, parameters)
-and formats each record's line by that layout, not through the generic JSON
-walk, and writes the bytes the JSON encoder would; `write_json` writes only
-the indented training log, which holds no arrays. One reader,
-`read_records`, reads the corpus and prediction records: it owns the record
-loop, the id rule and the blocks, and its callers give only their keys and
-one block builder. A block that fails is built again one record at a time by
-that builder, so the error names the faulty line. Each payload's base64 is
-left to `stack_payloads`, which decodes a block's payloads of one field into
-one buffer, and `parse_record` decodes each payload as a block of one, so
-`stack_payloads` is the one base64 decoder and names a fault in the same words
-for both.
+in pieces of whole lines, one write per megabyte or so of text. It formats
+each record's line by that layout, not through the generic JSON walk, with a
+payload's text up to its base64 formatted once per dtype and shape in a file,
+and writes the bytes the JSON encoder would; `write_json` writes only the
+indented training log, which holds no arrays. One reader, `read_records`,
+reads the corpus and prediction records: it owns the record loop, the id rule
+and the blocks, and its callers give only their keys and one block builder.
+Its parser only tags each payload object; `stack_payloads` checks a block's
+payloads of one field once, the first in full and the rest for its dtype and
+shape, and decodes their base64 into one buffer. A block that fails is built
+again one record at a time by that builder, each record's payloads checked
+first, so the error names the faulty line in the words a reader that checks
+every line in full would give. `parse_record` decodes each payload as a block
+of one, so `stack_payloads` is the one base64 decoder and names a fault in the
+same words for both.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -85,20 +90,23 @@ _PAYLOAD_DTYPES = {
 _INT_DTYPES_TEXT = ", ".join(repr(name) for name in _PAYLOAD_DTYPES if name != "<f8")
 
 
-def _payload_fields(array):
-    """The dtype string, shape and base64 text of a float or integer array's payload: its
-    little-endian float64 bytes, or those of its own integer dtype, in C order."""
-    dtype = np.dtype("<f8") if array.dtype.kind == "f" else array.dtype.newbyteorder("<")
-    data = np.asarray(array, dtype=dtype, order="C")
-    return dtype.str, data.shape, binascii.b2a_base64(data, newline=False).decode("ascii")
+def _payload_dtype(dtype):
+    """The dtype an array of `dtype` is written as: float64 for a float array, else the
+    little-endian form of its own integer dtype."""
+    return np.dtype("<f8") if dtype.kind == "f" else dtype.newbyteorder("<")
 
 
 def _payload(array):
     """A float or integer array as a payload object; any other array as a nested list."""
     if not isinstance(array, np.ndarray) or array.dtype.kind not in "fiu":
         return np.ndarray.tolist(array)
-    dtype, shape, b64 = _payload_fields(array)
-    return {"dtype": dtype, "shape": shape, "b64": b64}
+    data = np.asarray(array, dtype=_payload_dtype(array.dtype), order="C")
+    return {"dtype": data.dtype.str, "shape": data.shape, "b64": _b64_text(data)}
+
+
+def _b64_text(data):
+    """The base64 text of the C-order bytes of `data`."""
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 class _PayloadError(ValueError):
@@ -106,29 +114,26 @@ class _PayloadError(ValueError):
 
 
 class _Deferred(dict):
-    """A payload object whose dtype and shape are checked and whose b64 is not decoded yet."""
+    """A payload object, its keys exactly `dtype`, `shape` and `b64`, not checked or decoded yet."""
 
 
-def _checked_payload(obj):
-    """`obj` as a `_Deferred` if it is a payload object of the right dtype and shape, else `obj`."""
-    if obj.keys() != _PAYLOAD_KEYS:
-        return obj
-    dtype, shape = obj["dtype"], obj["shape"]
+def _checked_payload(payload):
+    """Raise `_PayloadError` unless the payload object `payload` names a payload dtype and
+    a shape of non-negative integers."""
+    dtype, shape = payload["dtype"], payload["shape"]
     if not isinstance(dtype, str) or dtype not in _PAYLOAD_DTYPES:
         raise _PayloadError(
             f"payload dtype must be '<f8', got {dtype!r}; an integer payload may also be {_INT_DTYPES_TEXT}"
         )
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise _PayloadError(f"payload shape must be a list of non-negative integers, got {shape!r}")
-    return _Deferred(obj)
 
 
 def _from_payload(obj):
     """`obj` decoded to a writable array of its dtype if it is a payload object, else `obj`."""
-    obj = _checked_payload(obj)
-    if type(obj) is not _Deferred:
+    if obj.keys() != _PAYLOAD_KEYS:
         return obj
-    return stack_payloads([obj]).reshape(obj["shape"])
+    return stack_payloads([_Deferred(obj)]).reshape(obj["shape"])
 
 
 # Built once rather than per line: both are stateless between calls. The writers build
@@ -137,29 +142,55 @@ _ENCODER = json.JSONEncoder(default=_payload, check_circular=False)
 _DECODER = json.JSONDecoder(object_hook=_from_payload)
 
 
-def _value_text(value):
-    """`value` as JSON text, the text `_ENCODER` gives it, with float and integer arrays
-    formatted as their payload text rather than walked."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        dtype, shape, b64 = _payload_fields(value)
-        return f'{{"dtype": "{dtype}", "shape": {list(shape)}, "b64": "{b64}"}}'
-    return _ENCODER.encode(value)
+def _value_text(value, heads):
+    """`value` as JSON text, the text `_ENCODER` gives it, with a float or integer array
+    formatted as its payload text rather than walked.
+
+    `heads` maps an array's dtype and shape to the dtype it is written as and
+    its payload's text up to the base64; a missing entry is added.
+    """
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        return _ENCODER.encode(value)
+    key = (value.dtype, value.shape)
+    entry = heads.get(key)
+    if entry is None:
+        dtype = _payload_dtype(value.dtype)
+        entry = heads[key] = dtype, f'{{"dtype": "{dtype.str}", "shape": {list(value.shape)}, "b64": "'
+    dtype, head = entry
+    return f'{head}{_b64_text(np.asarray(value, dtype=dtype, order="C"))}"}}'
 
 
-def _line(record):
-    """`record` as one line of JSON text; a dict record's keys must be strings."""
+def _line(record, heads):
+    """`record` as one line of JSON text, its payload heads from `heads` as `_value_text`
+    takes them; a dict record's keys must be strings."""
     if not isinstance(record, dict):
         return _ENCODER.encode(record)
-    items = (f"{encode_basestring_ascii(k)}: {_value_text(v)}" for k, v in record.items())
+    items = [f"{encode_basestring_ascii(k)}: {_value_text(v, heads)}" for k, v in record.items()]
     return "{" + ", ".join(items) + "}"
+
+
+# The characters `write_json_lines` gathers before a write: a 100-video desk corpus is
+# one write, while a full-scale corpus (about 55 kB a line) is never held as one text.
+_WRITE_CHARS = 1 << 20
 
 
 def write_json_lines(path, records):
     """Atomically write each record as one line of JSON, float and integer arrays as
-    payload objects and other arrays as nested lists."""
+    payload objects and other arrays as nested lists.
+
+    The lines are written in pieces of whole lines, one write each time about
+    `_WRITE_CHARS` characters have been gathered, and each payload's text up
+    to its base64 is formatted once per dtype and shape in the file.
+    """
+    heads, lines, size = {}, [], 0
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(_line(record) + "\n")
+            lines.append(f"{_line(record, heads)}\n")
+            size += len(lines[-1])
+            if size >= _WRITE_CHARS:
+                fh.write("".join(lines))
+                lines, size = [], 0
+        fh.write("".join(lines))
 
 
 def json_lines(path):
@@ -204,22 +235,24 @@ def _decode(decoder, raw, required, path, line_no):
 
 def _record_parser(path, required, deferred):
     """A `parse(raw, line_no)` that reads a line of `path` as `parse_record` does, except
-    that a payload object under a key in `deferred` stays undecoded, for `stack_payloads`;
-    a key in `deferred` may also be absent or hold another value.
+    that a payload object under a key in `deferred` stays unchecked and undecoded, for
+    `stack_payloads`; a key in `deferred` may also be absent or hold another value.
 
-    Its dtype and shape are checked at its line, its base64 and byte count
-    only when it is decoded, so `parse` passes some lines that `parse_record`
-    rejects. A line with a payload anywhere else is read by `parse_record`.
+    Its dtype and shape are checked once per block, by `stack_payloads`, and
+    its base64 and byte count when it is decoded, so `parse` passes some lines
+    that `parse_record` rejects. A line with a payload anywhere else is read
+    by `parse_record`.
     """
     seen = 0
 
-    def defer(obj):
+    def tag(obj):
         nonlocal seen
-        obj = _checked_payload(obj)
-        seen += type(obj) is _Deferred
-        return obj
+        if obj.keys() != _PAYLOAD_KEYS:
+            return obj
+        seen += 1
+        return _Deferred(obj)
 
-    decoder = json.JSONDecoder(object_hook=defer)
+    decoder = json.JSONDecoder(object_hook=tag)
 
     def parse(raw, line_no):
         nonlocal seen
@@ -234,12 +267,14 @@ def _record_parser(path, required, deferred):
 
 def stack_payloads(values):
     """`values` stacked into one writable array, `len(values)` x their shape; the one
-    decoder of payload base64.
+    checker and decoder of deferred payloads.
 
-    Payloads that `read_records` deferred are decoded together into one
-    buffer of their dtype; other values (nested lists, arrays, None) are each
-    made an array and then stacked, so a ragged list is named by its own
-    shape. A payload whose base64, byte count or shape is bad raises
+    Payloads that `read_records` deferred are checked once for the block, the
+    first by `_checked_payload` and the rest for its dtype and shape, and
+    decoded together into one buffer of their dtype; other values (nested
+    lists, arrays, None) are each made an array and then stacked, so a ragged
+    list is named by its own shape. A first payload whose dtype or shape is
+    bad, or a payload whose base64, byte count or shape is bad, raises
     `_PayloadError`, which names the fault. Values that do not stack,
     payloads of more than one dtype or shape, or a mix of payloads and other
     values raise `ValueError` or `TypeError`.
@@ -249,8 +284,13 @@ def stack_payloads(values):
         if deferred:
             raise ValueError("the block mixes payloads and other values")
         return np.stack([np.asarray(value) for value in values])
+    _checked_payload(values[0])
     name, shape = values[0]["dtype"], values[0]["shape"]
-    if any(value["dtype"] != name or value["shape"] != shape for value in values):
+    shapes = [value["shape"] for value in values]
+    # equal to the first's integers, so a float (3.0) or a bool (true) is all that could slip by
+    if any(value["dtype"] != name for value in values) or shapes.count(shape) < len(values) or (
+        not set(map(type, chain.from_iterable(shapes))) <= {int}
+    ):
         raise ValueError("the payloads differ in dtype or shape")
     dtype = _PAYLOAD_DTYPES[name]
     need = dtype.itemsize * math.prod(shape)
@@ -288,13 +328,15 @@ def read_records(path, lines, required, deferred, stacked):
     that each hold every key in `required` and a unique string "id"; return the list of
     what `stacked` builds from them, and the last line read (0 for none).
 
-    A payload under a key in `deferred` is left for `stack_payloads`. Records
-    are gathered `SCORE_BLOCK_VIDEOS` at a time and `stacked(records)` builds a
-    block's items. If that raises `TypeError`, `ValueError` or `OverflowError`,
-    `stacked` builds each record of the block alone, in line order, and the
-    first such error is a `FileFormatError` at its record's line. A line that
-    does not parse or repeats an id is reported after the block before it is
-    built, so the earliest faulty line is the one named.
+    A payload under a key in `deferred` is left unchecked for `stack_payloads`,
+    to which `stacked` must pass it. Records are gathered `SCORE_BLOCK_VIDEOS`
+    at a time and `stacked(records)` builds a block's items. If that raises
+    `TypeError`, `ValueError` or `OverflowError`, each record of the block is
+    taken alone, in line order: its payloads' dtypes and shapes are checked,
+    then `stacked` builds it, and the first error is a `FileFormatError` at
+    its record's line. A line that does not parse or repeats an id is
+    reported after the block before it is built, so the earliest faulty line
+    is the one named.
     """
     parse = _record_parser(path, required, deferred)
     built, id_lines, block, line_no = [], {}, [], 0
@@ -316,7 +358,8 @@ def read_records(path, lines, required, deferred, stacked):
 
 def _build(block, path, stacked):
     """The items of `block`, a list of `(line_no, record)`: `stacked` of its records, or
-    else `stacked` of each record alone, so an error names the first faulty line."""
+    else `stacked` of each record alone after its payloads' check, so an error names the
+    first faulty line."""
     if not block:
         return []
     try:
@@ -326,6 +369,9 @@ def _build(block, path, stacked):
     items = []
     for line_no, rec in block:
         try:  # a bad payload's `_PayloadError` is a ValueError
+            for value in rec.values():  # before the rest, as when a line is read in full
+                if type(value) is _Deferred:
+                    _checked_payload(value)
             items += stacked([rec])
         except (TypeError, ValueError, OverflowError) as err:
             raise FileFormatError(f"{path}:{line_no}: {err}") from err

@@ -1,5 +1,7 @@
 import base64
 import codecs
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -323,6 +325,96 @@ def test_each_reader_names_the_line_of_a_bad_payload(tmp_path, reader, fault):
         with pytest.raises(FileFormatError) as err:
             load(path)
         assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("fault", list(PAYLOAD_FAULTS))
+def test_a_ground_truth_payload_fault_beside_a_null_parse_keeps_its_words(tmp_path, fault):
+    """A record whose gt_audio payload has a fault and whose gt_visual is null: a bad dtype
+    or shape is named before the missing key, as by a reader that checks each payload's
+    dtype and shape as its line is read; a fault found only on decoding comes after it."""
+    load, path, (first, middle, boundary, _) = _long_file(tmp_path, "corpus")
+    spoil, message = PAYLOAD_FAULTS[fault]
+    if fault not in ("dtype", "shape"):
+        message = "missing key gt_visual"
+    lines = path.read_text().splitlines()
+    for line in (first, middle, boundary):
+        record = json.loads(lines[line - 1])
+        record["gt_audio"], record["gt_visual"] = spoil(record["gt_audio"]), None
+        _respoil(path, lines, line, record)
+        with pytest.raises(FileFormatError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("shape", [[1.0, 2], [True, 2], [1, 2.0]], ids=["float", "bool", "float-last"])
+def test_a_payload_shape_equal_to_its_blocks_but_not_of_integers_is_named(tmp_path, shape):
+    """Equal by value to the shape of its block's first payload, 1.0 and true still are not
+    integers, wherever the record sits among the check blocks."""
+    path = tmp_path / "preds.jsonl"
+    rng = np.random.default_rng(0)
+    write_predictions({f"v{i:03d}": (rng.random((1, 2)), rng.random((1, 2))) for i in range(LONG)}, path)
+    lines = path.read_text().splitlines()
+    for line in (1, LONG // 2, SCORE_BLOCK_VIDEOS + 1, LONG):
+        record = json.loads(lines[line - 1])
+        record["probs_visual"]["shape"] = shape
+        _respoil(path, lines, line, record)
+        with pytest.raises(FileFormatError) as err:
+            load_predictions(path)
+        message = f"payload shape must be a list of non-negative integers, got {shape!r}"
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def _long_corpus(kind):
+    """A corpus of LONG small videos: with ground truth, without it, or with class names."""
+    corpus = generate_corpus(CorpusSpec(n_videos=LONG, segments=3, classes=3, dim=4, seed=32))
+    if kind == "without-gt":
+        return dataclasses.replace(corpus, samples=[dataclasses.replace(s, gt=None) for s in corpus.samples])
+    if kind == "class-names":
+        return dataclasses.replace(corpus, spec=None, class_names=["dog", "speech", "car"])
+    return corpus
+
+
+# sha256 of the files as written with one write per line, before lines were gathered into larger writes
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("with-gt", "ff9cfc611d4be51b46dabf516e4f329ee95526355a3041fa0e0d3286170ab9b8"),
+        ("without-gt", "d13ed523307d9dedb92af6f0fa3ffeb115fdf49017b4c0e65ca40d05326a2cfe"),
+        ("class-names", "c61d6c781c6025fd6ae91d5539d7f5081110fe087365502981768a46ef177e60"),
+        ("predictions", "c27c3060e221a147bee41ec0235d421d8d820e919fff95c7818664d8ed7b3763"),
+    ],
+)
+def test_files_longer_than_a_block_keep_their_pinned_bytes(tmp_path, kind, digest):
+    path = tmp_path / "file.jsonl"
+    if kind == "predictions":
+        rng = np.random.default_rng(32)
+        write_predictions({f"v{i:03d}": (rng.random((3, 2)), rng.random((3, 2))) for i in range(LONG)}, path)
+    else:
+        save_corpus(_long_corpus(kind), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_a_writer_fault_after_a_write_leaves_no_trace(tmp_path):
+    """The encoder's own error, raised once part of the file has reached its temp file;
+    the file at the path keeps its bytes, and no temp file is left."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"old bytes\n")
+    bad = object()
+    with pytest.raises(TypeError) as want:
+        _ENCODER.encode(bad)
+
+    def records():  # lines of about 44 kB until the temp file holds some, then `bad`
+        for i in range(200):
+            if any(p != path and p.stat().st_size for p in tmp_path.iterdir()):
+                yield {"id": "bad", "x": bad}
+                return
+            yield {"id": f"v{i:03d}", "x": np.arange(4096.0)}
+
+    with pytest.raises(TypeError) as err:
+        write_json_lines(path, records())
+    assert str(err.value) == str(want.value)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["lines.jsonl"]
 
 
 _INT_DTYPES = "'|i1', '|u1', '<i2', '<u2', '<i4', '<u4', '<i8', '<u8'"

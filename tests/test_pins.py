@@ -182,6 +182,37 @@ def test_only_the_binary_op_helper_and_matmul_sum_gradients_down_to_an_operand()
     )
 
 
+def test_payloads_are_checked_a_block_at_a_time_and_not_by_the_record_parsers_hook():
+    tree = ast.parse((PACKAGE / "fileio.py").read_text(encoding="utf-8"))
+    callers = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else f"line {top.lineno}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked_payload":
+                callers.add(owner)
+    parser = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_record_parser")
+    hooks = {
+        kw.value.id
+        for node in ast.walk(parser)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "object_hook"
+    }
+    hook = next(n for n in ast.walk(parser) if isinstance(n, ast.FunctionDef) and n.name in hooks)
+    touched = {n.id for n in ast.walk(hook) if isinstance(n, ast.Name)} | {
+        n.value for n in ast.walk(hook) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    assert callers == {"stack_payloads", "_build"} and not touched & {
+        "_checked_payload", "_from_payload", "stack_payloads", "_PAYLOAD_DTYPES", "dtype", "shape"
+    }, (
+        f"_checked_payload is called from {', '.join(sorted(callers)) or 'nowhere'}, and the record "
+        f"parser's hook {hook.name} touches {sorted(touched)}. The hook only tags payload objects and "
+        "counts them; stack_payloads checks a block's payloads of one field once, the first in full "
+        "and the rest by equality, and _build checks each record's payloads before it rebuilds a "
+        "failed block one record at a time, so the error has the words of a line read in full."
+    )
+
+
 def test_the_forwards_read_stacked_parameters_and_only_param_layout_names_a_member():
     from coleaf.branches import param_layout
 
